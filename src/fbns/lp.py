@@ -104,6 +104,16 @@ class DyadicPartition:
         js = list(self.shell_range.indices)
         self.masks = np.stack([shell_profile(grid.xi_abs, j) for j in js])
         self._low = np.cumsum(self.masks, axis=0)
+        # Sparse shell support, grouped by shell: by almost-orthogonality
+        # every lattice point lies in at most two shells, so all shells of
+        # a sample reduce in one pass over about twice the lattice.
+        flat = self.masks.reshape(len(js), -1)
+        rows, self.support = np.nonzero(flat)
+        self.weights = flat[rows, self.support]
+        counts = np.bincount(rows, minlength=len(js))
+        self.filled = counts > 0
+        self.sizes = counts[self.filled]
+        self.offsets = np.cumsum(self.sizes) - self.sizes
 
     @property
     def js(self) -> list:
@@ -171,12 +181,42 @@ def _freq_lp(mag: np.ndarray, p: float, dxi: float, dim: int) -> float:
     return float(dxi ** (dim / p) * np.sum(mag ** p) ** (1.0 / p))
 
 
-def _sequence_lr(values: np.ndarray, r: float) -> float:
-    if values.size == 0:
-        return 0.0
+def _sequence_lr(values: np.ndarray, r: float) -> np.ndarray:
+    # l^r over the last axis, which is never empty: every partition has a shell
     if r == INF:
-        return float(np.max(values))
-    return float(np.sum(values ** r) ** (1.0 / r))
+        return np.max(values, axis=-1)
+    return np.sum(values ** r, axis=-1) ** (1.0 / r)
+
+
+def shell_series(coeffs: np.ndarray, p: float,
+                 partition: DyadicPartition) -> np.ndarray:
+    """Frequency L^p norms ||phi_j f_hat||_{L^p} of every shell j, the
+    values every other norm of this module is built from.
+
+    coeffs has shape lead + (ncomp,) + grid.shape (one field or a stack of
+    samples); the result has shape lead + (number of shells,).  Each shell
+    is divided by its largest value before powering, as LAPACK xNRM2 does,
+    so large finite p neither underflows nor overflows.
+    """
+    _validate_lebesgue("p", p)
+    part = partition
+    grid = part.grid
+    lead = coeffs.shape[:coeffs.ndim - grid.dim - 1]
+    out = np.zeros(lead + (len(part.js),))
+    # field by field, so the gathered values stay cache-sized
+    rows = out.reshape(-1, out.shape[-1])
+    for row, field in zip(rows, coeffs.reshape((len(rows), -1) + grid.shape)):
+        vals = _magnitude(field).ravel()[part.support]
+        vals *= part.weights
+        top = np.maximum.reduceat(vals, part.offsets)
+        if p == INF:
+            row[part.filled] = top
+            continue
+        scale = np.where(top > 0.0, top, 1.0)
+        vals /= np.repeat(scale, part.sizes)
+        sums = np.add.reduceat(vals ** p, part.offsets)
+        row[part.filled] = grid.dxi ** (grid.dim / p) * scale * sums ** (1.0 / p)
+    return out
 
 
 @dataclass
@@ -201,30 +241,49 @@ class NormReport:
         return out
 
 
+def fb_norm_of_series(series: np.ndarray, s: float, r: float,
+                      partition: DyadicPartition) -> np.ndarray:
+    """Fourier-Besov norms from shell_series values (shells on the last axis)."""
+    return _sequence_lr(series * 2.0 ** (s * np.array(partition.js)), r)
+
+
 def fb_norm(field: SpectralField, s: float, p: float, r: float,
             partition: DyadicPartition | None = None) -> NormReport:
     """Fourier-Besov norm: l^r over shells of 2^(j s) ||phi_j f_hat||_{L^p}."""
-    _validate_lebesgue("p", p)
     _validate_lebesgue("r", r)
     part = partition or get_partition(field.grid)
-    grid = field.grid
-    mag = _magnitude(field.coeffs)
-    shells = []
-    for j in part.js:
-        value = _freq_lp(part.shell_mask(j) * mag, p, grid.dxi, grid.dim)
-        shells.append((j, 2.0 ** (j * s) * value))
-    total = _sequence_lr(np.array([v for _, v in shells]), r)
-    return NormReport(
-        params={"s": s, "p": p, "r": r},
-        shells=shells,
-        total=total,
-        truncation_flags=list(part.shell_range.partial),
-    )
+    return _report({"s": s, "p": p, "r": r},
+                   shell_series(field.coeffs, p, part), s, r, part)
 
 
 def fb_norm_value(field: SpectralField, s: float, p: float, r: float,
                   partition: DyadicPartition | None = None) -> float:
     return fb_norm(field, s, p, r, partition).total
+
+
+def _report(params: dict, values: np.ndarray, s: float, r: float,
+            part: DyadicPartition, tail: float | None = None) -> NormReport:
+    values = values * 2.0 ** (s * np.array(part.js))
+    return NormReport(params, list(zip(part.js, values.tolist())),
+                      float(_sequence_lr(values, r)),
+                      list(part.shell_range.partial), tail)
+
+
+def _chemin_lerner_report(series: np.ndarray, times: np.ndarray, s: float,
+                          p: float, r: float, q: float,
+                          part: DyadicPartition) -> NormReport:
+    _validate_lebesgue("r", r)
+    _validate_lebesgue("q", q)
+    params = {"s": s, "p": p, "r": r, "q": q,
+              "horizon": float(times[-1] - times[0])}
+    if q == INF:
+        return _report(params, np.max(series, axis=0), s, r, part)
+    if len(times) < 2:
+        raise ValueError("time quadrature needs at least two samples")
+    last = float(fb_norm_of_series(series[-1], s, r, part))
+    tail = last * (1.0 / (q * part.grid.dxi ** 2)) ** (1.0 / q)
+    return _report(params, np.trapezoid(series ** q, times, axis=0) ** (1.0 / q),
+                   s, r, part, tail)
 
 
 def chemin_lerner_norm(traj: Trajectory, s: float, p: float, r: float, q: float,
@@ -237,40 +296,9 @@ def chemin_lerner_norm(traj: Trajectory, s: float, p: float, r: float, q: float,
     the truncated [T, inf) part is reported, assuming decay no slower than
     the slowest resolved heat mode exp(-dxi^2 t) past the horizon.
     """
-    _validate_lebesgue("p", p)
-    _validate_lebesgue("r", r)
-    _validate_lebesgue("q", q)
     part = partition or get_partition(traj.grid)
-    grid = traj.grid
-    if traj.n_samples < 2 and q != INF:
-        raise ValueError("time quadrature needs at least two samples")
-
-    series = np.empty((len(part.js), traj.n_samples))
-    for k in range(traj.n_samples):
-        mag = _magnitude(traj.coeffs[k])
-        for row, j in enumerate(part.js):
-            series[row, k] = _freq_lp(part.shell_mask(j) * mag, p, grid.dxi, grid.dim)
-
-    shells = []
-    for row, j in enumerate(part.js):
-        if q == INF:
-            time_norm = float(np.max(series[row]))
-        else:
-            time_norm = float(np.trapezoid(series[row] ** q, traj.times) ** (1.0 / q))
-        shells.append((j, 2.0 ** (j * s) * time_norm))
-    total = _sequence_lr(np.array([v for _, v in shells]), r)
-
-    tail = None
-    if q != INF:
-        last = fb_norm_value(traj.field(traj.n_samples - 1), s, p, r, part)
-        tail = last * (1.0 / (q * grid.dxi ** 2)) ** (1.0 / q)
-    return NormReport(
-        params={"s": s, "p": p, "r": r, "q": q, "horizon": traj.horizon},
-        shells=shells,
-        total=total,
-        truncation_flags=list(part.shell_range.partial),
-        tail_bound=tail,
-    )
+    series = shell_series(traj.coeffs, p, part)
+    return _chemin_lerner_report(series, traj.times, s, p, r, q, part)
 
 
 def critical_index(p: float) -> float:
@@ -283,17 +311,26 @@ def mild_norm_reports(traj: Trajectory, p: float, r: float,
     """The two halves of the contraction metric: sup-in-time critical norm
     and time-integrated smoothing norm (regularity gain 2)."""
     part = partition or get_partition(traj.grid)
-    sup_part = chemin_lerner_norm(traj, critical_index(p), p, r, INF, part)
-    smooth_part = chemin_lerner_norm(traj, critical_index(p) + 2.0, p, r, 1.0, part)
-    return sup_part, smooth_part
+    return _mild_reports(shell_series(traj.coeffs, p, part), traj.times, p, r, part)
+
+
+def _mild_reports(series, times, p, r, part):
+    s = critical_index(p)
+    return (_chemin_lerner_report(series, times, s, p, r, INF, part),
+            _chemin_lerner_report(series, times, s + 2.0, p, r, 1.0, part))
+
+
+def mild_norm_of_series(series: np.ndarray, times, p: float, r: float,
+                        partition: DyadicPartition) -> float:
+    """mild_norm from the shell_series of every sample (samples x shells)."""
+    return sum(rep.total for rep in _mild_reports(series, times, p, r, partition))
 
 
 def mild_norm(traj: Trajectory, p: float, r: float,
               partition: DyadicPartition | None = None) -> float:
     """Contraction metric of the small-data solver: the sum of the
     sup-in-time critical norm and the time-integrated smoothing norm."""
-    sup_part, smooth_part = mild_norm_reports(traj, p, r, partition)
-    return sup_part.total + smooth_part.total
+    return sum(rep.total for rep in mild_norm_reports(traj, p, r, partition))
 
 
 # ---------------------------------------------------------------------------
@@ -445,47 +482,25 @@ def bernstein_slope(gamma, p: float, q: float, js, dim: int = 3,
     kmax = int(math.ceil(extent / dxi)) + 1
     axis = np.arange(-kmax, kmax + 1) * dxi
 
+    # the lattice minus its first axis, and the monomial over it
+    rest = np.meshgrid(*([axis] * (dim - 1)), indexing="ij", sparse=True)
+    rest_sq = sum(x ** 2 for x in rest)
+    rest_mono = 1.0
+    for x, g in zip(rest, gamma[1:]):
+        rest_mono = rest_mono * np.abs(x) ** g
+
     logs = []
     for j in js:
-        lhs_pow = 0.0
-        lhs_max = 0.0
-        rhs_pow = 0.0
-        rhs_max = 0.0
-        if dim == 3:
-            x2 = axis[:, None]
-            x3 = axis[None, :]
-            plane_sq = x2**2 + x3**2
-            plane_mono = np.abs(x2**gamma[1] * x3**gamma[2]) if (gamma[1] or gamma[2]) else 1.0
-            for x1 in axis:
-                rad = np.sqrt(x1**2 + plane_sq)
-                prof = shell_profile(rad, j)
-                mono = np.abs(x1) ** gamma[0] * plane_mono if gamma[0] else plane_mono
-                weighted = mono * prof if gamma != (0, 0, 0) else prof
-                if q == INF:
-                    lhs_max = max(lhs_max, float(np.max(weighted)))
-                else:
-                    lhs_pow += float(np.sum(weighted ** q))
-                if p == INF:
-                    rhs_max = max(rhs_max, float(np.max(prof)))
-                else:
-                    rhs_pow += float(np.sum(prof ** p))
-        else:
-            x2 = axis[None, :]
-            for x1 in axis:
-                rad = np.sqrt(x1**2 + x2**2)
-                prof = shell_profile(rad, j)
-                mono = np.abs(x1) ** gamma[0] * np.abs(x2) ** gamma[1]
-                weighted = mono * prof
-                if q == INF:
-                    lhs_max = max(lhs_max, float(np.max(weighted)))
-                else:
-                    lhs_pow += float(np.sum(weighted ** q))
-                if p == INF:
-                    rhs_max = max(rhs_max, float(np.max(prof)))
-                else:
-                    rhs_pow += float(np.sum(prof ** p))
-        lhs = lhs_max if q == INF else dxi ** (dim / q) * lhs_pow ** (1.0 / q)
-        rhs = rhs_max if p == INF else dxi ** (dim / p) * rhs_pow ** (1.0 / p)
+        lhs = rhs = 0.0  # max for an infinite exponent, else sum of powers
+        for x1 in axis:
+            prof = shell_profile(np.sqrt(x1 ** 2 + rest_sq), j)
+            weighted = np.abs(x1) ** gamma[0] * rest_mono * prof
+            lhs = (max(lhs, float(np.max(weighted))) if q == INF
+                   else lhs + float(np.sum(weighted ** q)))
+            rhs = (max(rhs, float(np.max(prof))) if p == INF
+                   else rhs + float(np.sum(prof ** p)))
+        lhs = lhs if q == INF else dxi ** (dim / q) * lhs ** (1.0 / q)
+        rhs = rhs if p == INF else dxi ** (dim / p) * rhs ** (1.0 / p)
         logs.append(math.log2(lhs / rhs))
 
     slope = float(np.polyfit(js, logs, 1)[0])

@@ -25,46 +25,89 @@ from .trajectory import Trajectory
 DIVFREE_TOL = 1e-10
 
 
-class _SymbolArrays:
-    """Per-grid arrays entering the multiplier."""
+class Propagator:
+    """The semigroup over one time step dt on a 3d grid, with the per-mode
+    arrays of the multiplier m(dt) and of the local Duhamel integral
+    C + iS = integral_0^dt exp(-z s) ds computed once, z = |xi|^2 - i rho,
+    rho = Omega xi_3/|xi|.  Each is held as the arrays (a, b u_1, b u_2,
+    b u_3) of f -> a f + b R(xi) f with u = xi/|xi|, all zero at xi = 0.
+    """
 
-    def __init__(self, grid: Grid):
+    def __init__(self, grid: Grid, dt: float, omega: float):
         if grid.dim != 3:
             raise ValueError("the rotating semigroup is three-dimensional")
-        self.grid = grid
+        self.dt = float(dt)
+        origin = (0,) * 3
         safe = grid.xi_abs.copy()
-        origin = (0,) * grid.dim
         safe[origin] = 1.0
-        self.unit = [np.asarray(grid.xi_axis(ax) / safe) for ax in range(3)]
-        for u in self.unit:
-            u[origin] = 0.0
-        self.rot_rate = self.unit[2].copy()  # xi_3 / |xi|
-        self.kappa = grid.xi_sq
-        self.origin = origin
+        unit = [grid.xi_axis(ax) / safe for ax in range(3)]
+        z = grid.xi_sq - 1j * float(omega) * unit[2]
+        decay = np.exp(-z * self.dt)  # exp(-|xi|^2 dt) (cos + i sin)(rho dt)
+        z[origin] = 1.0
+
+        def arrays(c):  # those of f -> Re(c) f + Im(c) R(xi) f
+            c[origin] = 0.0
+            return c.real.copy(), [c.imag * u for u in unit]
+
+        self.local = arrays((1.0 - decay) / z)
+        self.multiplier = arrays(decay)
+
+    @staticmethod
+    def _rotate(coeffs: np.ndarray, arrays: tuple) -> np.ndarray:
+        # component i of a f + b (f x u) is a f_i + b u_k f_j - b u_j f_k
+        a, bu = arrays
+        out = np.empty_like(coeffs)
+        tmp = np.empty_like(coeffs[0])
+        for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            np.multiply(coeffs[i], a, out=out[i])
+            np.multiply(coeffs[j], bu[k], out=tmp)
+            out[i] += tmp
+            np.multiply(coeffs[k], bu[j], out=tmp)
+            out[i] -= tmp
+        return out
+
+    def apply(self, coeffs: np.ndarray) -> np.ndarray:
+        """m(dt) f for coefficients of shape (3,) + grid.shape."""
+        return self._rotate(coeffs, self.multiplier)
+
+    def step(self, y: np.ndarray, g_lo: np.ndarray, g_hi: np.ndarray,
+             scheme: str) -> np.ndarray:
+        """One interval of the Duhamel recursion y(t + dt) = m(dt) y(t) +
+        integral_0^dt m(s) g(t + dt - s) ds from g_lo = g(t), g_hi = g(t + dt):
+        exponential-midpoint integrates the multiplier exactly against the
+        nodal average of the forcing, trapezoid uses endpoint weights."""
+        if scheme == "exponential-midpoint":
+            local = self._rotate(0.5 * (g_lo + g_hi), self.local)
+            out = self.apply(y)
+            out += local
+        elif scheme == "trapezoid":
+            out = self.apply(y + (0.5 * self.dt) * g_lo)
+            out += (0.5 * self.dt) * g_hi
+        else:
+            raise ValueError(f"unknown scheme {scheme!r}")
+        return out
 
 
-@lru_cache(maxsize=16)
-def _symbols(grid: Grid) -> _SymbolArrays:
-    return _SymbolArrays(grid)
+@lru_cache(maxsize=8)
+def propagator(grid: Grid, dt: float, omega: float) -> Propagator:
+    return Propagator(grid, dt, omega)
 
 
-def _quarter_turn(sym: _SymbolArrays, coeffs: np.ndarray) -> np.ndarray:
-    """R(xi) f_hat = (f_hat x xi) / |xi| applied modewise."""
-    u1, u2, u3 = sym.unit
-    f1, f2, f3 = coeffs
-    return np.stack([
-        f2 * u3 - f3 * u2,
-        f3 * u1 - f1 * u3,
-        f1 * u2 - f2 * u1,
-    ])
-
-
-def _apply_multiplier(sym: _SymbolArrays, coeffs: np.ndarray, t: float, omega: float) -> np.ndarray:
-    theta = (omega * t) * sym.rot_rate
-    decay = np.exp(-sym.kappa * t)
-    out = decay * (np.cos(theta) * coeffs + np.sin(theta) * _quarter_turn(sym, coeffs))
-    out[(slice(None),) + sym.origin] = 0.0
-    return out
+def duhamel_recursion(prop: Propagator, start: np.ndarray, n_steps: int, emit,
+                      forcing=None, scheme: str = "exponential-midpoint"):
+    """y_(k+1) = prop.step(y_k, forcing(k), forcing(k + 1)) from y_0 = start,
+    or y_(k+1) = m(dt) y_k without forcing; emit(k + 1, y_(k+1)) gets each
+    value (and must not modify it) after forcing(k + 1) has been read."""
+    y = start
+    g_lo = None if forcing is None else forcing(0)
+    for k in range(n_steps):
+        if forcing is None:
+            y = prop.apply(y)
+        else:
+            g_hi = forcing(k + 1)
+            y = prop.step(y, g_lo, g_hi, scheme)
+            g_lo = g_hi
+        emit(k + 1, y)
 
 
 def semigroup_matrix(xi, t: float, omega: float) -> np.ndarray:
@@ -96,35 +139,7 @@ def apply_semigroup(field: SpectralField, t: float, omega: float,
             raise ValueError(
                 f"input is not divergence-free (defect {defect:.3e} > {DIVFREE_TOL:g})"
             )
-    sym = _symbols(field.grid)
-    return SpectralField(field.grid, _apply_multiplier(sym, field.coeffs, t, omega))
-
-
-def _local_integrals(sym: _SymbolArrays, dt: float, omega: float):
-    """(C, S) with C + iS = integral_0^dt exp(-(kappa - i rho) s) ds per mode,
-    where rho = Omega xi_3/|xi|; the zero mode integrates to zero."""
-    z = sym.kappa - 1j * omega * sym.rot_rate
-    z_safe = z.copy()
-    z_safe[sym.origin] = 1.0
-    g = (1.0 - np.exp(-z * dt)) / z_safe
-    g[sym.origin] = 0.0
-    return g.real, g.imag
-
-
-def _step(sym: _SymbolArrays, integral: np.ndarray, g_lo: np.ndarray, g_hi: np.ndarray,
-          dt: float, omega: float, scheme: str, consts) -> np.ndarray:
-    """One interval of the Duhamel recursion
-    I(t+dt) = m(dt) I(t) + integral_0^dt m(s) g(t+dt-s) ds."""
-    if scheme == "exponential-midpoint":
-        c_loc, s_loc = consts
-        g_mid = 0.5 * (g_lo + g_hi)
-        local = c_loc * g_mid + s_loc * _quarter_turn(sym, g_mid)
-        return _apply_multiplier(sym, integral, dt, omega) + local
-    if scheme == "trapezoid":
-        half = 0.5 * dt
-        carried = _apply_multiplier(sym, integral + half * g_lo, dt, omega)
-        return carried + half * g_hi
-    raise ValueError(f"unknown scheme {scheme!r}")
+    return SpectralField(field.grid, propagator(field.grid, t, omega).apply(field.coeffs))
 
 
 def duhamel(forcing: Trajectory, t: float, omega: float,
@@ -159,28 +174,20 @@ def duhamel_sweep(forcing: Trajectory, omega: float,
             raise ValueError(
                 f"forcing is not divergence-free (defect {defect:.3e} > {DIVFREE_TOL:g})"
             )
-    sym = _symbols(forcing.grid)
-    dt = forcing.dt
-    consts = _local_integrals(sym, dt, omega) if scheme == "exponential-midpoint" else None
     out = np.zeros_like(forcing.coeffs)
-    integral = np.zeros_like(forcing.coeffs[0])
-    for k in range(forcing.n_samples - 1):
-        integral = _step(sym, integral, forcing.coeffs[k], forcing.coeffs[k + 1],
-                         dt, omega, scheme, consts)
-        out[k + 1] = integral
+    duhamel_recursion(propagator(forcing.grid, forcing.dt, omega), out[0],
+                      forcing.n_samples - 1, out.__setitem__,
+                      forcing.coeffs.__getitem__, scheme)
     return Trajectory(forcing.grid, forcing.times.copy(), out)
 
 
 def linear_trajectory(u0: SpectralField, times, omega: float) -> Trajectory:
     """T(t_k) u0 on a uniform time grid, built by exact stepwise composition."""
     times = np.asarray(times, dtype=float)
-    sym = _symbols(u0.grid)
     out = np.empty((times.size,) + u0.coeffs.shape, dtype=np.complex128)
-    current = u0.coeffs.copy()
-    if abs(times[0]) > 0:
-        current = _apply_multiplier(sym, current, float(times[0]), omega)
-    out[0] = current
-    for k in range(1, times.size):
-        current = _apply_multiplier(sym, current, float(times[k] - times[k - 1]), omega)
-        out[k] = current
+    out[0] = (propagator(u0.grid, float(times[0]), omega).apply(u0.coeffs)
+              if times[0] != 0 else u0.coeffs)
+    if times.size > 1:
+        prop = propagator(u0.grid, float(times[1] - times[0]), omega)
+        duhamel_recursion(prop, out[0], times.size - 1, out.__setitem__)
     return Trajectory(u0.grid, times, out)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from . import lp
-from .semigroup import _local_integrals, _apply_multiplier, _quarter_turn, _symbols
+from .semigroup import duhamel_recursion, propagator
 from .spectral import (Grid, SpectralField, dealias, divergence_defect,
                        forward_transform, helmholtz_project, inverse_transform)
 from .trajectory import Trajectory
@@ -148,8 +148,9 @@ def smallness_gate(u0: SpectralField, p: float, r: float,
 
 
 def _physical_components(field: SpectralField) -> np.ndarray:
-    # real parts only: solver states are Hermitian-symmetric by construction
-    return inverse_transform(field).real
+    # real parts only: solver states are Hermitian-symmetric by construction;
+    # the copy lets the complex samples go
+    return inverse_transform(field).real.copy()
 
 
 def pair_forcing(u: SpectralField, v: SpectralField,
@@ -169,10 +170,10 @@ def pair_forcing(u: SpectralField, v: SpectralField,
         for iax in range(3):
             prod_hat = forward_transform(up[iax] * vp[jax], grid).coeffs[0]
             div[iax] += 1j * xi_j * prod_hat
-    out = SpectralField(grid, div)
+    del up, vp  # free the samples before projecting
     if apply_dealias:
-        out = dealias(out)
-    return helmholtz_project(out)
+        div *= grid.dealias_mask
+    return helmholtz_project(SpectralField(grid, div))
 
 
 def nonlinear_term(u: SpectralField, apply_dealias: bool = True) -> SpectralField:
@@ -191,45 +192,40 @@ def _advect_check(u0: SpectralField, dt: float):
             "sampling; consider a smaller dt", RuntimeWarning)
 
 
+def _mild_map_sweep(buffer: np.ndarray, u0: SpectralField, prop, scheme: str,
+                    nonlinearity: bool = True, record=None):
+    """Overwrite the iterate u in buffer (samples x components x grid), one
+    sample at a time, with T(t) u0 - integral_0^t T(t - tau) P div(u (x) u)
+    dtau.  Sample k of u is read for its forcing before the new value
+    replaces it; record(k, new, old) sees both."""
+    forcing = None
+    if nonlinearity:
+        def forcing(k):  # -P div(u (x) u), the forcing of the mild map
+            g = nonlinear_term(SpectralField(u0.grid, buffer[k])).coeffs
+            return np.negative(g, out=g)
+
+    def write(k, new):
+        if record is not None:
+            record(k, new, buffer[k])
+        buffer[k] = new
+
+    duhamel_recursion(prop, u0.coeffs, len(buffer) - 1, write, forcing, scheme)
+    write(0, u0.coeffs)
+
+
 def picard_map(traj: Trajectory, u0: SpectralField, omega: float,
                scheme: str = "exponential-midpoint",
-               nonlinearity: bool = True,
-               forcing_fn=None) -> Trajectory:
+               nonlinearity: bool = True) -> Trajectory:
     """One application of the mild-formulation map
     u -> T(t) u0 - integral_0^t T(t - tau) P div(u (x) u) dtau,
-    evaluated at every sample time by interval-exact multiplier recursion."""
-    grid = traj.grid
-    if u0.grid != grid or u0.ncomp != traj.ncomp:
+    evaluated at every sample time by interval-exact multiplier recursion.
+    The input trajectory is left untouched: the sweep runs on a copy."""
+    if u0.grid != traj.grid or u0.ncomp != traj.ncomp:
         raise ValueError("initial data does not match trajectory layout")
-    sym = _symbols(grid)
-    dt = traj.dt
-    consts = _local_integrals(sym, dt, omega)
-    fn = forcing_fn or nonlinear_term
-    n = traj.n_samples
-
-    out = np.empty_like(traj.coeffs)
-    out[0] = u0.coeffs
-    linear = u0.coeffs.copy()
-    integral = np.zeros_like(u0.coeffs)
-    g_lo = fn(traj.field(0)).coeffs if nonlinearity else None
-    for k in range(n - 1):
-        linear = _apply_multiplier(sym, linear, dt, omega)
-        if nonlinearity:
-            g_hi = fn(traj.field(k + 1)).coeffs
-            if scheme == "exponential-midpoint":
-                g_mid = 0.5 * (g_lo + g_hi)
-                local = consts[0] * g_mid + consts[1] * _quarter_turn(sym, g_mid)
-                integral = _apply_multiplier(sym, integral, dt, omega) + local
-            elif scheme == "trapezoid":
-                integral = _apply_multiplier(sym, integral + 0.5 * dt * g_lo, dt, omega) \
-                    + 0.5 * dt * g_hi
-            else:
-                raise ValueError(f"unknown scheme {scheme!r}")
-            g_lo = g_hi
-            out[k + 1] = linear - integral
-        else:
-            out[k + 1] = linear
-    return Trajectory(grid, traj.times.copy(), out)
+    out = traj.coeffs.copy()
+    _mild_map_sweep(out, u0, propagator(traj.grid, traj.dt, omega), scheme,
+                    nonlinearity)
+    return Trajectory(traj.grid, traj.times.copy(), out)
 
 
 def duhamel_bilinear(u_traj: Trajectory, v_traj: Trajectory, omega: float,
@@ -238,113 +234,107 @@ def duhamel_bilinear(u_traj: Trajectory, v_traj: Trajectory, omega: float,
     shared time grid of the two trajectories."""
     if u_traj.grid != v_traj.grid or not np.array_equal(u_traj.times, v_traj.times):
         raise ValueError("trajectories must share grid and time samples")
-    grid = u_traj.grid
-    sym = _symbols(grid)
-    dt = u_traj.dt
-    consts = _local_integrals(sym, dt, omega)
+
+    def forcing(k):
+        return pair_forcing(u_traj.field(k), v_traj.field(k)).coeffs
+
     out = np.zeros_like(u_traj.coeffs)
-    integral = np.zeros_like(u_traj.coeffs[0])
-    g_lo = pair_forcing(u_traj.field(0), v_traj.field(0)).coeffs
-    for k in range(u_traj.n_samples - 1):
-        g_hi = pair_forcing(u_traj.field(k + 1), v_traj.field(k + 1)).coeffs
-        if scheme == "exponential-midpoint":
-            g_mid = 0.5 * (g_lo + g_hi)
-            local = consts[0] * g_mid + consts[1] * _quarter_turn(sym, g_mid)
-            integral = _apply_multiplier(sym, integral, dt, omega) + local
-        elif scheme == "trapezoid":
-            integral = _apply_multiplier(sym, integral + 0.5 * dt * g_lo, dt, omega) \
-                + 0.5 * dt * g_hi
-        else:
-            raise ValueError(f"unknown scheme {scheme!r}")
-        g_lo = g_hi
-        out[k + 1] = integral
-    return Trajectory(grid, u_traj.times.copy(), out)
-
-
-def linear_picard_trajectory(u0: SpectralField, config: SolverConfig3D) -> Trajectory:
-    coeffs = np.empty((config.n_steps + 1,) + u0.coeffs.shape, dtype=np.complex128)
-    sym = _symbols(u0.grid)
-    coeffs[0] = u0.coeffs
-    for k in range(config.n_steps):
-        coeffs[k + 1] = _apply_multiplier(sym, coeffs[k], config.dt, config.omega)
-    return Trajectory(u0.grid, config.times, coeffs)
+    duhamel_recursion(propagator(u_traj.grid, u_traj.dt, omega), out[0],
+                      u_traj.n_samples - 1, out.__setitem__, forcing, scheme)
+    return Trajectory(u_traj.grid, u_traj.times.copy(), out)
 
 
 def picard_solve(u0: SpectralField, config: SolverConfig3D,
                  initial_iterate: str = "linear"):
     """Iterate the mild map to its fixed point.
 
-    Returns (trajectory, diagnostics).  Divergence or non-finite norms stop
-    the iteration with converged=False / aborted=True; the ratio sequence is
-    reported either way.
+    The iterate lives in one trajectory buffer, which every Picard step
+    overwrites in place, sample by sample, while it records the per-shell
+    L^p values of the new iterate and of the increment; the contraction
+    metric is computed from those, so no second trajectory is ever stored.
+    The linear trajectory T(t) u0 is measured in the same way and kept
+    only as the linear starting iterate.
+
+    Returns (trajectory, diagnostics).  A non-finite mild norm, or a
+    contraction ratio above 1 on two consecutive iterations (divergence;
+    the message gives the ratio), stops the iteration with aborted=True and
+    converged=False.  The ratio sequence is reported either way.
     """
     grid = config.grid
     if u0.grid != grid:
         raise ValueError("initial data grid does not match solver config")
     if u0.ncomp != 3:
         raise ValueError("initial data must have 3 components")
+    if initial_iterate not in ("linear", "zero"):
+        raise ValueError(f"unknown initial iterate {initial_iterate!r}")
     defect = divergence_defect(u0)
     if defect > 1e-10:
         raise ValueError(f"initial data is not divergence-free (defect {defect:.3e})")
 
     u0 = dealias(u0) if config.dealias else u0
     part = lp.get_partition(grid)
+    p, r, times = config.p, config.r, config.times
     diag = IterationDiagnostics()
-    diag.gate = smallness_gate(u0, config.p, config.r, config.gate_constant)
+    diag.gate = smallness_gate(u0, p, r, config.gate_constant)
     if config.nonlinearity:
         _advect_check(u0, config.dt)
+    prop = propagator(grid, config.dt, config.omega)
 
-    linear = linear_picard_trajectory(u0, config)
-    diag.linear_norm = lp.mild_norm(linear, config.p, config.r, part)
+    # shell_series of each sample of the new iterate and of the increment
+    series = np.zeros((2, times.size, len(part.js)))
 
-    if initial_iterate == "linear":
-        current = linear
-    elif initial_iterate == "zero":
-        zero_coeffs = np.zeros_like(linear.coeffs)
-        zero_coeffs[0] = u0.coeffs
-        current = Trajectory(grid, config.times, zero_coeffs)
-    else:
-        raise ValueError(f"unknown initial iterate {initial_iterate!r}")
-    diag.iterate_norms.append(lp.mild_norm(current, config.p, config.r, part))
+    def record(k, new, old):
+        series[0, k] = lp.shell_series(new, p, part)
+        series[1, k] = lp.shell_series(new - old, p, part)
+
+    traj = Trajectory(grid, times, np.zeros((times.size,) + u0.coeffs.shape,
+                                            dtype=np.complex128))
+    _mild_map_sweep(traj.coeffs, u0, prop, config.scheme, False, record)
+    diag.linear_norm = lp.mild_norm_of_series(series[0], times, p, r, part)
+    if not config.nonlinearity:
+        traj.fb_norms = _sample_norms(series[0], config, part)
+    if initial_iterate == "zero":
+        series[0, 1:] = 0.0
+        if config.nonlinearity:
+            traj.coeffs[1:] = 0.0
+    diag.iterate_norms.append(lp.mild_norm_of_series(series[0], times, p, r, part))
 
     if not config.nonlinearity:
         diag.converged = True
         diag.iterations = 0
         diag.residual_estimate = 0.0
         diag.message = "nonlinearity disabled; linear trajectory is exact"
-        linear.fb_norms = _sample_norms(linear, config, part)
-        return linear, diag
+        return traj, diag
 
     for m in range(1, config.max_iterations + 1):
-        nxt = picard_map(current, u0, config.omega, config.scheme)
-        diff = lp.mild_norm(nxt.difference(current), config.p, config.r, part)
-        norm = lp.mild_norm(nxt, config.p, config.r, part)
+        _mild_map_sweep(traj.coeffs, u0, prop, config.scheme, record=record)
+        norm, diff = (lp.mild_norm_of_series(x, times, p, r, part) for x in series)
         diag.diff_norms.append(diff)
         diag.iterate_norms.append(norm)
         if len(diag.diff_norms) >= 2 and diag.diff_norms[-2] > 0:
             diag.ratios.append(diff / diag.diff_norms[-2])
         diag.iterations = m
+        diag.residual_estimate = diff
         if not (math.isfinite(diff) and math.isfinite(norm)):
             diag.aborted = True
             diag.message = f"non-finite mild norm at iteration {m}"
-            diag.residual_estimate = diff
-            nxt.fb_norms = None
-            return nxt, diag
-        current = nxt
+            return traj, diag
         if diff <= config.tolerance:
             diag.converged = True
-            diag.residual_estimate = diff
             diag.message = f"contraction reached tolerance at iteration {m}"
             break
+        if len(diag.ratios) >= 2 and min(diag.ratios[-2:]) > 1.0:
+            diag.aborted = True
+            diag.message = (f"diverging: contraction ratio {diag.ratios[-1]:.3g} "
+                            f"> 1 on two consecutive iterations (iteration {m})")
+            break
     else:
-        diag.residual_estimate = diag.diff_norms[-1]
         diag.message = "maximum iterations reached without convergence"
 
-    current.fb_norms = _sample_norms(current, config, part)
-    return current, diag
+    traj.fb_norms = _sample_norms(series[0], config, part)
+    return traj, diag
 
 
-def _sample_norms(traj: Trajectory, config: SolverConfig3D, part) -> list:
-    s = lp.critical_index(config.p)
-    return [lp.fb_norm_value(traj.field(k), s, config.p, config.r, part)
-            for k in range(traj.n_samples)]
+def _sample_norms(series: np.ndarray, config: SolverConfig3D, part) -> list:
+    return lp.fb_norm_of_series(series, lp.critical_index(config.p), config.r,
+                                part).tolist()

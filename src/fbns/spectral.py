@@ -27,11 +27,15 @@ TWO_PI = 2.0 * np.pi
 
 
 def fft_workers() -> int:
-    """Worker count for FFT calls, capped by the FBNS_THREADS variable."""
+    """Worker count for FFT calls: the FBNS_THREADS variable (default 1),
+    capped at the number of CPUs."""
     try:
-        return max(1, int(os.environ.get("FBNS_THREADS", "1")))
+        requested = int(os.environ.get("FBNS_THREADS", "1"))
     except ValueError:
         return 1
+    if requested <= 1:
+        return 1
+    return min(requested, os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -128,9 +132,11 @@ class Grid:
         shape[axis] = self.n
         return (np.arange(self.n) * self.dx).reshape(shape)
 
-    @cached_property
-    def _reflect_index(self) -> np.ndarray:
-        return (-np.arange(self.n)) % self.n
+    def reflect(self, coeffs: np.ndarray) -> np.ndarray:
+        """c_(-k) for coefficients of shape (ncomp,) + shape."""
+        for ax in range(1, self.dim + 1):
+            coeffs = np.take(coeffs, (-np.arange(self.n)) % self.n, axis=ax)
+        return coeffs
 
 
 @dataclass(frozen=True)
@@ -224,14 +230,10 @@ def inverse_transform(field: SpectralField) -> np.ndarray:
 def hermitian_defect(field: SpectralField) -> float:
     """Relative deviation from c_{-k} = conj(c_k); zero for real fields."""
     c = field.coeffs
-    idx = field.grid._reflect_index
-    neg = c
-    for ax in range(1, field.grid.dim + 1):
-        neg = np.take(neg, idx, axis=ax)
     scale = np.max(np.abs(c))
     if scale == 0.0:
         return 0.0
-    return float(np.max(np.abs(c - np.conj(neg))) / scale)
+    return float(np.max(np.abs(c - np.conj(field.grid.reflect(c)))) / scale)
 
 
 def physical(field: SpectralField, tol: float = 1e-10) -> np.ndarray:
@@ -250,10 +252,6 @@ def zero_mean(field: SpectralField) -> SpectralField:
     c = field.coeffs.copy()
     c[(slice(None),) + (0,) * field.grid.dim] = 0.0
     return SpectralField(field.grid, c)
-
-
-def mean_coefficient(field: SpectralField) -> np.ndarray:
-    return field.coeffs[(slice(None),) + (0,) * field.grid.dim]
 
 
 # ---------------------------------------------------------------------------
@@ -364,11 +362,7 @@ def coriolis_matrix(xi) -> np.ndarray:
 # random fields
 
 def _hermitianize(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
-    idx = grid._reflect_index
-    neg = coeffs
-    for ax in range(1, grid.dim + 1):
-        neg = np.take(neg, idx, axis=ax)
-    return 0.5 * (coeffs + np.conj(neg))
+    return 0.5 * (coeffs + np.conj(grid.reflect(coeffs)))
 
 
 def _random_coeffs(grid: Grid, seed, ncomp: int, cutoff: float | None) -> np.ndarray:

@@ -59,18 +59,6 @@ class Trajectory:
     def field(self, k: int) -> SpectralField:
         return SpectralField(self.grid, self.coeffs[k])
 
-    @classmethod
-    def from_fields(cls, times, fields) -> "Trajectory":
-        fields = list(fields)
-        if not fields:
-            raise ValueError("empty field list")
-        grid = fields[0].grid
-        for f in fields:
-            if f.grid != grid or f.ncomp != fields[0].ncomp:
-                raise ValueError("inconsistent fields in trajectory")
-        coeffs = np.stack([f.coeffs for f in fields])
-        return cls(grid, np.asarray(times, dtype=float), coeffs)
-
     def difference(self, other: "Trajectory") -> "Trajectory":
         if self.grid != other.grid or not np.array_equal(self.times, other.times):
             raise ValueError("trajectories are not aligned")

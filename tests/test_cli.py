@@ -207,6 +207,42 @@ def test_solve3d_deterministic_artifacts(tmp_path):
         assert a == b, artifact
 
 
+def test_solve3d_divergent_data_exits_numerical(tmp_path, capsys):
+    # critical norm 1000 times the gate threshold 1/32
+    code = run_cli("solve3d", "--workdir", str(tmp_path), "--set", "n=16",
+                   "--set", "period_l=1", "--set", "horizon=0.25",
+                   "--set", "dt=0.00390625", "--set", "amplitude=31.25",
+                   "--set", "seed=0")
+    assert code == 2
+    assert read_json(capsys)["aborted"] is True
+    manifest = json.loads((tmp_path / "solve3d_manifest.json").read_text())
+    assert manifest["exit_code"] == 2
+    diag = manifest["diagnostics"]
+    assert not diag["gate"]["passed"]
+    assert diag["iterations"] <= 4 and diag["ratios"][-1] > 1.0
+    assert "diverging" in diag["message"]
+    assert (tmp_path / "solve3d_final.fbns").is_file()
+
+
+def test_results_do_not_depend_on_fft_threads(tmp_path, monkeypatch):
+    runs = {"solve3d": ["--set", "n=16", "--set", "horizon=0.25",
+                        "--set", "dt=0.0625", "--set", "amplitude=0.01",
+                        "--set", "omega=5", "--set", "seed=2"],
+            "solve2d": ["--set", "initial=random", "--set", "n=32",
+                        "--set", "n_steps=20", "--set", "sample_every=10"]}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("FBNS_THREADS", threads)
+        for command, args in runs.items():
+            assert run_cli(command, "--workdir", str(tmp_path / threads),
+                           *args) == 0
+    names = sorted(p.name for p in (tmp_path / "1").iterdir())
+    assert len(names) >= 5
+    assert names == sorted(p.name for p in (tmp_path / "2").iterdir())
+    for name in names:
+        assert (tmp_path / "1" / name).read_bytes() == \
+            (tmp_path / "2" / name).read_bytes(), name
+
+
 def test_solve3d_save_trajectory(tmp_path):
     (tmp_path / "run.ini").write_text(SOLVE3D_INI)
     assert run_cli("solve3d", "--workdir", str(tmp_path), "--config", "run.ini",

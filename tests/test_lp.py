@@ -10,7 +10,8 @@ from fbns.lp import (INF, SHELL_INNER, SHELL_OUTER, bernstein_ratio,
                      mild_norm_reports, shell_product, shell_profile,
                      shell_range_for, smooth_cutoff)
 from fbns.spectral import (Grid, SpectralField, dealias, forward_transform,
-                           inverse_transform, random_scalar_field, zero_mean)
+                           inverse_transform, random_divfree_field,
+                           random_scalar_field, zero_mean)
 from fbns.trajectory import Trajectory
 
 
@@ -135,6 +136,31 @@ def test_fb_norm_zero_field_and_triangle():
 
 # ---------------------------------------------------------------------------
 # Chemin-Lerner norms
+
+def test_large_p_norm_approaches_sup_without_underflow():
+    grid = Grid(dim=3, n=16, period_l=4.0)
+    f = random_divfree_field(grid, seed=1)
+    sup = fb_norm_value(f, 0.0, INF, 2.0)
+    assert sup == pytest.approx(0.2025, abs=1e-4)
+    for p, measured in ((256.0, 0.1998), (1024.0, 0.2018)):
+        value = fb_norm_value(f, 0.0, p, 2.0)
+        assert value == pytest.approx(measured, abs=1e-4)
+        assert abs(value / sup - 1.0) < 0.02
+
+
+def test_norms_exactly_homogeneous_at_small_amplitude():
+    grid = Grid(dim=3, n=16, period_l=4.0)
+    f = random_divfree_field(grid, seed=1)
+    traj = Trajectory(grid, np.linspace(0.0, 1.0, 3),
+                      np.stack([f.coeffs, 0.5 * f.coeffs, 0.25 * f.coeffs]))
+    small = Trajectory(grid, traj.times, 1e-3 * traj.coeffs)
+    for p in (2.0, 256.0, 1024.0, INF):
+        assert math.isclose(fb_norm_value(f * 1e-3, 0.5, p, 2.0),
+                            1e-3 * fb_norm_value(f, 0.5, p, 2.0), rel_tol=1e-12)
+        assert math.isclose(chemin_lerner_norm(small, 0.5, p, 2.0, 1.0).total,
+                            1e-3 * chemin_lerner_norm(traj, 0.5, p, 2.0, 1.0).total,
+                            rel_tol=1e-12)
+
 
 def make_decay_trajectory(grid, k, kappa, times):
     base = single_mode(grid, k)

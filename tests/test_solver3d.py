@@ -1,16 +1,18 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from fbns import lp
-from fbns.semigroup import apply_semigroup
+from fbns.semigroup import apply_semigroup, linear_trajectory
 from fbns.solver3d import (DEFAULT_GATE_CONSTANT, SolverConfig3D,
-                           duhamel_bilinear, linear_picard_trajectory,
-                           nonlinear_term, pair_forcing, picard_solve,
-                           smallness_gate)
+                           duhamel_bilinear, nonlinear_term, pair_forcing,
+                           picard_map, picard_solve, smallness_gate)
 from fbns.spectral import (Grid, SpectralField, dealias, divergence_defect,
                            random_divfree_field, taylor_green_3d)
+from fbns.trajectory import Trajectory
 
 GRID = Grid(dim=3, n=16, period_l=4.0)
 
@@ -154,7 +156,6 @@ def test_picard_contracts_on_small_data():
 
 def test_picard_fixed_point_is_scheme_consistent():
     u0 = small_data(GRID, seed=62)
-    from fbns.solver3d import picard_map
     traj, _ = picard_solve(u0, solver_config())
     again = picard_map(traj, dealias(u0), 0.0)
     diff = lp.mild_norm(again.difference(traj), 2.0, 2.0)
@@ -164,8 +165,7 @@ def test_picard_fixed_point_is_scheme_consistent():
 def test_picard_map_is_linear_minus_bilinear():
     u0 = small_data(GRID, seed=63)
     config = solver_config(omega=7.0)
-    from fbns.solver3d import picard_map
-    linear = linear_picard_trajectory(dealias(u0), config)
+    linear = linear_trajectory(dealias(u0), config.times, config.omega)
     nxt = picard_map(linear, dealias(u0), config.omega)
     bil = duhamel_bilinear(linear, linear, config.omega)
     recon = linear.coeffs - bil.coeffs
@@ -239,3 +239,78 @@ def test_advective_sampling_warning():
                            tolerance=1e-3)
     with pytest.warns(RuntimeWarning, match="CFL"):
         picard_solve(u0, config)
+
+
+@pytest.mark.parametrize("scheme", ["exponential-midpoint", "trapezoid"])
+@pytest.mark.parametrize("initial", ["linear", "zero"])
+def test_in_place_sweep_matches_repeated_picard_map(scheme, initial):
+    u0 = dealias(small_data(GRID, seed=68))
+    config = solver_config(omega=5.0, scheme=scheme, max_iterations=4,
+                           tolerance=1e-14)
+    traj, diag = picard_solve(u0, config, initial_iterate=initial)
+    assert diag.iterations == 4 and not diag.aborted
+
+    current = linear_trajectory(u0, config.times, config.omega)
+    assert math.isclose(diag.linear_norm, lp.mild_norm(current, 2.0, 2.0),
+                        rel_tol=1e-12)
+    if initial == "zero":
+        coeffs = np.zeros_like(current.coeffs)
+        coeffs[0] = u0.coeffs
+        current = Trajectory(GRID, config.times, coeffs)
+    assert math.isclose(diag.iterate_norms[0], lp.mild_norm(current, 2.0, 2.0),
+                        rel_tol=1e-12)
+    for m in range(diag.iterations):
+        nxt = picard_map(current, u0, config.omega, scheme)
+        diff = lp.mild_norm(nxt.difference(current), 2.0, 2.0)
+        assert math.isclose(diag.diff_norms[m], diff, rel_tol=1e-12)
+        assert math.isclose(diag.iterate_norms[m + 1],
+                            lp.mild_norm(nxt, 2.0, 2.0), rel_tol=1e-12)
+        current = nxt
+    assert np.max(np.abs(traj.coeffs - current.coeffs)) \
+        <= 1e-12 * np.max(np.abs(current.coeffs))
+    s = lp.critical_index(2.0)
+    expected = [lp.fb_norm_value(current.field(k), s, 2.0, 2.0)
+                for k in range(current.n_samples)]
+    assert np.allclose(traj.fb_norms, expected, rtol=1e-12, atol=0.0)
+
+
+def test_picard_map_leaves_input_untouched():
+    u0 = dealias(small_data(GRID, seed=69))
+    traj = linear_trajectory(u0, solver_config().times, 4.0)
+    before = traj.coeffs.copy()
+    out = picard_map(traj, u0, 4.0)
+    assert np.array_equal(traj.coeffs, before)
+    assert not np.shares_memory(out.coeffs, traj.coeffs)
+    assert np.max(np.abs(out.coeffs - before)) > 0.0
+
+
+def test_picard_solve_keeps_one_trajectory_live():
+    u0 = small_data(GRID, seed=70)
+    config = solver_config(omega=3.0)
+    picard_solve(u0, config)  # fills the partition and propagator caches
+    tracemalloc.start()
+    try:
+        traj, diag = picard_solve(u0, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert diag.converged
+    assert peak <= 1.5 * traj.coeffs.nbytes
+
+
+def test_divergent_data_aborts_early_without_overflow():
+    # 1000 times the gate threshold: the ratios grow without bound, and the
+    # solver has to stop before any norm overflows
+    grid = Grid(dim=3, n=16, period_l=1.0)
+    u0 = small_data(grid, seed=(0,), fraction=1000.0)
+    config = SolverConfig3D(grid=grid, horizon=0.25, dt=1.0 / 256.0,
+                            tolerance=1e-9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        traj, diag = picard_solve(u0, config)
+    assert diag.aborted and not diag.converged
+    assert diag.iterations <= 4
+    assert diag.ratios[-2] > 1.0 and diag.ratios[-1] > 1.0
+    assert "diverging" in diag.message
+    assert f"{diag.ratios[-1]:.3g}" in diag.message
+    assert np.all(np.isfinite(traj.coeffs))

@@ -1,9 +1,12 @@
+import os
+
 import numpy as np
 import pytest
 
 from fbns.spectral import (Grid, SpectralField, coriolis_matrix, curl,
                            dealias, derivative, divergence, divergence_defect,
-                           forward_transform, gradient, helmholtz_project,
+                           fft_workers, forward_transform, gradient,
+                           helmholtz_project,
                            hermitian_defect, inverse_transform, laplacian,
                            physical, random_divfree_field, random_scalar_field,
                            riesz_transform, taylor_green_2d, taylor_green_3d,
@@ -193,3 +196,14 @@ def test_zeros_and_arithmetic():
     assert np.max(np.abs((f - f).coeffs)) == 0.0
     assert np.allclose((f + f).coeffs, (2.0 * f).coeffs)
     assert z.l2() == 0.0
+
+
+def test_fft_workers_capped_at_cpu_count(monkeypatch):
+    monkeypatch.setenv("FBNS_THREADS", "64")
+    assert fft_workers() == min(64, os.cpu_count() or 1)
+    monkeypatch.setenv("FBNS_THREADS", "0")
+    assert fft_workers() == 1
+    monkeypatch.setenv("FBNS_THREADS", "many")
+    assert fft_workers() == 1
+    monkeypatch.delenv("FBNS_THREADS")
+    assert fft_workers() == 1
