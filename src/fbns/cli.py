@@ -28,7 +28,7 @@ from .checkpoint import (CheckpointError, atomic_write_json,
                          write_field)
 from .lp import critical_index, fb_norm, fb_norm_value
 from .semigroup import apply_semigroup
-from .solver2d import (VorticityState, gaussian_vortex, gronwall_diagnostic,
+from .solver2d import (SupportError, gaussian_vortex, gronwall_diagnostic,
                        rotating_frame_residual, run_vorticity)
 from .solver3d import (DEFAULT_GATE_CONSTANT, SolverConfig3D, picard_solve)
 from .spectral import (Grid, SpectralField, curl, divergence_defect,
@@ -372,6 +372,7 @@ def run_solve2d(cfg: dict, workdir: str) -> int:
 
     finite = all(math.isfinite(row.v_lp) and math.isfinite(row.w_lp)
                  for row in report["rows"])
+    code = EXIT_OK if finite else EXIT_NUMERICAL
     manifest = {
         "config": _config_echo(cfg),
         "summary": {str(p): {k: (v if math.isfinite(v) else repr(v))
@@ -379,21 +380,26 @@ def run_solve2d(cfg: dict, workdir: str) -> int:
                     for p, stats in report["summary"].items()},
         "final_field": f"{prefix}_final.fbns",
         "gronwall_csv": f"{prefix}_gronwall.csv",
-        "exit_code": EXIT_OK if finite else EXIT_NUMERICAL,
     }
     if cfg["residual"]:
         if len(states) < 3:
             raise ValueError("residual check needs at least three samples")
         tail = slice(len(states) - 3, len(states))
-        res = rotating_frame_residual(times[tail],
-                                      [st.w for st in states[tail]],
-                                      cfg["omega"], cfg["mask_radius"])
+        try:
+            res = rotating_frame_residual(times[tail],
+                                          [st.w for st in states[tail]],
+                                          cfg["omega"], cfg["mask_radius"])
+        except SupportError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            res = {"error": str(exc)}
+            code = EXIT_NUMERICAL
         manifest["rotating_frame_residual"] = res
+    manifest["exit_code"] = code
     atomic_write_json(_resolve_path(workdir, f"{prefix}_manifest.json"), manifest)
     _print_json({"final_time": float(times[-1]),
                  "manifest": f"{prefix}_manifest.json",
                  "finite": finite})
-    return EXIT_OK if finite else EXIT_NUMERICAL
+    return code
 
 
 def run_lab(cfg: dict, workdir: str) -> int:

@@ -135,8 +135,7 @@ def verify_duhamel_smoothing(s: float = None, p: float = 2.0, r: float = 2.0,
                              q: float = 1.0, a: float = 1.0,
                              omega: float = 0.0, ensemble: int = 20,
                              grid: Grid | None = None, horizon: float = 1.0,
-                             n_samples: int = 17, seed: int = 0,
-                             scheme: str = "exponential-midpoint") -> EstimateReport:
+                             n_samples: int = 17, seed: int = 0) -> EstimateReport:
     """Smoothing of the Duhamel integral: the time-q Chemin-Lerner norm at
     regularity s is controlled by the time-a norm of the forcing at
     regularity s - 2 - 2/q + 2/a, for 1 <= a <= q."""
@@ -156,7 +155,7 @@ def verify_duhamel_smoothing(s: float = None, p: float = 2.0, r: float = 2.0,
     ratios = []
     for i in range(2 * ensemble):
         f = decaying_trajectory(grid, times, seed, i, oscillation=(i % 2 == 1))
-        integral = duhamel_sweep(f, omega, scheme=scheme)
+        integral = duhamel_sweep(f, omega)
         lhs = chemin_lerner_norm(integral, s, p, r, q).total
         rhs = chemin_lerner_norm(f, rhs_index, p, r, a).total
         ratios.append(lhs / rhs if rhs > _TINY_RHS else math.nan)
@@ -252,36 +251,30 @@ def verify_semigroup_bounds(p: float = 2.0, r: float = 2.0, omega: float = 0.0,
         sup_ratios.append(chemin_lerner_norm(traj, s, p, r, INF).total / data_norm)
         smoothing_ratios.append(
             chemin_lerner_norm(traj, s + 2.0, p, r, 1.0).total / data_norm)
-    smooth_arr = np.asarray(smoothing_ratios, dtype=float)
-    smooth_valid = np.isfinite(smooth_arr)
-    smooth_max = float(smooth_arr[smooth_valid].max()) if smooth_valid.any() else 0.0
-    head = smooth_arr[:ensemble]
-    head_max = float(head[np.isfinite(head)].max()) if np.isfinite(head).any() else 0.0
-    smooth_stab = ((smooth_max - head_max) / head_max) if head_max > 0 else 0.0
     params = {"s": s, "p": p, "r": r, "omega": omega, "horizon": horizon,
               "n_samples": n_samples, "seed": seed, "grid_n": grid.n,
               "grid_l": grid.period_l}
+    smoothing = _finalize("smoothing", params, ensemble, smoothing_ratios)
     details = {
         "smoothing_ratios": [float(x) if math.isfinite(x) else None
                              for x in smoothing_ratios],
-        "smoothing_max": smooth_max,
-        "smoothing_stability": smooth_stab,
+        "smoothing_max": smoothing.max_ratio,
+        "smoothing_stability": smoothing.stability,
     }
     return _finalize("semigroup_bounds", params, ensemble, sup_ratios,
-                     details=details,
-                     extra_ok=smooth_stab < STABILITY_LIMIT)
+                     details=details, extra_ok=smoothing.passed)
 
 
 # ---------------------------------------------------------------------------
 # rotation-rate independence
 
-def _contraction_constant(grid: Grid, omega: float, seed: int,
-                          target_fraction: float = 0.5) -> dict:
+def _contraction_constant(grid: Grid, omega: float, seed: int) -> dict:
+    # late Picard contraction ratio for data at half the gate threshold
     s = critical_index(2.0)
     u0 = random_divfree_field(grid, seed=member_seed(seed, 0))
     gate = smallness_gate(u0, 2.0, 2.0)
     norm0 = fb_norm_value(u0, s, 2.0, 2.0)
-    u0 = SpectralField(grid, u0.coeffs * (target_fraction * gate.threshold / norm0))
+    u0 = SpectralField(grid, u0.coeffs * (0.5 * gate.threshold / norm0))
     config = SolverConfig3D(grid=grid, omega=omega, horizon=0.5, dt=1.0 / 16.0)
     traj, diag = picard_solve(u0, config)
     late = diag.ratios[1:] if len(diag.ratios) > 1 else diag.ratios

@@ -143,12 +143,8 @@ class DyadicPartition:
 
 
 @lru_cache(maxsize=32)
-def _partition_cached(grid: Grid) -> DyadicPartition:
-    return DyadicPartition(grid)
-
-
 def get_partition(grid: Grid) -> DyadicPartition:
-    return _partition_cached(grid)
+    return DyadicPartition(grid)
 
 
 def dyadic_block(field: SpectralField, j: int, partition: DyadicPartition | None = None) -> SpectralField:
@@ -181,11 +177,20 @@ def _freq_lp(mag: np.ndarray, p: float, dxi: float, dim: int) -> float:
     return float(dxi ** (dim / p) * np.sum(mag ** p) ** (1.0 / p))
 
 
+def _unit_scaled(values: np.ndarray, axis: int):
+    # values divided by their max along axis (1 where that is 0), and the max,
+    # so that powering by a large exponent neither underflows nor overflows
+    top = np.max(values, axis=axis, keepdims=True)
+    scale = np.where(top > 0.0, top, 1.0)
+    return values / scale, np.squeeze(scale, axis)
+
+
 def _sequence_lr(values: np.ndarray, r: float) -> np.ndarray:
     # l^r over the last axis, which is never empty: every partition has a shell
     if r == INF:
         return np.max(values, axis=-1)
-    return np.sum(values ** r, axis=-1) ** (1.0 / r)
+    unit, scale = _unit_scaled(values, -1)
+    return scale * np.sum(unit ** r, axis=-1) ** (1.0 / r)
 
 
 def shell_series(coeffs: np.ndarray, p: float,
@@ -282,7 +287,8 @@ def _chemin_lerner_report(series: np.ndarray, times: np.ndarray, s: float,
         raise ValueError("time quadrature needs at least two samples")
     last = float(fb_norm_of_series(series[-1], s, r, part))
     tail = last * (1.0 / (q * part.grid.dxi ** 2)) ** (1.0 / q)
-    return _report(params, np.trapezoid(series ** q, times, axis=0) ** (1.0 / q),
+    unit, scale = _unit_scaled(series, 0)
+    return _report(params, scale * np.trapezoid(unit ** q, times, axis=0) ** (1.0 / q),
                    s, r, part, tail)
 
 
@@ -374,38 +380,19 @@ def bony_decompose(u: SpectralField, v: SpectralField, j: int,
     grid = u.grid
     js = part.js
 
-    u_blocks = {k: inverse_transform(dyadic_block(u, k, part))[0] for k in js}
-    v_blocks = {k: inverse_transform(dyadic_block(v, k, part))[0] for k in js}
-    u_low = {}
-    v_low = {}
-    acc_u = np.zeros(grid.shape, dtype=np.complex128)
-    acc_v = np.zeros(grid.shape, dtype=np.complex128)
-    for k in js:
-        acc_u = acc_u + u_blocks[k]
-        acc_v = acc_v + v_blocks[k]
-        u_low[k] = acc_u
-        v_low[k] = acc_v
-
-    def low(blocks_low, k):
-        if k < js[0]:
-            return None
-        return blocks_low[min(k, js[-1])]
+    u_blocks = np.stack([inverse_transform(dyadic_block(u, k, part))[0] for k in js])
+    v_blocks = np.stack([inverse_transform(dyadic_block(v, k, part))[0] for k in js])
+    u_low = np.cumsum(u_blocks, axis=0)  # low-pass partial sums, shell by shell
+    v_low = np.cumsum(v_blocks, axis=0)
 
     prod_one = np.zeros(grid.shape, dtype=np.complex128)
     prod_two = np.zeros(grid.shape, dtype=np.complex128)
     prod_rem = np.zeros(grid.shape, dtype=np.complex128)
-    for k in js:
-        lu = low(u_low, k - 2)
-        if lu is not None:
-            prod_one = prod_one + lu * v_blocks[k]
-        lv = low(v_low, k - 2)
-        if lv is not None:
-            prod_two = prod_two + lv * u_blocks[k]
-        fat = np.zeros(grid.shape, dtype=np.complex128)
-        for kk in (k - 1, k, k + 1):
-            if kk in v_blocks:
-                fat = fat + v_blocks[kk]
-        prod_rem = prod_rem + u_blocks[k] * fat
+    for i in range(len(js)):  # shell js[i]
+        if i >= 2:
+            prod_one += u_low[i - 2] * v_blocks[i]
+            prod_two += v_low[i - 2] * u_blocks[i]
+        prod_rem += u_blocks[i] * v_blocks[max(i - 1, 0):i + 2].sum(axis=0)
 
     def localize(phys):
         hat = forward_transform(phys, grid)

@@ -121,6 +121,14 @@ def semigroup_matrix(xi, t: float, omega: float) -> np.ndarray:
     return decay * (math.cos(theta) * np.eye(3) + math.sin(theta) * coriolis_matrix(v))
 
 
+def check_divergence_free(field: SpectralField, what: str):
+    """Reject a field that is measurably not divergence-free."""
+    defect = divergence_defect(field)
+    if defect > DIVFREE_TOL:
+        raise ValueError(f"{what} is not divergence-free "
+                         f"(defect {defect:.3e} > {DIVFREE_TOL:g})")
+
+
 def apply_semigroup(field: SpectralField, t: float, omega: float,
                     require_divergence_free: bool = True) -> SpectralField:
     """Propagate a divergence-free field by time t.
@@ -134,17 +142,12 @@ def apply_semigroup(field: SpectralField, t: float, omega: float,
     if field.ncomp != 3 or field.grid.dim != 3:
         raise ValueError("semigroup expects a 3-component field on a 3d grid")
     if require_divergence_free:
-        defect = divergence_defect(field)
-        if defect > DIVFREE_TOL:
-            raise ValueError(
-                f"input is not divergence-free (defect {defect:.3e} > {DIVFREE_TOL:g})"
-            )
+        check_divergence_free(field, "input")
     return SpectralField(field.grid, propagator(field.grid, t, omega).apply(field.coeffs))
 
 
 def duhamel(forcing: Trajectory, t: float, omega: float,
-            scheme: str = "exponential-midpoint",
-            require_divergence_free: bool = True) -> SpectralField:
+            scheme: str = "exponential-midpoint") -> SpectralField:
     """integral_0^t T(t - tau) g(tau) dtau from uniform samples of g on [0, t].
 
     exponential-midpoint samples the forcing at interval midpoints (nodal
@@ -152,28 +155,23 @@ def duhamel(forcing: Trajectory, t: float, omega: float,
     trapezoid uses endpoint weights.  Both are second order in dt and both
     compose exactly across intervals through the semigroup law.
     """
-    traj = duhamel_sweep(forcing, omega, scheme, require_divergence_free)
+    traj = duhamel_sweep(forcing, omega, scheme)
     if not math.isclose(traj.times[-1], t, rel_tol=1e-9, abs_tol=1e-12):
         raise ValueError(f"forcing samples cover [0, {traj.times[-1]}], not [0, {t}]")
     return traj.field(traj.n_samples - 1)
 
 
 def duhamel_sweep(forcing: Trajectory, omega: float,
-                  scheme: str = "exponential-midpoint",
-                  require_divergence_free: bool = True) -> Trajectory:
-    """Duhamel integrals at every sample time of the forcing trajectory."""
+                  scheme: str = "exponential-midpoint") -> Trajectory:
+    """Duhamel integrals at every sample time of the forcing trajectory,
+    whose first sample must be divergence-free."""
     if forcing.n_samples < 2:
         raise ValueError("need at least two forcing samples")
     if forcing.ncomp != 3 or forcing.grid.dim != 3:
         raise ValueError("semigroup forcing must have 3 components on a 3d grid")
     if abs(forcing.times[0]) > 1e-12:
         raise ValueError("forcing samples must start at time 0")
-    if require_divergence_free:
-        defect = divergence_defect(forcing.field(0))
-        if defect > DIVFREE_TOL:
-            raise ValueError(
-                f"forcing is not divergence-free (defect {defect:.3e} > {DIVFREE_TOL:g})"
-            )
+    check_divergence_free(forcing.field(0), "forcing")
     out = np.zeros_like(forcing.coeffs)
     duhamel_recursion(propagator(forcing.grid, forcing.dt, omega), out[0],
                       forcing.n_samples - 1, out.__setitem__,

@@ -16,15 +16,22 @@ checks pointwise.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
 
+from .solver3d import advect_check, pair_forcing
 from .spectral import (Grid, SpectralField, dealias, derivative,
                        forward_transform, helmholtz_project,
                        inverse_transform, laplacian, physical)
+
+BOUNDARY_FRAC = 0.9  # of pi L: the annulus rotating_frame_residual checks
+SUPPORT_TOL = 1e-4   # largest relative variation allowed in that annulus
+
+
+class SupportError(ValueError):
+    """The vorticity reaches the boundary annulus: a numerical failure."""
 
 
 @dataclass(frozen=True)
@@ -71,40 +78,40 @@ def frame_rotation(omega: float, t: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # time stepping
 
-def _vorticity_rhs(w_hat: np.ndarray, grid: Grid) -> np.ndarray:
-    """-dealias((v . grad w)_hat) for coefficient array w_hat."""
-    field = SpectralField(grid, w_hat[np.newaxis])
-    v = inverse_transform(biot_savart(field)).real
-    gx = inverse_transform(derivative(field, 0)).real[0]
-    gy = inverse_transform(derivative(field, 1)).real[0]
-    adv = v[0] * gx + v[1] * gy
-    adv_hat = forward_transform(adv, grid).coeffs[0]
-    return -adv_hat * grid.dealias_mask
+def _if_rk4(w: np.ndarray, grid: Grid, dt: float, steps: int, rhs) -> np.ndarray:
+    """Integrating-factor RK4 for dw/dt = lap(w) + rhs(w): diffusion
+    propagated exactly, the rhs stage values taken at exponentially shifted
+    states.  w holds coefficients of shape (ncomp,) + grid.shape."""
+    e_half = np.exp(-grid.xi_sq * (dt / 2.0))
+    e_full = e_half * e_half
+    for _ in range(steps):
+        k1 = rhs(w)
+        k2 = rhs(e_half * (w + 0.5 * dt * k1))
+        k3 = rhs(e_half * w + 0.5 * dt * k2)
+        k4 = rhs(e_full * w + dt * e_half * k3)
+        w = e_full * w + (dt / 6.0) * (e_full * k1 + 2.0 * e_half * (k2 + k3) + k4)
+    return w
 
 
 def advance_vorticity(state: VorticityState, dt: float, steps: int,
                       check_cfl: bool = True) -> VorticityState:
-    """Integrating-factor RK4: diffusion propagated exactly, the advection
-    stage values taken at exponentially shifted states."""
+    """Integrating-factor RK4 of the vorticity equation."""
     if dt <= 0 or steps < 0:
         raise ValueError("need dt > 0 and steps >= 0")
     grid = state.w.grid
     if check_cfl and steps > 0:
-        vmax = float(np.max(np.abs(inverse_transform(state.velocity).real)))
-        ratio = vmax * dt / grid.dx
-        if ratio > 1.0:
-            warnings.warn(f"advective CFL ratio {ratio:.2f} > 1; reduce dt",
-                          RuntimeWarning)
-    e_half = np.exp(-grid.xi_sq * (dt / 2.0))
-    e_full = e_half * e_half
-    w = state.w.coeffs[0].copy() * grid.dealias_mask
-    for _ in range(steps):
-        k1 = _vorticity_rhs(w, grid)
-        k2 = _vorticity_rhs(e_half * (w + 0.5 * dt * k1), grid)
-        k3 = _vorticity_rhs(e_half * w + 0.5 * dt * k2, grid)
-        k4 = _vorticity_rhs(e_full * w + dt * e_half * k3, grid)
-        w = e_full * w + (dt / 6.0) * (e_full * k1 + 2.0 * e_half * (k2 + k3) + k4)
-    return VorticityState(SpectralField(grid, w[np.newaxis]), state.t + steps * dt)
+        advect_check(state.velocity, dt)
+
+    def rhs(w_hat):  # -dealias((v . grad w)_hat)
+        field = SpectralField(grid, w_hat)
+        v = inverse_transform(biot_savart(field)).real
+        gx = inverse_transform(derivative(field, 0)).real[0]
+        gy = inverse_transform(derivative(field, 1)).real[0]
+        adv = v[0] * gx + v[1] * gy
+        return -forward_transform(adv, grid).coeffs * grid.dealias_mask
+
+    w = _if_rk4(state.w.coeffs * grid.dealias_mask, grid, dt, steps, rhs)
+    return VorticityState(SpectralField(grid, w), state.t + steps * dt)
 
 
 def run_vorticity(w0: SpectralField, dt: float, n_steps: int,
@@ -126,21 +133,6 @@ def run_vorticity(w0: SpectralField, dt: float, n_steps: int,
     return np.array(times), states
 
 
-def _velocity_rhs(u_hat: np.ndarray, grid: Grid, omega: float,
-                  coriolis: bool) -> np.ndarray:
-    field = SpectralField(grid, u_hat)
-    up = inverse_transform(field).real
-    div = np.zeros((2,) + grid.shape, dtype=np.complex128)
-    for jax in range(2):
-        xi_j = grid.xi_axis(jax)
-        for iax in range(2):
-            div[iax] += 1j * xi_j * forward_transform(up[iax] * up[jax], grid).coeffs[0]
-    rhs = -div * grid.dealias_mask
-    if coriolis and omega != 0.0:
-        rhs = rhs - omega * np.stack([-u_hat[1], u_hat[0]])
-    return helmholtz_project(SpectralField(grid, rhs)).coeffs
-
-
 def advance_velocity(u: SpectralField, dt: float, steps: int, omega: float = 0.0,
                      coriolis: bool = True) -> SpectralField:
     """Projected 2d momentum equation with optional rotation term; because
@@ -149,16 +141,17 @@ def advance_velocity(u: SpectralField, dt: float, steps: int, omega: float = 0.0
     if u.ncomp != 2 or u.grid.dim != 2:
         raise ValueError("velocity stepping expects a 2-component field on a 2d grid")
     grid = u.grid
-    e_half = np.exp(-grid.xi_sq * (dt / 2.0))
-    e_full = e_half * e_half
+
+    def rhs(u_hat):  # -P div(u (x) u) - omega P(e3 x u)
+        field = SpectralField(grid, u_hat)
+        out = -pair_forcing(field, field).coeffs
+        if coriolis and omega != 0.0:
+            turned = SpectralField(grid, np.stack([-u_hat[1], u_hat[0]]))
+            out -= omega * helmholtz_project(turned).coeffs
+        return out
+
     cur = dealias(helmholtz_project(u)).coeffs
-    for _ in range(steps):
-        k1 = _velocity_rhs(cur, grid, omega, coriolis)
-        k2 = _velocity_rhs(e_half * (cur + 0.5 * dt * k1), grid, omega, coriolis)
-        k3 = _velocity_rhs(e_half * cur + 0.5 * dt * k2, grid, omega, coriolis)
-        k4 = _velocity_rhs(e_full * cur + dt * e_half * k3, grid, omega, coriolis)
-        cur = e_full * cur + (dt / 6.0) * (e_full * k1 + 2.0 * e_half * (k2 + k3) + k4)
-    return SpectralField(grid, cur)
+    return SpectralField(grid, _if_rk4(cur, grid, dt, steps, rhs))
 
 
 def coriolis_projection_identity(u: SpectralField) -> float:
@@ -237,8 +230,7 @@ def rotating_frame_transform(field: SpectralField, t: float, omega: float,
 
 
 def rotating_frame_residual(times, w_fields, omega: float, mask_radius: float,
-                            center=None, boundary_frac: float = 0.9,
-                            support_tol: float = 1e-4) -> dict:
+                            center=None) -> dict:
     """Pointwise residual of the rotating-frame vorticity equation
 
         dw/dt - lap(w) + v . grad(w) - (M (x - c)) . grad(w) = 0
@@ -249,8 +241,8 @@ def rotating_frame_residual(times, w_fields, omega: float, mask_radius: float,
     computed spectrally in the inertial frame and transported, so the only
     discretization entering the residual is the time sampling.
 
-    Raises if the vorticity varies measurably in the outer annulus
-    |x - c| >= boundary_frac * (pi L): a rotated torus field is only
+    Raises SupportError if the vorticity varies measurably in the outer
+    annulus |x - c| >= BOUNDARY_FRAC * (pi L): a rotated torus field is only
     meaningful while its non-constant part stays clear of the boundary.
     The annulus is rotation invariant, so the check runs on the inertial
     samples directly.
@@ -274,22 +266,20 @@ def rotating_frame_residual(times, w_fields, omega: float, mask_radius: float,
     if not inside.any():
         raise ValueError("interior mask is empty")
     mask_pts = pts[inside]
-    annulus = rad_sq >= (boundary_frac * math.pi * grid.period_l) ** 2
+    annulus = rad_sq >= (BOUNDARY_FRAC * math.pi * grid.period_l) ** 2
 
     for k in range(times.size):
         samples = physical(w_fields[k])[0].ravel()
         spread = float(np.ptp(samples[annulus]))
         scale = float(np.ptp(samples))
-        if scale > 0 and spread > support_tol * scale:
-            raise ValueError(
+        if scale > 0 and spread > SUPPORT_TOL * scale:
+            raise SupportError(
                 "vorticity support reaches the boundary annulus "
                 f"(relative variation {spread / scale:.3e} at t={times[k]:.4f})")
 
     # rigid drift M (x - c) with M = -(omega/2) [[0,-1],[1,0]]
-    md1 = mask_pts[:, 0] - c[0]
-    md2 = mask_pts[:, 1] - c[1]
-    drift1 = (omega / 2.0) * md2
-    drift2 = -(omega / 2.0) * md1
+    drift1 = (omega / 2.0) * d2[inside]
+    drift2 = -(omega / 2.0) * d1[inside]
 
     w_tilde = [rotating_frame_transform(w_fields[k], float(times[k]), omega, c,
                                         points=mask_pts)
@@ -337,16 +327,20 @@ def gaussian_vortex(grid: Grid, width_sq: float = 0.1, center=None,
 # ---------------------------------------------------------------------------
 # Lebesgue diagnostics
 
-def lp_physical(field: SpectralField, p: float) -> float:
-    """Physical-space L^p norm (pointwise Euclidean magnitude for vectors)."""
-    samples = physical(field)
-    mag = np.sqrt(np.sum(samples**2, axis=0))
+def _lebesgue(mag: np.ndarray, p: float, grid: Grid) -> float:
+    # physical-space L^p norm of pointwise magnitudes on the lattice
     if p == float("inf"):
         return float(np.max(mag))
     if not p >= 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    cell = field.grid.dx ** field.grid.dim
+    cell = grid.dx ** grid.dim
     return float((np.sum(mag**p) * cell) ** (1.0 / p))
+
+
+def lp_physical(field: SpectralField, p: float) -> float:
+    """Physical-space L^p norm (pointwise Euclidean magnitude for vectors)."""
+    samples = physical(field)
+    return _lebesgue(np.sqrt(np.sum(samples**2, axis=0)), p, field.grid)
 
 
 def gradient_lp(v: SpectralField, p: float) -> float:
@@ -358,11 +352,7 @@ def gradient_lp(v: SpectralField, p: float) -> float:
         one = SpectralField(grid, v.coeffs[comp][np.newaxis])
         for ax in range(grid.dim):
             parts.append(inverse_transform(derivative(one, ax)).real[0])
-    mag = np.sqrt(sum(part**2 for part in parts))
-    if p == float("inf"):
-        return float(np.max(mag))
-    cell = grid.dx ** grid.dim
-    return float((np.sum(mag**p) * cell) ** (1.0 / p))
+    return _lebesgue(np.sqrt(sum(part**2 for part in parts)), p, grid)
 
 
 def czero_constant(p: float) -> float:

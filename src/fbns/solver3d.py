@@ -19,9 +19,9 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from . import lp
-from .semigroup import duhamel_recursion, propagator
-from .spectral import (Grid, SpectralField, dealias, divergence_defect,
-                       forward_transform, helmholtz_project, inverse_transform)
+from .semigroup import check_divergence_free, duhamel_recursion, propagator
+from .spectral import (Grid, SpectralField, dealias, forward_transform,
+                       helmholtz_project, inverse_transform)
 from .trajectory import Trajectory
 
 INF = float("inf")
@@ -46,7 +46,6 @@ class SolverConfig3D:
     dt: float = 1.0 / 64.0
     max_iterations: int = 25
     tolerance: float = 1e-9
-    dealias: bool = True
     nonlinearity: bool = True
     scheme: str = "exponential-midpoint"
     gate_constant: float = DEFAULT_GATE_CONSTANT
@@ -153,43 +152,42 @@ def _physical_components(field: SpectralField) -> np.ndarray:
     return inverse_transform(field).real.copy()
 
 
-def pair_forcing(u: SpectralField, v: SpectralField,
-                 apply_dealias: bool = True) -> SpectralField:
-    """P div(u (x) v): component i is P applied to sum_j d_j (u_i v_j),
-    computed pseudo-spectrally with the 2/3-band product rule."""
+def pair_forcing(u: SpectralField, v: SpectralField) -> SpectralField:
+    """P div(u (x) v) for dim-component fields on a 2d or 3d grid: component
+    i is P applied to sum_j d_j (u_i v_j), computed pseudo-spectrally with
+    the 2/3-band product rule.  u is transformed once when v is u."""
     if u.grid != v.grid:
         raise ValueError("fields live on different grids")
     grid = u.grid
-    if u.ncomp != 3 or v.ncomp != 3 or grid.dim != 3:
-        raise ValueError("pair forcing expects 3-component fields on a 3d grid")
+    if u.ncomp != grid.dim or v.ncomp != grid.dim:
+        raise ValueError(f"pair forcing expects {grid.dim}-component fields "
+                         f"on a {grid.dim}d grid")
     up = _physical_components(u)
-    vp = _physical_components(v)
-    div = np.zeros((3,) + grid.shape, dtype=np.complex128)
-    for jax in range(3):
+    vp = up if v is u else _physical_components(v)
+    div = np.zeros((grid.dim,) + grid.shape, dtype=np.complex128)
+    for jax in range(grid.dim):
         xi_j = grid.xi_axis(jax)
-        for iax in range(3):
+        for iax in range(grid.dim):
             prod_hat = forward_transform(up[iax] * vp[jax], grid).coeffs[0]
             div[iax] += 1j * xi_j * prod_hat
     del up, vp  # free the samples before projecting
-    if apply_dealias:
-        div *= grid.dealias_mask
+    div *= grid.dealias_mask
     return helmholtz_project(SpectralField(grid, div))
 
 
-def nonlinear_term(u: SpectralField, apply_dealias: bool = True) -> SpectralField:
+def nonlinear_term(u: SpectralField) -> SpectralField:
     """P div(u (x) u), the quadratic forcing of the mild formulation."""
     if u.grid.dim != 3 or u.ncomp != 3:
         raise ValueError("nonlinear term expects a 3-component field on a 3d grid")
-    return pair_forcing(u, u, apply_dealias)
+    return pair_forcing(u, u)
 
 
-def _advect_check(u0: SpectralField, dt: float):
-    umax = float(np.max(np.abs(_physical_components(u0))))
-    dx = u0.grid.dx
-    if umax * dt / dx > 1.0:
-        warnings.warn(
-            f"advective CFL ratio {umax * dt / dx:.2f} > 1 for the forcing "
-            "sampling; consider a smaller dt", RuntimeWarning)
+def advect_check(u: SpectralField, dt: float):
+    """Warn when the velocity u moves more than one grid cell in time dt."""
+    ratio = float(np.max(np.abs(_physical_components(u)))) * dt / u.grid.dx
+    if ratio > 1.0:
+        warnings.warn(f"advective CFL ratio {ratio:.2f} > 1; reduce dt",
+                      RuntimeWarning)
 
 
 def _mild_map_sweep(buffer: np.ndarray, u0: SpectralField, prop, scheme: str,
@@ -267,17 +265,15 @@ def picard_solve(u0: SpectralField, config: SolverConfig3D,
         raise ValueError("initial data must have 3 components")
     if initial_iterate not in ("linear", "zero"):
         raise ValueError(f"unknown initial iterate {initial_iterate!r}")
-    defect = divergence_defect(u0)
-    if defect > 1e-10:
-        raise ValueError(f"initial data is not divergence-free (defect {defect:.3e})")
+    check_divergence_free(u0, "initial data")
 
-    u0 = dealias(u0) if config.dealias else u0
+    u0 = dealias(u0)
     part = lp.get_partition(grid)
     p, r, times = config.p, config.r, config.times
     diag = IterationDiagnostics()
     diag.gate = smallness_gate(u0, p, r, config.gate_constant)
     if config.nonlinearity:
-        _advect_check(u0, config.dt)
+        advect_check(u0, config.dt)
     prop = propagator(grid, config.dt, config.omega)
 
     # shell_series of each sample of the new iterate and of the increment

@@ -322,7 +322,10 @@ def helmholtz_project(field: SpectralField) -> SpectralField:
     for ax in range(grid.dim):
         dot += grid.xi_axis(ax) * field.coeffs[ax]
     dot *= grid.inv_xi_sq
-    out = np.stack([field.coeffs[ax] - grid.xi_axis(ax) * dot for ax in range(grid.dim)])
+    out = np.empty_like(field.coeffs)  # one buffer, written component by component
+    for ax in range(grid.dim):
+        np.multiply(grid.xi_axis(ax), dot, out=out[ax])
+        np.subtract(field.coeffs[ax], out[ax], out=out[ax])
     out[(slice(None),) + (0,) * grid.dim] = 0.0
     return SpectralField(grid, out)
 

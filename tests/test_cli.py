@@ -288,6 +288,25 @@ def test_solve2d_gaussian_residual_path(tmp_path):
     assert res["mask_points"] > 0
 
 
+def test_solve2d_support_at_boundary_exits_numerical(tmp_path, capsys):
+    args = ["--set", "initial=gaussian", "--set", "width_sq=5", "--set", "n=32",
+            "--set", "sample_every=1", "--set", "residual=true",
+            "--set", "p_values=2"]
+    code = run_cli("solve2d", "--workdir", str(tmp_path / "wide"),
+                   "--set", "n_steps=3", *args)
+    assert code == 2
+    assert "boundary annulus" in capsys.readouterr().err
+    manifest = json.loads((tmp_path / "wide" / "solve2d_manifest.json").read_text())
+    assert manifest["exit_code"] == 2
+    assert "boundary annulus" in manifest["rotating_frame_residual"]["error"]
+    # too few samples for the residual is still a usage error
+    code = run_cli("solve2d", "--workdir", str(tmp_path / "short"),
+                   "--set", "n_steps=1", *args)
+    assert code == 1
+    assert "at least three samples" in capsys.readouterr().err
+    assert not (tmp_path / "short" / "solve2d_manifest.json").exists()
+
+
 def test_solve2d_unknown_initial(tmp_path, capsys):
     code = run_cli("solve2d", "--workdir", str(tmp_path),
                    "--set", "initial=vortex-sheet")

@@ -9,6 +9,7 @@ from fbns.lp import (INF, SHELL_INNER, SHELL_OUTER, bernstein_ratio,
                      fb_norm_value, get_partition, low_pass, mild_norm,
                      mild_norm_reports, shell_product, shell_profile,
                      shell_range_for, smooth_cutoff)
+from fbns.semigroup import linear_trajectory
 from fbns.spectral import (Grid, SpectralField, dealias, forward_transform,
                            inverse_transform, random_divfree_field,
                            random_scalar_field, zero_mean)
@@ -146,6 +147,15 @@ def test_large_p_norm_approaches_sup_without_underflow():
         value = fb_norm_value(f, 0.0, p, 2.0)
         assert value == pytest.approx(measured, abs=1e-4)
         assert abs(value / sup - 1.0) < 0.02
+    # the l^r sum over shells and the L^q time quadrature, likewise
+    shell_sup = fb_norm_value(f, 0.0, 2.0, INF)
+    traj = linear_trajectory(f, np.linspace(0.0, 1.0, 17), 0.0)
+    time_sup = chemin_lerner_norm(traj, 0.0, 2.0, 2.0, INF).total
+    for big in (512.0, 1024.0):
+        value = fb_norm_value(f, 0.0, 2.0, big)
+        assert value > 0 and abs(value / shell_sup - 1.0) < 0.02
+        value = chemin_lerner_norm(traj, 0.0, 2.0, 2.0, big).total
+        assert value > 0 and abs(value / time_sup - 1.0) < 0.02
 
 
 def test_norms_exactly_homogeneous_at_small_amplitude():
@@ -160,6 +170,13 @@ def test_norms_exactly_homogeneous_at_small_amplitude():
         assert math.isclose(chemin_lerner_norm(small, 0.5, p, 2.0, 1.0).total,
                             1e-3 * chemin_lerner_norm(traj, 0.5, p, 2.0, 1.0).total,
                             rel_tol=1e-12)
+    for big in (512.0, 1024.0):
+        value = fb_norm_value(f, 0.5, 2.0, big)
+        assert value > 0 and math.isclose(fb_norm_value(f * 1e-3, 0.5, 2.0, big),
+                                          1e-3 * value, rel_tol=1e-12)
+        value = chemin_lerner_norm(traj, 0.5, 2.0, 2.0, big).total
+        scaled = chemin_lerner_norm(small, 0.5, 2.0, 2.0, big).total
+        assert value > 0 and math.isclose(scaled, 1e-3 * value, rel_tol=1e-12)
 
 
 def make_decay_trajectory(grid, k, kappa, times):

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from fbns.solver2d import (VorticityState, advance_velocity, advance_vorticity,
-                           biot_savart, coriolis_projection_identity,
+from fbns.solver2d import (SupportError, VorticityState, advance_velocity,
+                           advance_vorticity, biot_savart,
+                           coriolis_projection_identity,
                            czero_constant, frame_rotation, gaussian_vortex,
                            gradient_lp, gronwall_diagnostic, lp_physical,
                            rotating_frame_residual, rotating_frame_transform,
@@ -240,7 +241,7 @@ def test_rotating_residual_validation():
         rotating_frame_residual(times, fields, 1.0, mask_radius=1e-6,
                                 center=center + 0.123)
     wide = gaussian_vortex(Grid(dim=2, n=32, period_l=1.0), width_sq=8.0)
-    with pytest.raises(ValueError, match="boundary annulus"):
+    with pytest.raises(SupportError, match="boundary annulus"):
         rotating_frame_residual(np.array([0.0, 1e-3, 2e-3]), [wide] * 3, 1.0, 1.5)
 
 

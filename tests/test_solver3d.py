@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fbns import lp
+from fbns import lp, solver3d
 from fbns.semigroup import apply_semigroup, linear_trajectory
 from fbns.solver3d import (DEFAULT_GATE_CONSTANT, SolverConfig3D,
                            duhamel_bilinear, nonlinear_term, pair_forcing,
@@ -57,50 +57,69 @@ def direct_forcing(u, v):
     """Slow oracle: lattice convolution by explicit shifts, then the
     symbol-level divergence and projection, masked to the dealiased band."""
     grid = u.grid
-    conv = np.zeros((3, 3) + grid.shape, dtype=np.complex128)
+    dims = range(grid.dim)
+    conv = np.zeros((grid.dim, grid.dim) + grid.shape, dtype=np.complex128)
     # conv_{ij}(k) = sum_m u_i(m) v_j(k - m); rolling v by m realizes k - m
     support = np.argwhere(np.max(np.abs(u.coeffs), axis=0) > 0)
     for idx in support:
         m = tuple(int(i) for i in idx)
         um = u.coeffs[(slice(None),) + m]
-        rolled = np.roll(v.coeffs, shift=m, axis=(1, 2, 3))
-        for i in range(3):
-            for j in range(3):
+        rolled = np.roll(v.coeffs, shift=m, axis=tuple(range(1, grid.dim + 1)))
+        for i in dims:
+            for j in dims:
                 conv[i, j] += um[i] * rolled[j]
     xi = [np.asarray(np.broadcast_to(grid.xi_axis(ax), grid.shape))
-          for ax in range(3)]
-    div = np.zeros((3,) + grid.shape, dtype=np.complex128)
-    for i in range(3):
-        for j in range(3):
+          for ax in dims]
+    div = np.zeros((grid.dim,) + grid.shape, dtype=np.complex128)
+    for i in dims:
+        for j in dims:
             div[i] += 1j * xi[j] * conv[i, j]
     xi_sq = grid.xi_abs**2
     safe = np.where(xi_sq > 0, xi_sq, 1.0)
-    dot = sum(xi[j] * div[j] for j in range(3))
-    proj = div - np.stack([xi[i] * dot / safe for i in range(3)])
-    proj[(slice(None),) + (0,) * 3] = 0.0
+    dot = sum(xi[j] * div[j] for j in dims)
+    proj = div - np.stack([xi[i] * dot / safe for i in dims])
+    proj[(slice(None),) + (0,) * grid.dim] = 0.0
     return proj * grid.dealias_mask
 
 
 def test_pair_forcing_matches_direct_convolution():
-    grid = Grid(dim=3, n=8, period_l=2.0)
-    u = random_divfree_field(grid, seed=50)
-    v = random_divfree_field(grid, seed=51)
-    got = pair_forcing(u, v)
-    expected = direct_forcing(u, v)
-    scale = np.max(np.abs(expected))
-    assert np.max(np.abs(got.coeffs - expected)) < 1e-13 * scale
+    for grid in (Grid(dim=3, n=8, period_l=2.0), Grid(dim=2, n=16, period_l=2.0)):
+        u = random_divfree_field(grid, seed=50)
+        v = random_divfree_field(grid, seed=51)
+        got = pair_forcing(u, v)
+        expected = direct_forcing(u, v)
+        scale = np.max(np.abs(expected))
+        assert np.max(np.abs(got.coeffs - expected)) < 1e-13 * scale
 
 
 def test_pair_forcing_bilinear_and_projected():
-    u = random_divfree_field(GRID, seed=52)
-    v = random_divfree_field(GRID, seed=53)
-    w = random_divfree_field(GRID, seed=54)
-    assert divergence_defect(pair_forcing(u, v)) < 1e-12
-    left = pair_forcing(u + w, v).coeffs
-    right = pair_forcing(u, v).coeffs + pair_forcing(w, v).coeffs
-    assert np.max(np.abs(left - right)) < 1e-13
-    scaled = pair_forcing(u * 2.5, v).coeffs
-    assert np.max(np.abs(scaled - 2.5 * pair_forcing(u, v).coeffs)) < 1e-13
+    for grid in (GRID, Grid(dim=2, n=16, period_l=4.0)):
+        u = random_divfree_field(grid, seed=52)
+        v = random_divfree_field(grid, seed=53)
+        w = random_divfree_field(grid, seed=54)
+        assert divergence_defect(pair_forcing(u, v)) < 1e-12
+        left = pair_forcing(u + w, v).coeffs
+        right = pair_forcing(u, v).coeffs + pair_forcing(w, v).coeffs
+        assert np.max(np.abs(left - right)) < 1e-13
+        scaled = pair_forcing(u * 2.5, v).coeffs
+        assert np.max(np.abs(scaled - 2.5 * pair_forcing(u, v).coeffs)) < 1e-13
+
+
+def test_nonlinear_term_transforms_its_field_once(monkeypatch):
+    calls = []
+    original = solver3d.inverse_transform
+
+    def counting(field):
+        calls.append(field)
+        return original(field)
+
+    monkeypatch.setattr(solver3d, "inverse_transform", counting)
+    u = random_divfree_field(GRID, seed=55)
+    expected = pair_forcing(u, u.copy()).coeffs
+    calls.clear()
+    got = nonlinear_term(u).coeffs
+    assert len(calls) == 1
+    assert np.array_equal(got, expected)
 
 
 def test_nonlinear_term_validation():

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -113,6 +114,20 @@ def test_helmholtz_projection_preserves_divfree():
     v = random_divfree_field(grid, seed=6)
     assert divergence_defect(v) < 1e-14
     assert np.max(np.abs(helmholtz_project(v).coeffs - v.coeffs)) < 1e-14
+
+
+def test_helmholtz_projection_peak_memory():
+    # the output is written in place: one field plus the xi . f scratch
+    grid = Grid(dim=3, n=16, period_l=4.0)
+    f = gradient(random_scalar_field(grid, seed=7)) + random_divfree_field(grid, seed=8)
+    helmholtz_project(f)  # fill the grid's cached symbol arrays
+    tracemalloc.start()
+    try:
+        helmholtz_project(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.75 * f.coeffs.nbytes
 
 
 def test_coriolis_matrix_vertical_mode():
