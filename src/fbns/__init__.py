@@ -32,7 +32,7 @@ from .solver3d import (GateReport, IterationDiagnostics, SolverConfig3D,
 from .spectral import (Grid, SpectralField, curl, dealias, derivative,
                        divergence, divergence_defect, forward_transform,
                        gradient, helmholtz_project, inverse_transform,
-                       laplacian, physical, random_divfree_field,
+                       laplacian, random_divfree_field,
                        random_scalar_field, taylor_green_2d, taylor_green_3d,
                        zeros)
 from .trajectory import Trajectory

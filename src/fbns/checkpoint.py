@@ -9,7 +9,8 @@ Layout (little-endian):
     float64      period_l
     uint16       component count
     payload      per component, row-major over the lattice, interleaved
-                 (re, im) float64 pairs
+                 (re, im) float64 pairs of the full spectrum, which
+                 must be a real field's; readers keep the stored half
 
 Writes go through a temporary file in the target directory followed by an
 atomic rename, so readers never observe a half-written checkpoint.
@@ -63,7 +64,7 @@ def atomic_write_json(path, payload: dict):
 def field_to_bytes(field: SpectralField) -> bytes:
     header = _HEADER.pack(MAGIC, VERSION, field.grid.dim, field.grid.n,
                           field.grid.period_l, field.ncomp)
-    payload = np.ascontiguousarray(field.coeffs).astype("<c16").tobytes()
+    payload = field.grid.full_spectrum(field.coeffs).astype("<c16").tobytes()
     return header + payload
 
 
@@ -83,14 +84,22 @@ def field_from_bytes(data: bytes) -> SpectralField:
         grid = Grid(dim, n, period_l)
     except ValueError as exc:
         raise CheckpointError(f"invalid grid header: {exc}") from exc
+    if ncomp < 1:
+        raise CheckpointError("no field components")
     expected = _HEADER.size + ncomp * n ** dim * 16
     if len(data) != expected:
         raise CheckpointError(
             f"truncated coefficient block: expected {expected} bytes, found {len(data)}"
         )
     flat = np.frombuffer(data, dtype="<c16", offset=_HEADER.size)
-    coeffs = flat.reshape((ncomp,) + grid.shape).astype(np.complex128)
-    return SpectralField(grid, coeffs)
+    full = flat.reshape((ncomp,) + grid.shape).astype(np.complex128)
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = np.max(np.abs(full - np.conj(grid.reflect(full))))
+        scale = np.max(np.abs(full))
+    if not defect <= 1e-10 * scale:  # c_(-k) = conj(c_k) to rounding; rejects nan
+        raise CheckpointError(f"payload is not the spectrum of a real field "
+                              f"(Hermitian defect {defect:.3e}, scale {scale:.3e})")
+    return SpectralField(grid, grid.half_spectrum(full).copy())
 
 
 def read_field(path) -> SpectralField:

@@ -179,13 +179,11 @@ def pointwise_product_trajectory(u: Trajectory, v: Trajectory) -> Trajectory:
         raise ValueError("trajectories live on different grids")
     if not np.array_equal(u.times, v.times):
         raise ValueError("trajectories are sampled at different times")
-    out = np.empty((u.n_samples, 1) + u.grid.shape, dtype=np.complex128)
+    if u.ncomp != v.ncomp:
+        raise ValueError("component counts differ")
+    out = np.empty((u.n_samples, 1) + u.grid.spectral_shape, dtype=np.complex128)
     for k in range(u.n_samples):
-        up = inverse_transform(u.field(k)).real
-        vp = inverse_transform(v.field(k)).real
-        prod = np.sum(up * vp, axis=0) if u.ncomp == v.ncomp else None
-        if prod is None:
-            raise ValueError("component counts differ")
+        prod = np.sum(inverse_transform(u.field(k)) * inverse_transform(v.field(k)), axis=0)
         out[k] = dealias(forward_transform(prod, u.grid)).coeffs
     return Trajectory(u.grid, u.times, out)
 

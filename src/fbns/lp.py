@@ -7,7 +7,8 @@ function phi(xi) = chi(xi/2) - chi(xi) is supported on 3/4 <= |xi| <= 8/3
 and the dilates phi_j(xi) = phi(xi / 2^j) sum to 1 away from xi = 0.
 
 Norms use frequency-side Lebesgue quadrature on the wavenumber lattice:
-||g||_{L^p} ~ (dxi)^(dim/p) (sum |g|^p)^(1/p), with the lattice max for
+||g||_{L^p} ~ (dxi)^(dim/p) (sum |g|^p)^(1/p) over the full spectrum (each
+stored mode counted with its Grid.multiplicity), with the lattice max for
 p = infinity.  Vector-valued spectra enter through their pointwise
 Euclidean magnitude over components, which makes L^2-based quantities
 agree with Plancherel and makes rotation multipliers isometries.
@@ -106,9 +107,12 @@ class DyadicPartition:
         self._low = np.cumsum(self.masks, axis=0)
         # Sparse shell support, grouped by shell: by almost-orthogonality
         # every lattice point lies in at most two shells, so all shells of
-        # a sample reduce in one pass over about twice the lattice.
+        # a sample reduce in one pass.  Each stored mode is listed as often
+        # as it occurs in the full spectrum.
         flat = self.masks.reshape(len(js), -1)
-        rows, self.support = np.nonzero(flat)
+        rows, support = np.nonzero(flat)
+        count = np.broadcast_to(grid.multiplicity, grid.spectral_shape).ravel()[support]
+        rows, self.support = np.repeat(rows, count), np.repeat(support, count)
         self.weights = flat[rows, self.support]
         counts = np.bincount(rows, minlength=len(js))
         self.filled = counts > 0
@@ -124,13 +128,13 @@ class DyadicPartition:
 
     def shell_mask(self, j: int) -> np.ndarray:
         if j not in self.shell_range:
-            return np.zeros(self.grid.shape)
+            return np.zeros(self.grid.spectral_shape)
         return self.masks[self._offset(j)]
 
     def low_mask(self, j: int) -> np.ndarray:
         """Sum of shell masks with index <= j (low-pass multiplier)."""
         if j < self.shell_range.j_min:
-            return np.zeros(self.grid.shape)
+            return np.zeros(self.grid.spectral_shape)
         j = min(j, self.shell_range.j_max)
         return self._low[self._offset(j)]
 
@@ -171,26 +175,17 @@ def _magnitude(coeffs: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(np.abs(coeffs) ** 2, axis=0))
 
 
-def _freq_lp(mag: np.ndarray, p: float, dxi: float, dim: int) -> float:
+def lebesgue(values: np.ndarray, p: float, weight=1.0, axis=None) -> np.ndarray:
+    """(sum weight values^p)^(1/p) of non-negative values along axis (over
+    all of them by default), their max for p = inf.  Each slice is divided
+    by its max before powering, as LAPACK xNRM2 does, so large p neither
+    underflows nor overflows."""
+    top = np.max(values, axis=axis, keepdims=True, initial=0.0)
     if p == INF:
-        return float(np.max(mag)) if mag.size else 0.0
-    return float(dxi ** (dim / p) * np.sum(mag ** p) ** (1.0 / p))
-
-
-def _unit_scaled(values: np.ndarray, axis: int):
-    # values divided by their max along axis (1 where that is 0), and the max,
-    # so that powering by a large exponent neither underflows nor overflows
-    top = np.max(values, axis=axis, keepdims=True)
+        return np.squeeze(top, axis)
     scale = np.where(top > 0.0, top, 1.0)
-    return values / scale, np.squeeze(scale, axis)
-
-
-def _sequence_lr(values: np.ndarray, r: float) -> np.ndarray:
-    # l^r over the last axis, which is never empty: every partition has a shell
-    if r == INF:
-        return np.max(values, axis=-1)
-    unit, scale = _unit_scaled(values, -1)
-    return scale * np.sum(unit ** r, axis=-1) ** (1.0 / r)
+    total = np.sum(weight * (values / scale) ** p, axis=axis, keepdims=True)
+    return np.squeeze(scale * total ** (1.0 / p), axis)
 
 
 def shell_series(coeffs: np.ndarray, p: float,
@@ -198,10 +193,10 @@ def shell_series(coeffs: np.ndarray, p: float,
     """Frequency L^p norms ||phi_j f_hat||_{L^p} of every shell j, the
     values every other norm of this module is built from.
 
-    coeffs has shape lead + (ncomp,) + grid.shape (one field or a stack of
-    samples); the result has shape lead + (number of shells,).  Each shell
-    is divided by its largest value before powering, as LAPACK xNRM2 does,
-    so large finite p neither underflows nor overflows.
+    coeffs has shape lead + (ncomp,) + grid.spectral_shape (one field or a
+    stack of samples); the result has shape lead + (number of shells,).
+    Each shell is divided by its largest value before powering, as LAPACK
+    xNRM2 does, so large finite p neither underflows nor overflows.
     """
     _validate_lebesgue("p", p)
     part = partition
@@ -210,7 +205,7 @@ def shell_series(coeffs: np.ndarray, p: float,
     out = np.zeros(lead + (len(part.js),))
     # field by field, so the gathered values stay cache-sized
     rows = out.reshape(-1, out.shape[-1])
-    for row, field in zip(rows, coeffs.reshape((len(rows), -1) + grid.shape)):
+    for row, field in zip(rows, coeffs.reshape((len(rows), -1) + grid.spectral_shape)):
         vals = _magnitude(field).ravel()[part.support]
         vals *= part.weights
         top = np.maximum.reduceat(vals, part.offsets)
@@ -249,7 +244,7 @@ class NormReport:
 def fb_norm_of_series(series: np.ndarray, s: float, r: float,
                       partition: DyadicPartition) -> np.ndarray:
     """Fourier-Besov norms from shell_series values (shells on the last axis)."""
-    return _sequence_lr(series * 2.0 ** (s * np.array(partition.js)), r)
+    return lebesgue(series * 2.0 ** (s * np.array(partition.js)), r, axis=-1)
 
 
 def fb_norm(field: SpectralField, s: float, p: float, r: float,
@@ -270,7 +265,7 @@ def _report(params: dict, values: np.ndarray, s: float, r: float,
             part: DyadicPartition, tail: float | None = None) -> NormReport:
     values = values * 2.0 ** (s * np.array(part.js))
     return NormReport(params, list(zip(part.js, values.tolist())),
-                      float(_sequence_lr(values, r)),
+                      float(lebesgue(values, r, axis=-1)),
                       list(part.shell_range.partial), tail)
 
 
@@ -287,8 +282,9 @@ def _chemin_lerner_report(series: np.ndarray, times: np.ndarray, s: float,
         raise ValueError("time quadrature needs at least two samples")
     last = float(fb_norm_of_series(series[-1], s, r, part))
     tail = last * (1.0 / (q * part.grid.dxi ** 2)) ** (1.0 / q)
-    unit, scale = _unit_scaled(series, 0)
-    return _report(params, scale * np.trapezoid(unit ** q, times, axis=0) ** (1.0 / q),
+    half = 0.5 * np.diff(times)  # composite trapezoid weights
+    weight = np.append(half, 0.0) + np.append(0.0, half)
+    return _report(params, lebesgue(series, q, weight[:, None], axis=0),
                    s, r, part, tail)
 
 
@@ -385,9 +381,7 @@ def bony_decompose(u: SpectralField, v: SpectralField, j: int,
     u_low = np.cumsum(u_blocks, axis=0)  # low-pass partial sums, shell by shell
     v_low = np.cumsum(v_blocks, axis=0)
 
-    prod_one = np.zeros(grid.shape, dtype=np.complex128)
-    prod_two = np.zeros(grid.shape, dtype=np.complex128)
-    prod_rem = np.zeros(grid.shape, dtype=np.complex128)
+    prod_one, prod_two, prod_rem = np.zeros((3,) + grid.shape)
     for i in range(len(js)):  # shell js[i]
         if i >= 2:
             prod_one += u_low[i - 2] * v_blocks[i]
@@ -414,7 +408,7 @@ def shell_product(u: SpectralField, v: SpectralField, j: int,
 # Bernstein inequalities
 
 def _monomial(grid: Grid, gamma) -> np.ndarray:
-    out = np.ones(grid.shape)
+    out = np.ones(grid.spectral_shape)
     for ax, g in enumerate(gamma):
         if g:
             out = out * grid.xi_axis(ax) ** g
@@ -446,10 +440,11 @@ def bernstein_ratio(field: SpectralField, j: int, gamma, p: float, q: float,
     if np.max(mag[outside], initial=0.0) > 1e-13 * top:
         raise ValueError("spectrum is not supported at the stated dyadic scale")
     order = sum(gamma)
-    lhs = _freq_lp(np.abs(_monomial(grid, gamma)) * mag, q, grid.dxi, grid.dim)
-    rhs = _freq_lp(mag, p, grid.dxi, grid.dim)
+    weight = grid.dxi ** grid.dim * grid.multiplicity
+    lhs = lebesgue(np.abs(_monomial(grid, gamma)) * mag, q, weight)
+    rhs = lebesgue(mag, p, weight)
     scale = 2.0 ** (j * order + grid.dim * j * (1.0 / q - 1.0 / p))
-    return lhs / (scale * rhs)
+    return float(lhs / (scale * rhs))
 
 
 def bernstein_slope(gamma, p: float, q: float, js, dim: int = 3,

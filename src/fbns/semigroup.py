@@ -67,7 +67,7 @@ class Propagator:
         return out
 
     def apply(self, coeffs: np.ndarray) -> np.ndarray:
-        """m(dt) f for coefficients of shape (3,) + grid.shape."""
+        """m(dt) f for coefficients of shape (3,) + grid.spectral_shape."""
         return self._rotate(coeffs, self.multiplier)
 
     def step(self, y: np.ndarray, g_lo: np.ndarray, g_hi: np.ndarray,

@@ -21,10 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
+from .lp import lebesgue
 from .solver3d import advect_check, pair_forcing
 from .spectral import (Grid, SpectralField, dealias, derivative,
-                       forward_transform, helmholtz_project,
-                       inverse_transform, laplacian, physical)
+                       forward_transform, gradient, helmholtz_project,
+                       inverse_transform, laplacian, zero_mean)
 
 BOUNDARY_FRAC = 0.9  # of pi L: the annulus rotating_frame_residual checks
 SUPPORT_TOL = 1e-4   # largest relative variation allowed in that annulus
@@ -81,7 +82,7 @@ def frame_rotation(omega: float, t: float) -> np.ndarray:
 def _if_rk4(w: np.ndarray, grid: Grid, dt: float, steps: int, rhs) -> np.ndarray:
     """Integrating-factor RK4 for dw/dt = lap(w) + rhs(w): diffusion
     propagated exactly, the rhs stage values taken at exponentially shifted
-    states.  w holds coefficients of shape (ncomp,) + grid.shape."""
+    states.  w holds coefficients of shape (ncomp,) + grid.spectral_shape."""
     e_half = np.exp(-grid.xi_sq * (dt / 2.0))
     e_full = e_half * e_half
     for _ in range(steps):
@@ -104,9 +105,9 @@ def advance_vorticity(state: VorticityState, dt: float, steps: int,
 
     def rhs(w_hat):  # -dealias((v . grad w)_hat)
         field = SpectralField(grid, w_hat)
-        v = inverse_transform(biot_savart(field)).real
-        gx = inverse_transform(derivative(field, 0)).real[0]
-        gy = inverse_transform(derivative(field, 1)).real[0]
+        v = inverse_transform(biot_savart(field))
+        gx = inverse_transform(derivative(field, 0))[0]
+        gy = inverse_transform(derivative(field, 1))[0]
         adv = v[0] * gx + v[1] * gy
         return -forward_transform(adv, grid).coeffs * grid.dealias_mask
 
@@ -208,17 +209,20 @@ def rotating_frame_transform(field: SpectralField, t: float, omega: float,
     y1 = c[0] + rot[0, 0] * d1 + rot[0, 1] * d2
     y2 = c[1] + rot[1, 0] * d1 + rot[1, 1] * d2
 
-    k = grid.k1 / grid.period_l
+    xi1, xi2 = (grid.xi_axis(ax).ravel() for ax in (0, 1))
+    # a real field is the real part of the sum over its stored modes, each
+    # counted as often as it occurs in the full spectrum
+    weighted = field.coeffs * grid.multiplicity
     m = pts.shape[0]
     values = np.empty((field.ncomp, m))
     # plane-wave sum in chunks of points so the phase matrices stay small
     chunk = max(256, int(2_000_000 // max(grid.n, 1)))
     for lo in range(0, m, chunk):
         hi = min(lo + chunk, m)
-        e1 = np.exp(1j * y1[lo:hi, None] * k[None, :])
-        e2 = np.exp(1j * y2[lo:hi, None] * k[None, :])
+        e1 = np.exp(1j * y1[lo:hi, None] * xi1[None, :])
+        e2 = np.exp(1j * y2[lo:hi, None] * xi2[None, :])
         for comp in range(field.ncomp):
-            partial = e2 @ field.coeffs[comp].T  # [point, k1] after summing k2
+            partial = e2 @ weighted[comp].T  # [point, k1] after summing k2
             values[comp, lo:hi] = np.sum(e1 * partial, axis=1).real
     if rotate_components and field.ncomp == 2:
         back = frame_rotation(omega, -t)  # exp(-tM)
@@ -269,7 +273,7 @@ def rotating_frame_residual(times, w_fields, omega: float, mask_radius: float,
     annulus = rad_sq >= (BOUNDARY_FRAC * math.pi * grid.period_l) ** 2
 
     for k in range(times.size):
-        samples = physical(w_fields[k])[0].ravel()
+        samples = inverse_transform(w_fields[k])[0].ravel()
         spread = float(np.ptp(samples[annulus]))
         scale = float(np.ptp(samples))
         if scale > 0 and spread > SUPPORT_TOL * scale:
@@ -290,9 +294,7 @@ def rotating_frame_residual(times, w_fields, omega: float, mask_radius: float,
         w_hat = w_fields[k]
         lap_t = rotating_frame_transform(laplacian(w_hat), t, omega, c,
                                          points=mask_pts)
-        grad = SpectralField(grid, np.concatenate([derivative(w_hat, 0).coeffs,
-                                                   derivative(w_hat, 1).coeffs]))
-        grad_t = rotating_frame_transform(grad, t, omega, c,
+        grad_t = rotating_frame_transform(gradient(w_hat), t, omega, c,
                                           rotate_components=True, points=mask_pts)
         v_t = rotating_frame_transform(biot_savart(w_hat), t, omega, c,
                                        rotate_components=True, points=mask_pts)
@@ -318,41 +320,33 @@ def gaussian_vortex(grid: Grid, width_sq: float = 0.1, center=None,
     x1 = grid.x_axis(0) + np.zeros(grid.shape)
     x2 = grid.x_axis(1) + np.zeros(grid.shape)
     w = amplitude * np.exp(-((x1 - c[0])**2 + (x2 - c[1])**2) / width_sq)
-    hat = forward_transform(w, grid)
-    coeffs = hat.coeffs.copy()
-    coeffs[(slice(None),) + (0,) * grid.dim] = 0.0
-    return SpectralField(grid, coeffs)
+    return zero_mean(forward_transform(w, grid))
 
 
 # ---------------------------------------------------------------------------
 # Lebesgue diagnostics
 
+def _magnitude(field: SpectralField) -> np.ndarray:
+    # pointwise Euclidean magnitude of the physical samples
+    return np.sqrt(np.sum(inverse_transform(field) ** 2, axis=0))
+
+
 def _lebesgue(mag: np.ndarray, p: float, grid: Grid) -> float:
     # physical-space L^p norm of pointwise magnitudes on the lattice
-    if p == float("inf"):
-        return float(np.max(mag))
     if not p >= 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    cell = grid.dx ** grid.dim
-    return float((np.sum(mag**p) * cell) ** (1.0 / p))
+    return float(lebesgue(mag, p, grid.dx ** grid.dim))
 
 
 def lp_physical(field: SpectralField, p: float) -> float:
     """Physical-space L^p norm (pointwise Euclidean magnitude for vectors)."""
-    samples = physical(field)
-    return _lebesgue(np.sqrt(np.sum(samples**2, axis=0)), p, field.grid)
+    return _lebesgue(_magnitude(field), p, field.grid)
 
 
 def gradient_lp(v: SpectralField, p: float) -> float:
     """L^p norm of the velocity gradient in the Frobenius pointwise norm,
     so the p = 2 value matches the vorticity L^2 norm exactly."""
-    grid = v.grid
-    parts = []
-    for comp in range(v.ncomp):
-        one = SpectralField(grid, v.coeffs[comp][np.newaxis])
-        for ax in range(grid.dim):
-            parts.append(inverse_transform(derivative(one, ax)).real[0])
-    return _lebesgue(np.sqrt(sum(part**2 for part in parts)), p, grid)
+    return _lebesgue(_magnitude(gradient(v)), p, v.grid)
 
 
 def czero_constant(p: float) -> float:
@@ -389,17 +383,17 @@ def gronwall_diagnostic(times, states, p_values, t1_index: int = 0) -> dict:
     if not 0 <= t1_index < times.size - 1:
         raise ValueError("t1_index out of range")
 
+    grid = states[0].w.grid
+    # each state is transformed once, for every p
+    mags = [(_magnitude(st.velocity), _magnitude(st.w), _magnitude(gradient(st.velocity)))
+            for st in states]
     rows = []
     summary = {}
     for p in p_values:
-        v_norms = []
-        w_norms = []
-        g_norms = []
-        for st in states:
-            v = st.velocity
-            v_norms.append(lp_physical(v, p))
-            w_norms.append(lp_physical(st.w, p))
-            g_norms.append(gradient_lp(v, p) if p != float("inf") else math.nan)
+        v_norms, w_norms, g_norms = ([_lebesgue(m[i], p, grid) for m in mags]
+                                     for i in range(3))
+        if p == float("inf"):
+            g_norms = [math.nan] * len(states)
         v1, w1 = v_norms[t1_index], w_norms[t1_index]
         t1 = times[t1_index]
 

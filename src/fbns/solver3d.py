@@ -146,12 +146,6 @@ def smallness_gate(u0: SpectralField, p: float, r: float,
                       threshold=threshold, passed=passed)
 
 
-def _physical_components(field: SpectralField) -> np.ndarray:
-    # real parts only: solver states are Hermitian-symmetric by construction;
-    # the copy lets the complex samples go
-    return inverse_transform(field).real.copy()
-
-
 def pair_forcing(u: SpectralField, v: SpectralField) -> SpectralField:
     """P div(u (x) v) for dim-component fields on a 2d or 3d grid: component
     i is P applied to sum_j d_j (u_i v_j), computed pseudo-spectrally with
@@ -162,9 +156,9 @@ def pair_forcing(u: SpectralField, v: SpectralField) -> SpectralField:
     if u.ncomp != grid.dim or v.ncomp != grid.dim:
         raise ValueError(f"pair forcing expects {grid.dim}-component fields "
                          f"on a {grid.dim}d grid")
-    up = _physical_components(u)
-    vp = up if v is u else _physical_components(v)
-    div = np.zeros((grid.dim,) + grid.shape, dtype=np.complex128)
+    up = inverse_transform(u)
+    vp = up if v is u else inverse_transform(v)
+    div = np.zeros((grid.dim,) + grid.spectral_shape, dtype=np.complex128)
     for jax in range(grid.dim):
         xi_j = grid.xi_axis(jax)
         for iax in range(grid.dim):
@@ -184,7 +178,7 @@ def nonlinear_term(u: SpectralField) -> SpectralField:
 
 def advect_check(u: SpectralField, dt: float):
     """Warn when the velocity u moves more than one grid cell in time dt."""
-    ratio = float(np.max(np.abs(_physical_components(u)))) * dt / u.grid.dx
+    ratio = float(np.max(np.abs(inverse_transform(u)))) * dt / u.grid.dx
     if ratio > 1.0:
         warnings.warn(f"advective CFL ratio {ratio:.2f} > 1; reduce dt",
                       RuntimeWarning)

@@ -1,13 +1,14 @@
 """Periodic spectral fields and Fourier-symbol operators.
 
 Fields live on a uniform lattice over the torus [0, 2*pi*L)^dim and are
-stored as complex coefficients c_k of the expansion
+real.  They are stored as complex coefficients c_k of the expansion
 
     f(x) = sum_k c_k exp(i k.x / L),
 
 with integer wavevectors k in FFT order.  The continuous wavenumber of
 index k is xi = k / L, so the frequency lattice has spacing 1/L per axis.
-Real-valued fields satisfy the Hermitian symmetry c_{-k} = conj(c_k).
+As c_{-k} = conj(c_k), only the half spectrum of real transforms is stored
+(the scipy.fft.rfftn layout, last axis k = 0 ... n/2), known only to Grid.
 
 The torus with large period stands in for the whole space: norms carry the
 frequency quadrature weight (1/L)^(dim/p) so that lattice sums approximate
@@ -57,12 +58,18 @@ class Grid:
             raise ValueError(f"dim must be 2 or 3, got {self.dim}")
         if self.n < 8 or self.n % 2 != 0:
             raise ValueError(f"n must be even and >= 8, got {self.n}")
-        if not self.period_l > 0:
-            raise ValueError(f"period_l must be positive, got {self.period_l}")
+        if not 0 < self.period_l < np.inf:
+            raise ValueError(f"period_l must be positive and finite, got {self.period_l}")
 
     @property
     def shape(self) -> tuple:
+        """The physical lattice."""
         return (self.n,) * self.dim
+
+    @property
+    def spectral_shape(self) -> tuple:
+        """The stored half spectrum: last-axis wavenumbers 0 ... n/2 only."""
+        return (self.n,) * (self.dim - 1) + (self.n // 2 + 1,)
 
     @property
     def dxi(self) -> float:
@@ -81,20 +88,31 @@ class Grid:
     def kcut(self) -> int:
         return (self.n - 1) // 3
 
-    @cached_property
-    def k1(self) -> np.ndarray:
-        # integer wavenumbers in FFT order: 0, 1, ..., n/2-1, -n/2, ..., -1
-        return np.fft.fftfreq(self.n, d=1.0 / self.n)
+    def _along(self, axis: int, values: np.ndarray) -> np.ndarray:
+        # a 1d array shaped for broadcasting along one axis
+        shape = [1] * self.dim
+        shape[axis] = values.size
+        return values.reshape(shape)
 
     def xi_axis(self, axis: int) -> np.ndarray:
-        """1d wavenumber array for one axis, shaped for broadcasting."""
-        shape = [1] * self.dim
-        shape[axis] = self.n
-        return (self.k1 * self.dxi).reshape(shape)
+        """Stored wavenumbers k / L of one axis, shaped for broadcasting: k in
+        FFT order 0, 1, ..., n/2-1, -n/2, ..., -1, or 0, ..., n/2 on the last."""
+        last = axis % self.dim == self.dim - 1
+        k = np.arange(self.n // 2 + 1) if last else np.fft.fftfreq(self.n, 1.0 / self.n)
+        return self._along(axis, k * self.dxi)
+
+    @cached_property
+    def multiplicity(self) -> np.ndarray:
+        """How often each stored mode occurs in the full spectrum, the weight
+        of every lattice sum: once on the last-axis k = 0 and n/2 planes,
+        twice (c_k and c_(-k)) elsewhere.  Broadcasts against spectral_shape."""
+        weight = np.full(self.n // 2 + 1, 2)
+        weight[[0, -1]] = 1
+        return self._along(self.dim - 1, weight)
 
     @cached_property
     def xi_sq(self) -> np.ndarray:
-        out = np.zeros(self.shape)
+        out = np.zeros(self.spectral_shape)
         for ax in range(self.dim):
             out = out + self.xi_axis(ax) ** 2
         return out
@@ -114,12 +132,9 @@ class Grid:
 
     @cached_property
     def dealias_mask(self) -> np.ndarray:
-        mask = np.ones(self.shape, dtype=bool)
-        keep1 = np.abs(self.k1) <= self.kcut
+        mask = np.ones(self.spectral_shape, dtype=bool)
         for ax in range(self.dim):
-            shape = [1] * self.dim
-            shape[ax] = self.n
-            mask &= keep1.reshape(shape)
+            mask &= np.abs(self.xi_axis(ax)) <= self.kcut * self.dxi
         return mask
 
     @cached_property
@@ -128,23 +143,35 @@ class Grid:
         return float(np.sqrt(self.dim) * self.kcut * self.dxi)
 
     def x_axis(self, axis: int) -> np.ndarray:
-        shape = [1] * self.dim
-        shape[axis] = self.n
-        return (np.arange(self.n) * self.dx).reshape(shape)
+        return self._along(axis, np.arange(self.n) * self.dx)
 
     def reflect(self, coeffs: np.ndarray) -> np.ndarray:
-        """c_(-k) for coefficients of shape (ncomp,) + shape."""
-        for ax in range(1, self.dim + 1):
-            coeffs = np.take(coeffs, (-np.arange(self.n)) % self.n, axis=ax)
+        """c_(-k) for full-spectrum coefficients of shape (...,) + shape."""
+        index = (-np.arange(self.n)) % self.n
+        for ax in range(-self.dim, 0):
+            coeffs = np.take(coeffs, index, axis=ax)
         return coeffs
+
+    def half_spectrum(self, full: np.ndarray) -> np.ndarray:
+        """The stored part of a full spectrum of shape (...,) + shape."""
+        return full[..., :self.n // 2 + 1]
+
+    def full_spectrum(self, coeffs: np.ndarray) -> np.ndarray:
+        """The full spectrum of stored coefficients, the modes that are not
+        stored filled in by exact conjugate reflection c_(-k) = conj(c_k)."""
+        full = np.zeros(coeffs.shape[:-1] + (self.n,), dtype=np.complex128)
+        stored = coeffs.shape[-1]
+        full[..., :stored] = coeffs
+        full[..., stored:] = np.conj(self.reflect(full)[..., stored:])
+        return full
 
 
 @dataclass(frozen=True)
 class SpectralField:
     """Fourier coefficients of a (possibly vector-valued) field.
 
-    coeffs has shape (ncomp,) + grid.shape, complex128.  Scalars use
-    ncomp = 1.  Instances are treated as immutable; operators return new
+    coeffs has shape (ncomp,) + grid.spectral_shape, complex128.  Scalars
+    use ncomp = 1.  Instances are treated as immutable; operators return new
     fields.
     """
 
@@ -153,13 +180,12 @@ class SpectralField:
 
     def __post_init__(self):
         c = self.coeffs
-        if c.shape == self.grid.shape:
+        if c.shape == self.grid.spectral_shape:
             # accept a bare lattice array for scalars
             c = c[np.newaxis]
-        if c.ndim != self.grid.dim + 1 or c.shape[1:] != self.grid.shape:
-            raise ValueError(
-                f"coefficient shape {self.coeffs.shape} does not match grid {self.grid.shape}"
-            )
+        if c.ndim != self.grid.dim + 1 or c.shape[1:] != self.grid.spectral_shape:
+            raise ValueError(f"coefficient shape {self.coeffs.shape} does not match "
+                             f"grid spectrum {self.grid.spectral_shape}")
         if c.dtype != np.complex128:
             c = c.astype(np.complex128)
         object.__setattr__(self, "coeffs", c)
@@ -176,8 +202,9 @@ class SpectralField:
         return SpectralField(self.grid, self.coeffs.copy())
 
     def l2(self) -> float:
-        """Coefficient 2-norm (physical L2 up to the fixed volume factor)."""
-        return float(np.linalg.norm(self.coeffs))
+        """Full-spectrum 2-norm (physical L2 up to the fixed volume factor)."""
+        c = self.coeffs
+        return float(np.sqrt(np.sum(self.grid.multiplicity * (c.real ** 2 + c.imag ** 2))))
 
     def __add__(self, other: "SpectralField") -> "SpectralField":
         _check_same_layout(self, other)
@@ -204,44 +231,30 @@ def _check_same_layout(a: SpectralField, b: SpectralField):
 
 
 def zeros(grid: Grid, ncomp: int = 1) -> SpectralField:
-    return SpectralField(grid, np.zeros((ncomp,) + grid.shape, dtype=np.complex128))
+    return SpectralField(grid, np.zeros((ncomp,) + grid.spectral_shape, dtype=np.complex128))
 
 
 def forward_transform(samples: np.ndarray, grid: Grid) -> SpectralField:
-    """Physical samples -> coefficients.  A single mode exp(i k.x/L) maps to
-    a single unit coefficient at index k."""
+    """Real physical samples -> coefficients.  A mode cos(k.x/L) maps to
+    the coefficient 1/2 at the stored one of the indices k and -k (both
+    when k_last = 0)."""
     arr = np.asarray(samples)
     if arr.shape == grid.shape:
         arr = arr[np.newaxis]
     if arr.shape[1:] != grid.shape:
         raise ValueError(f"sample shape {samples.shape} does not match grid {grid.shape}")
     axes = tuple(range(1, grid.dim + 1))
-    coeffs = scipy.fft.fftn(arr, axes=axes, norm="forward", workers=fft_workers())
+    coeffs = scipy.fft.rfftn(arr, axes=axes, norm="forward", workers=fft_workers())
     return SpectralField(grid, coeffs)
 
 
 def inverse_transform(field: SpectralField) -> np.ndarray:
-    """Coefficients -> complex physical samples, exact inverse of
+    """Coefficients -> real physical samples, exact inverse of
     forward_transform."""
-    axes = tuple(range(1, field.grid.dim + 1))
-    return scipy.fft.ifftn(field.coeffs, axes=axes, norm="forward", workers=fft_workers())
-
-
-def hermitian_defect(field: SpectralField) -> float:
-    """Relative deviation from c_{-k} = conj(c_k); zero for real fields."""
-    c = field.coeffs
-    scale = np.max(np.abs(c))
-    if scale == 0.0:
-        return 0.0
-    return float(np.max(np.abs(c - np.conj(field.grid.reflect(c)))) / scale)
-
-
-def physical(field: SpectralField, tol: float = 1e-10) -> np.ndarray:
-    """Real physical samples of a Hermitian-symmetric field."""
-    defect = hermitian_defect(field)
-    if defect > tol:
-        raise ValueError(f"field is not Hermitian-symmetric (defect {defect:.3e})")
-    return inverse_transform(field).real
+    grid = field.grid
+    axes = tuple(range(1, grid.dim + 1))
+    return scipy.fft.irfftn(field.coeffs, s=grid.shape, axes=axes, norm="forward",
+                            workers=fft_workers())
 
 
 def dealias(field: SpectralField) -> SpectralField:
@@ -264,18 +277,18 @@ def derivative(field: SpectralField, axis: int) -> SpectralField:
 
 
 def gradient(field: SpectralField) -> SpectralField:
-    if not field.is_scalar:
-        raise ValueError("gradient expects a scalar field")
+    """Every first derivative d_j f_i, axis by axis: d_1 f, ..., d_dim f for
+    a scalar f."""
     grid = field.grid
-    comps = [1j * grid.xi_axis(ax) * field.coeffs[0] for ax in range(grid.dim)]
-    return SpectralField(grid, np.stack(comps))
+    return SpectralField(grid, np.concatenate([1j * grid.xi_axis(ax) * field.coeffs
+                                               for ax in range(grid.dim)]))
 
 
 def divergence(field: SpectralField) -> SpectralField:
     grid = field.grid
     if field.ncomp != grid.dim:
         raise ValueError(f"divergence expects {grid.dim} components, got {field.ncomp}")
-    out = np.zeros(grid.shape, dtype=np.complex128)
+    out = np.zeros(grid.spectral_shape, dtype=np.complex128)
     for ax in range(grid.dim):
         out += 1j * grid.xi_axis(ax) * field.coeffs[ax]
     return SpectralField(grid, out[np.newaxis])
@@ -318,7 +331,7 @@ def helmholtz_project(field: SpectralField) -> SpectralField:
     grid = field.grid
     if field.ncomp != grid.dim:
         raise ValueError(f"projection expects {grid.dim} components, got {field.ncomp}")
-    dot = np.zeros(grid.shape, dtype=np.complex128)
+    dot = np.zeros(grid.spectral_shape, dtype=np.complex128)
     for ax in range(grid.dim):
         dot += grid.xi_axis(ax) * field.coeffs[ax]
     dot *= grid.inv_xi_sq
@@ -364,19 +377,15 @@ def coriolis_matrix(xi) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # random fields
 
-def _hermitianize(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
-    return 0.5 * (coeffs + np.conj(grid.reflect(coeffs)))
-
-
 def _random_coeffs(grid: Grid, seed, ncomp: int, cutoff: float | None) -> np.ndarray:
     if cutoff is None:
         cutoff = 0.4 * grid.band_max
     rng = np.random.default_rng(seed)
     shape = (ncomp,) + grid.shape
     raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    envelope = np.exp(-grid.xi_sq / cutoff**2)
-    coeffs = raw * envelope * grid.dealias_mask
-    coeffs = _hermitianize(coeffs, grid)
+    # drawn on the full lattice, so a seed gives the same field as ever
+    raw = grid.half_spectrum(0.5 * (raw + np.conj(grid.reflect(raw))))
+    coeffs = raw * np.exp(-grid.xi_sq / cutoff**2) * grid.dealias_mask
     coeffs[(slice(None),) + (0,) * grid.dim] = 0.0
     return coeffs
 
@@ -385,11 +394,11 @@ def random_scalar_field(grid: Grid, seed, cutoff: float | None = None,
                         amplitude: float = 1.0) -> SpectralField:
     """Zero-mean real random scalar with a smooth decaying spectrum,
     bit-reproducible for a given seed."""
-    coeffs = _random_coeffs(grid, seed, 1, cutoff)
-    norm = np.linalg.norm(coeffs)
+    field = SpectralField(grid, _random_coeffs(grid, seed, 1, cutoff))
+    norm = field.l2()
     if norm > 0:
-        coeffs *= amplitude / norm
-    return SpectralField(grid, coeffs)
+        field = field * (amplitude / norm)
+    return field
 
 
 def random_divfree_field(grid: Grid, seed, cutoff: float | None = None,

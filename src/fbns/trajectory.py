@@ -13,7 +13,7 @@ from .spectral import Grid, SpectralField
 class Trajectory:
     """Samples u(t_k) of a spectral field on uniformly spaced times.
 
-    coeffs has shape (n_samples, ncomp) + grid.shape.  fb_norms optionally
+    coeffs has shape (n_samples, ncomp) + grid.spectral_shape.  fb_norms optionally
     carries a per-sample scalar diagnostic (the solvers store the critical
     Fourier-Besov norm there).
     """
@@ -29,7 +29,7 @@ class Trajectory:
             raise ValueError("times must be a non-empty 1d array")
         if self.coeffs.shape[0] != self.times.size:
             raise ValueError("sample count does not match times")
-        if self.coeffs.shape[2:] != self.grid.shape:
+        if self.coeffs.shape[2:] != self.grid.spectral_shape:
             raise ValueError("sample shape does not match grid")
         if self.times.size > 1:
             steps = np.diff(self.times)

@@ -115,6 +115,17 @@ def test_checkpoint_roundtrip_and_corruption(tmp_path, field_file, capsys):
     assert "truncated" in capsys.readouterr().err
 
 
+def test_fbnorm_rejects_payload_of_non_real_field(tmp_path, field_file, capsys):
+    path, _ = field_file
+    data = bytearray(path.read_bytes())
+    data[22 + 8:22 + 16] = np.float64(0.25).tobytes()  # imaginary mean
+    bad = tmp_path / "complex.fbns"
+    bad.write_bytes(bytes(data))
+    assert run_cli("fbnorm", "--workdir", str(tmp_path), "--input", str(bad),
+                   "--set", "s=0") == 1
+    assert "not the spectrum of a real field" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # semigroup
 

@@ -17,7 +17,7 @@ GRID = default_lab_grid()  # 16^3, period 4
 
 
 def transverse_mode(grid, k=(4, 0, 0), a=(0.0, 1.0, 0.0)):
-    coeffs = np.zeros((3,) + grid.shape, dtype=np.complex128)
+    coeffs = np.zeros((3,) + grid.spectral_shape, dtype=np.complex128)
     for comp in range(3):
         coeffs[(comp,) + tuple(k)] = a[comp] / 2.0
         coeffs[(comp,) + tuple(-ki for ki in k)] = a[comp] / 2.0
@@ -103,14 +103,14 @@ def test_duhamel_reports_are_reproducible():
 def test_pointwise_product_single_modes():
     grid = Grid(dim=3, n=16, period_l=1.0)
     times = np.linspace(0.0, 1.0, 3)
-    cu = np.zeros((1,) + grid.shape, dtype=np.complex128)
+    cu = np.zeros((1,) + grid.spectral_shape, dtype=np.complex128)
     cu[0, 1, 0, 0] = cu[0, -1, 0, 0] = 0.5
-    cv = np.zeros((1,) + grid.shape, dtype=np.complex128)
+    cv = np.zeros((1,) + grid.spectral_shape, dtype=np.complex128)
     cv[0, 0, 1, 0] = cv[0, 0, -1, 0] = 0.5
     u = constant_trajectory(SpectralField(grid, cu), times)
     v = constant_trajectory(SpectralField(grid, cv), times)
     w = pointwise_product_trajectory(u, v)
-    expected = np.zeros(grid.shape, dtype=np.complex128)
+    expected = np.zeros(grid.spectral_shape, dtype=np.complex128)
     for k1 in (1, -1):
         for k2 in (1, -1):
             expected[k1, k2, 0] = 0.25

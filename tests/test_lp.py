@@ -17,11 +17,12 @@ from fbns.trajectory import Trajectory
 
 
 def single_mode(grid, k, amplitude=1.0, ncomp=1, comp=0):
-    coeffs = np.zeros((ncomp,) + grid.shape, dtype=np.complex128)
-    kpos = tuple(k)
-    kneg = tuple(-ki for ki in k)
-    coeffs[(comp,) + kpos] = amplitude / 2.0
-    coeffs[(comp,) + kneg] = amplitude / 2.0
+    # amplitude cos(k.x/L): amplitude/2 at k and at -k, of which the half
+    # spectrum stores those with a non-negative last index
+    coeffs = np.zeros((ncomp,) + grid.spectral_shape, dtype=np.complex128)
+    for mode in (tuple(k), tuple(-ki for ki in k)):
+        if mode[-1] >= 0:
+            coeffs[(comp,) + mode] = amplitude / 2.0
     return SpectralField(grid, coeffs)
 
 
@@ -105,7 +106,7 @@ def test_fb_norm_p_inf_is_lattice_max():
 
 def test_fb_norm_vector_magnitude_convention():
     grid = Grid(dim=3, n=16, period_l=4.0)
-    coeffs = np.zeros((3,) + grid.shape, dtype=np.complex128)
+    coeffs = np.zeros((3,) + grid.spectral_shape, dtype=np.complex128)
     coeffs[0, 4, 0, 0] = coeffs[0, -4, 0, 0] = 0.3
     coeffs[1, 4, 0, 0] = coeffs[1, -4, 0, 0] = 0.4
     vec = SpectralField(grid, coeffs)
@@ -126,7 +127,7 @@ def test_fb_norm_rejects_bad_exponents():
 
 def test_fb_norm_zero_field_and_triangle():
     grid = Grid(dim=2, n=16, period_l=1.0)
-    zero = SpectralField(grid, np.zeros((1,) + grid.shape, dtype=np.complex128))
+    zero = SpectralField(grid, np.zeros((1,) + grid.spectral_shape, dtype=np.complex128))
     assert fb_norm_value(zero, 1.0, 2.0, 2.0) == 0.0
     f = random_scalar_field(grid, seed=1)
     g = random_scalar_field(grid, seed=2)
@@ -304,7 +305,7 @@ def test_bony_close_scales_land_in_remainder():
 
 def test_bony_requires_scalars():
     grid = Grid(dim=3, n=16, period_l=1.0)
-    vec = SpectralField(grid, np.zeros((3,) + grid.shape, dtype=np.complex128))
+    vec = SpectralField(grid, np.zeros((3,) + grid.spectral_shape, dtype=np.complex128))
     sca = random_scalar_field(grid, seed=1)
     with pytest.raises(ValueError):
         bony_decompose(vec, sca, 0)
@@ -322,6 +323,17 @@ def test_bernstein_ratio_bounded_for_matching_exponents():
     assert 0.0 < ratio <= SHELL_OUTER + 1e-12
     ratio_ball = bernstein_ratio(low_pass(f, 0, part), 0, (2, 0, 0), 2.0, 2.0)
     assert 0.0 < ratio_ball <= SHELL_OUTER ** 2 + 1e-12
+
+
+def test_bernstein_ratio_large_exponents_finite_and_homogeneous():
+    grid = Grid(dim=2, n=32, period_l=1.0)
+    blk = dyadic_block(random_scalar_field(grid, seed=1), 3)
+    ratio = bernstein_ratio(blk, 3, (1, 0), 256.0, 256.0, support="annulus")
+    assert 0.0 < ratio <= SHELL_OUTER + 1e-12
+    for amplitude in (1e-3, 10.0):
+        scaled = bernstein_ratio(blk * amplitude, 3, (1, 0), 256.0, 256.0,
+                                 support="annulus")
+        assert math.isclose(scaled, ratio, rel_tol=1e-12)
 
 
 def test_bernstein_ratio_rejects_wrong_support():
@@ -350,7 +362,7 @@ def test_bernstein_slope_pure_lebesgue_shift():
 
 def test_zero_mean_mode_not_counted():
     grid = Grid(dim=2, n=16, period_l=1.0)
-    coeffs = np.zeros((1,) + grid.shape, dtype=np.complex128)
+    coeffs = np.zeros((1,) + grid.spectral_shape, dtype=np.complex128)
     coeffs[0, 0, 0] = 5.0
     f = SpectralField(grid, coeffs)
     assert fb_norm_value(f, 0.0, 2.0, 2.0) == 0.0

@@ -12,14 +12,14 @@ from fbns.solver2d import (SupportError, VorticityState, advance_velocity,
                            rotation_generator, run_vorticity)
 from fbns.spectral import (Grid, SpectralField, curl, dealias,
                            divergence_defect, forward_transform, gradient,
-                           physical, random_divfree_field,
+                           inverse_transform, random_divfree_field,
                            random_scalar_field, taylor_green_2d)
 
 GRID = Grid(dim=2, n=32, period_l=1.0)
 
 
 def scalar_mode_cos_x1(grid):
-    coeffs = np.zeros((1,) + grid.shape, dtype=np.complex128)
+    coeffs = np.zeros((1,) + grid.spectral_shape, dtype=np.complex128)
     coeffs[0, 1, 0] = coeffs[0, -1, 0] = 0.5
     return SpectralField(grid, coeffs)
 
@@ -31,7 +31,7 @@ def test_biot_savart_hand_oracle():
     w = scalar_mode_cos_x1(GRID)  # w = cos x1
     v = biot_savart(w)
     x1 = GRID.x_axis(0) + np.zeros(GRID.shape)
-    vp = physical(v)
+    vp = inverse_transform(v)
     assert np.max(np.abs(vp[0])) < 1e-14
     assert np.max(np.abs(vp[1] - np.sin(x1))) < 1e-13
 
@@ -122,10 +122,10 @@ def test_vorticity_state_validation():
 def test_transform_identity_at_time_zero():
     w = gaussian_vortex(GRID, width_sq=0.4)
     got = rotating_frame_transform(w, 0.0, omega=9.0)
-    assert np.max(np.abs(got - physical(w)[0])) < 1e-11
+    assert np.max(np.abs(got - inverse_transform(w)[0])) < 1e-11
     v = biot_savart(w)
     got_v = rotating_frame_transform(v, 0.0, omega=9.0)
-    assert np.max(np.abs(got_v - physical(v))) < 1e-11
+    assert np.max(np.abs(got_v - inverse_transform(v))) < 1e-11
 
 
 def test_transform_matches_closed_form_gaussian():
@@ -163,7 +163,7 @@ def interior_disk(grid, radius=3.0):
 def test_transform_radial_scalar_is_invariant():
     grid = Grid(dim=2, n=64, period_l=1.0)
     w = dealias(gaussian_vortex(grid, width_sq=0.3))
-    base = physical(w)[0]
+    base = inverse_transform(w)[0]
     disk = interior_disk(grid)
     for t in (0.2, 1.1):
         got = rotating_frame_transform(w, t, omega=6.0)
@@ -256,6 +256,19 @@ def test_lp_physical_hand_values():
     assert abs(lp_physical(v, 2.0) - math.pi * math.sqrt(2.0)) < 1e-13
     with pytest.raises(ValueError):
         lp_physical(w, 0.5)
+
+
+def test_large_p_lebesgue_norms_finite_and_homogeneous():
+    w = random_scalar_field(GRID, seed=1)
+    v = biot_savart(w)
+    for p in (256.0, 1024.0):
+        w_norm, g_norm = lp_physical(w, p), gradient_lp(v, p)
+        assert 0.0 < w_norm < math.inf and 0.0 < g_norm < math.inf
+        for amplitude in (1e-3, 10.0):
+            assert math.isclose(lp_physical(w * amplitude, p), amplitude * w_norm,
+                                rel_tol=1e-12)
+            assert math.isclose(gradient_lp(v * amplitude, p), amplitude * g_norm,
+                                rel_tol=1e-12)
 
 
 def test_gradient_l2_equals_vorticity_l2():

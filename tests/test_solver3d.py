@@ -25,9 +25,12 @@ def small_data(grid, seed, fraction=0.5, p=2.0, r=2.0):
 
 
 def component_mode(grid, comp, k, amplitude=1.0):
-    coeffs = np.zeros((3,) + grid.shape, dtype=np.complex128)
-    coeffs[(comp,) + tuple(k)] = amplitude / 2.0
-    coeffs[(comp,) + tuple(-ki for ki in k)] = amplitude / 2.0
+    # amplitude cos(k.x/L) e_comp: amplitude/2 at k and at -k, of which the
+    # half spectrum stores those with a non-negative last index
+    coeffs = np.zeros((3,) + grid.spectral_shape, dtype=np.complex128)
+    for mode in (tuple(k), tuple(-ki for ki in k)):
+        if mode[-1] >= 0:
+            coeffs[(comp,) + mode] = amplitude / 2.0
     return SpectralField(grid, coeffs)
 
 
@@ -46,7 +49,7 @@ def test_pair_forcing_hand_oracle():
     assert np.max(np.abs(out.coeffs[:, 1, 1, 0] - expected)) < 1e-14
     assert np.max(np.abs(out.coeffs[:, -1, -1, 0] - expected.conj())) < 1e-14
     # only the four modes (+-1, +-1, 0) are populated
-    mask = np.zeros(grid.shape, dtype=bool)
+    mask = np.zeros(grid.spectral_shape, dtype=bool)
     for k1 in (1, -1):
         for k2 in (1, -1):
             mask[k1, k2, 0] = True
@@ -54,32 +57,34 @@ def test_pair_forcing_hand_oracle():
 
 
 def direct_forcing(u, v):
-    """Slow oracle: lattice convolution by explicit shifts, then the
-    symbol-level divergence and projection, masked to the dealiased band."""
+    """Slow oracle: lattice convolution by explicit shifts on the full
+    spectrum, then the symbol-level divergence and projection, kept on the
+    stored half and masked to the dealiased band."""
     grid = u.grid
     dims = range(grid.dim)
+    uf, vf = grid.full_spectrum(u.coeffs), grid.full_spectrum(v.coeffs)
     conv = np.zeros((grid.dim, grid.dim) + grid.shape, dtype=np.complex128)
     # conv_{ij}(k) = sum_m u_i(m) v_j(k - m); rolling v by m realizes k - m
-    support = np.argwhere(np.max(np.abs(u.coeffs), axis=0) > 0)
+    support = np.argwhere(np.max(np.abs(uf), axis=0) > 0)
     for idx in support:
         m = tuple(int(i) for i in idx)
-        um = u.coeffs[(slice(None),) + m]
-        rolled = np.roll(v.coeffs, shift=m, axis=tuple(range(1, grid.dim + 1)))
+        um = uf[(slice(None),) + m]
+        rolled = np.roll(vf, shift=m, axis=tuple(range(1, grid.dim + 1)))
         for i in dims:
             for j in dims:
                 conv[i, j] += um[i] * rolled[j]
-    xi = [np.asarray(np.broadcast_to(grid.xi_axis(ax), grid.shape))
-          for ax in dims]
+    k = np.fft.fftfreq(grid.n, d=1.0 / grid.n) * grid.dxi
+    xi = np.meshgrid(*([k] * grid.dim), indexing="ij")
     div = np.zeros((grid.dim,) + grid.shape, dtype=np.complex128)
     for i in dims:
         for j in dims:
             div[i] += 1j * xi[j] * conv[i, j]
-    xi_sq = grid.xi_abs**2
+    xi_sq = sum(x**2 for x in xi)
     safe = np.where(xi_sq > 0, xi_sq, 1.0)
     dot = sum(xi[j] * div[j] for j in dims)
     proj = div - np.stack([xi[i] * dot / safe for i in dims])
     proj[(slice(None),) + (0,) * grid.dim] = 0.0
-    return proj * grid.dealias_mask
+    return grid.half_spectrum(proj) * grid.dealias_mask
 
 
 def test_pair_forcing_matches_direct_convolution():
@@ -124,7 +129,7 @@ def test_nonlinear_term_transforms_its_field_once(monkeypatch):
 
 def test_nonlinear_term_validation():
     grid2 = Grid(dim=2, n=8, period_l=1.0)
-    f2 = SpectralField(grid2, np.zeros((2,) + grid2.shape, dtype=np.complex128))
+    f2 = SpectralField(grid2, np.zeros((2,) + grid2.spectral_shape, dtype=np.complex128))
     with pytest.raises(ValueError):
         nonlinear_term(f2)
     other = random_divfree_field(Grid(dim=3, n=8, period_l=1.0), seed=1)

@@ -7,9 +7,8 @@ import pytest
 from fbns.spectral import (Grid, SpectralField, coriolis_matrix, curl,
                            dealias, derivative, divergence, divergence_defect,
                            fft_workers, forward_transform, gradient,
-                           helmholtz_project,
-                           hermitian_defect, inverse_transform, laplacian,
-                           physical, random_divfree_field, random_scalar_field,
+                           helmholtz_project, inverse_transform, laplacian,
+                           random_divfree_field, random_scalar_field,
                            riesz_transform, taylor_green_2d, taylor_green_3d,
                            zero_mean, zeros)
 
@@ -27,27 +26,38 @@ def test_forward_transform_matches_direct_dft():
     rng = np.random.default_rng(0)
     samples = rng.standard_normal(grid.shape)
     got = forward_transform(samples, grid).coeffs[0]
-    want = direct_dft_3d(samples, grid)
+    want = grid.half_spectrum(direct_dft_3d(samples, grid))
     assert np.max(np.abs(got - want)) < 1e-14
+
+
+def test_half_spectrum_completes_to_the_full_spectrum():
+    # the stored half, reflected, is the full spectrum, and the weighted
+    # norm over the half is the norm over the full spectrum
+    for grid in (Grid(dim=3, n=8, period_l=4.0), Grid(dim=2, n=16, period_l=1.0)):
+        samples = np.random.default_rng(2).standard_normal(grid.shape)
+        full = np.fft.fftn(samples) / samples.size
+        f = forward_transform(samples, grid)
+        assert np.max(np.abs(grid.full_spectrum(f.coeffs)[0] - full)) < 1e-15
+        assert abs(f.l2() - np.linalg.norm(full)) < 1e-14
 
 
 def test_roundtrip_identity():
     grid = Grid(dim=3, n=16, period_l=4.0)
     f = random_divfree_field(grid, seed=1)
-    back = forward_transform(physical(f), grid)
+    back = forward_transform(inverse_transform(f), grid)
     assert np.max(np.abs(back.coeffs - f.coeffs)) < 1e-13
 
 
 def test_single_mode_has_unit_coefficient():
-    # e^{i k x / L} sampled on the lattice -> coefficient 1 at index k
+    # cos(k x / L) sampled on the lattice -> coefficient 1/2 at index k;
+    # its conjugate at -k is not stored
     grid = Grid(dim=2, n=16, period_l=4.0)
     x1, x2 = grid.x_axis(0), grid.x_axis(1)
     wave = np.cos((3 * x1 + 2 * x2) / grid.period_l)
     hat = forward_transform(np.broadcast_to(wave, grid.shape).copy(), grid)
     assert abs(hat.coeffs[0, 3, 2] - 0.5) < 1e-14
-    assert abs(hat.coeffs[0, -3, -2] - 0.5) < 1e-14
     other = hat.coeffs.copy()
-    other[0, 3, 2] = other[0, -3, -2] = 0.0
+    other[0, 3, 2] = 0.0
     assert np.max(np.abs(other)) < 1e-14
 
 
@@ -74,7 +84,7 @@ def test_derivative_of_plane_wave():
     x1, x2 = grid.x_axis(0), grid.x_axis(1)
     f = np.broadcast_to(np.sin(x1 / 2.0 + 0 * x2), grid.shape).copy()
     hat = forward_transform(f, grid)
-    dx = physical(derivative(hat, 0))[0]
+    dx = inverse_transform(derivative(hat, 0))[0]
     want = 0.5 * np.cos(x1 / 2.0) + 0 * x2
     assert np.max(np.abs(dx - want)) < 1e-13
 
@@ -95,7 +105,7 @@ def test_helmholtz_projection_hand_values():
     # single mode xi = (1, 0, 0), amplitude (1, 1, 0):
     # P a = a - xi (xi . a)/|xi|^2 = (0, 1, 0)
     grid = Grid(dim=3, n=8, period_l=1.0)
-    coeffs = np.zeros((3,) + grid.shape, dtype=np.complex128)
+    coeffs = np.zeros((3,) + grid.spectral_shape, dtype=np.complex128)
     coeffs[0, 1, 0, 0] = 1.0
     coeffs[1, 1, 0, 0] = 1.0
     proj = helmholtz_project(SpectralField(grid, coeffs))
@@ -147,7 +157,7 @@ def test_coriolis_matrix_vertical_mode():
 
 def test_riesz_transform_symbol():
     grid = Grid(dim=3, n=8, period_l=1.0)
-    coeffs = np.zeros((1,) + grid.shape, dtype=np.complex128)
+    coeffs = np.zeros((1,) + grid.spectral_shape, dtype=np.complex128)
     coeffs[0, 0, 2, 0] = 1.0
     f = SpectralField(grid, coeffs)
     r2 = riesz_transform(f, 1)
@@ -165,23 +175,16 @@ def test_random_fields_deterministic_and_normalized():
     assert not np.array_equal(a.coeffs, c.coeffs)
     assert abs(a.l2() - 1.0) < 1e-12
     assert divergence_defect(a) < 1e-14
-    assert hermitian_defect(a) < 1e-14
+    full = grid.full_spectrum(a.coeffs)  # real: c_(-k) = conj(c_k)
+    assert np.max(np.abs(full - np.conj(grid.reflect(full)))) < 1e-14 * np.max(np.abs(full))
     # zero mean and dealiased
     assert np.max(np.abs(a.coeffs[:, 0, 0, 0])) == 0.0
     assert np.max(np.abs(a.coeffs * (1.0 - grid.dealias_mask))) == 0.0
 
 
-def test_physical_rejects_broken_symmetry():
-    grid = Grid(dim=2, n=8, period_l=1.0)
-    coeffs = np.zeros((1,) + grid.shape, dtype=np.complex128)
-    coeffs[0, 1, 2] = 1.0  # no conjugate partner
-    with pytest.raises(ValueError):
-        physical(SpectralField(grid, coeffs))
-
-
 def test_dealias_and_zero_mean():
     grid = Grid(dim=2, n=16, period_l=1.0)
-    coeffs = np.ones((1,) + grid.shape, dtype=np.complex128)
+    coeffs = np.ones((1,) + grid.spectral_shape, dtype=np.complex128)
     f = dealias(SpectralField(grid, coeffs))
     assert f.coeffs[0, grid.kcut + 1, 0] == 0.0
     assert f.coeffs[0, grid.kcut, 0] == 1.0
@@ -196,7 +199,7 @@ def test_taylor_green_fields():
     w = curl(u)
     x1, x2 = grid2.x_axis(0), grid2.x_axis(1)
     want = -2.0 * np.cos(x1) * np.cos(x2)
-    assert np.max(np.abs(physical(w)[0] - want)) < 1e-13
+    assert np.max(np.abs(inverse_transform(w)[0] - want)) < 1e-13
 
     grid3 = Grid(dim=3, n=16, period_l=1.0)
     u3 = taylor_green_3d(grid3)
