@@ -107,13 +107,12 @@ class DyadicPartition:
         self._low = np.cumsum(self.masks, axis=0)
         # Sparse shell support, grouped by shell: by almost-orthogonality
         # every lattice point lies in at most two shells, so all shells of
-        # a sample reduce in one pass.  Each stored mode is listed as often
-        # as it occurs in the full spectrum.
+        # a sample reduce in one pass.  Each stored mode is listed once, its
+        # power weighted by its multiplicity (set by its last-axis index).
         flat = self.masks.reshape(len(js), -1)
-        rows, support = np.nonzero(flat)
-        count = np.broadcast_to(grid.multiplicity, grid.spectral_shape).ravel()[support]
-        rows, self.support = np.repeat(rows, count), np.repeat(support, count)
+        rows, self.support = np.nonzero(flat)
         self.weights = flat[rows, self.support]
+        self.multiplicity = grid.multiplicity.ravel()[self.support % grid.spectral_shape[-1]]
         counts = np.bincount(rows, minlength=len(js))
         self.filled = counts > 0
         self.sizes = counts[self.filled]
@@ -214,7 +213,8 @@ def shell_series(coeffs: np.ndarray, p: float,
             continue
         scale = np.where(top > 0.0, top, 1.0)
         vals /= np.repeat(scale, part.sizes)
-        sums = np.add.reduceat(vals ** p, part.offsets)
+        vals **= p
+        sums = np.add.reduceat(vals * part.multiplicity, part.offsets)
         row[part.filled] = grid.dxi ** (grid.dim / p) * scale * sums ** (1.0 / p)
     return out
 

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.special import lambertw
 
 from .lp import lebesgue
 from .solver3d import advect_check, pair_forcing
@@ -373,8 +373,8 @@ def gronwall_diagnostic(times, states, p_values, t1_index: int = 0) -> dict:
     For each p: vorticity L^p non-growth past the reference time, the
     gradient bound ||grad v||_p <= p^2/(p-1) ||w||_p, and the minimal
     constant C for which ||v(t)||_p <= C ||v(t1)||_p exp(C (t - t1)
-    ||w(t1)||_p) holds along the whole trajectory (solved per sample by
-    bracketing, reported as the max).
+    ||w(t1)||_p) holds along the whole trajectory (per sample the root of
+    c e^(a c) = b in closed form W0(a b)/a, reported as the max).
     """
     times = np.asarray(times, dtype=float)
     states = list(states)
@@ -403,11 +403,8 @@ def gronwall_diagnostic(times, states, p_values, t1_index: int = 0) -> dict:
             target = v_norms[k]
             if target <= 0 or v1 <= 0:
                 continue
-            func = lambda cc: cc * v1 * math.exp(cc * tau * w1) - target
-            hi = max(2.0 * target / v1, 1.0)
-            while func(hi) < 0:
-                hi *= 2.0
-            c_needed = max(c_needed, brentq(func, 0.0, hi, xtol=1e-12, rtol=1e-12))
+            a, b = tau * w1, target / v1
+            c_needed = max(c_needed, b if a == 0 else float(lambertw(a * b).real) / a)
 
         vort_margin = math.inf
         cz_margin = math.inf

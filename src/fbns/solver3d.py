@@ -149,7 +149,8 @@ def smallness_gate(u0: SpectralField, p: float, r: float,
 def pair_forcing(u: SpectralField, v: SpectralField) -> SpectralField:
     """P div(u (x) v) for dim-component fields on a 2d or 3d grid: component
     i is P applied to sum_j d_j (u_i v_j), computed pseudo-spectrally with
-    the 2/3-band product rule.  u is transformed once when v is u."""
+    the 2/3-band product rule.  When v is u, u is transformed once and each
+    symmetric product u_i u_j = u_j u_i formed once, feeding div_i and div_j."""
     if u.grid != v.grid:
         raise ValueError("fields live on different grids")
     grid = u.grid
@@ -157,13 +158,15 @@ def pair_forcing(u: SpectralField, v: SpectralField) -> SpectralField:
         raise ValueError(f"pair forcing expects {grid.dim}-component fields "
                          f"on a {grid.dim}d grid")
     up = inverse_transform(u)
-    vp = up if v is u else inverse_transform(v)
+    symmetric = v is u
+    vp = up if symmetric else inverse_transform(v)
     div = np.zeros((grid.dim,) + grid.spectral_shape, dtype=np.complex128)
     for jax in range(grid.dim):
-        xi_j = grid.xi_axis(jax)
-        for iax in range(grid.dim):
+        for iax in range(jax + 1 if symmetric else grid.dim):
             prod_hat = forward_transform(up[iax] * vp[jax], grid).coeffs[0]
-            div[iax] += 1j * xi_j * prod_hat
+            div[iax] += 1j * grid.xi_axis(jax) * prod_hat
+            if symmetric and iax < jax:
+                div[jax] += 1j * grid.xi_axis(iax) * prod_hat
     del up, vp  # free the samples before projecting
     div *= grid.dealias_mask
     return helmholtz_project(SpectralField(grid, div))

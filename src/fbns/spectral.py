@@ -106,7 +106,7 @@ class Grid:
         """How often each stored mode occurs in the full spectrum, the weight
         of every lattice sum: once on the last-axis k = 0 and n/2 planes,
         twice (c_k and c_(-k)) elsewhere.  Broadcasts against spectral_shape."""
-        weight = np.full(self.n // 2 + 1, 2)
+        weight = np.full(self.n // 2 + 1, 2.0)
         weight[[0, -1]] = 1
         return self._along(self.dim - 1, weight)
 

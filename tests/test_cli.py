@@ -1,10 +1,14 @@
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fbns
 from fbns.checkpoint import read_field, write_field
 from fbns.cli import main
 from fbns.lp import fb_norm_value
@@ -323,6 +327,27 @@ def test_solve2d_unknown_initial(tmp_path, capsys):
                    "--set", "initial=vortex-sheet")
     assert code == 1
     assert "unknown initial condition" in capsys.readouterr().err
+
+
+FRESH_SOLVE2D = """
+import json, sys
+from fbns.cli import main
+code = main(["solve2d", "--workdir", sys.argv[1], "--set", "n=16",
+             "--set", "n_steps=4", "--set", "sample_every=2"])
+heavy = ("scipy.optimize", "scipy.linalg", "scipy.sparse")
+print(json.dumps([code, [name for name in heavy if name in sys.modules]]))
+"""
+
+
+def test_solve2d_process_loads_no_optimize_linalg_or_sparse(tmp_path):
+    # a fresh interpreter runs a whole solve2d, Gronwall diagnostic included
+    src = str(Path(fbns.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-c", FRESH_SOLVE2D, str(tmp_path)],
+                          env=env, capture_output=True, text=True, check=True)
+    assert json.loads(done.stdout.splitlines()[-1]) == [0, []]
+    assert (tmp_path / "solve2d_gronwall.csv").is_file()
 
 
 # ---------------------------------------------------------------------------

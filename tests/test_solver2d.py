@@ -303,6 +303,30 @@ def test_gronwall_on_taylor_green():
     assert all(r.cz_margin >= 0.0 for r in rows)
 
 
+def test_gronwall_constant_of_large_data_is_finite():
+    # a = ||w||_2 = 314 here, so e^(a c) overflows a double from c = 2.3 on,
+    # close above the root c = 1: a search that brackets the root fails
+    grid = Grid(dim=2, n=16, period_l=1.0)
+    w = random_scalar_field(grid, 1, amplitude=50.0)
+    states = [VorticityState(w, 0.0), VorticityState(2 * w, 1.0)]
+    out = gronwall_diagnostic([0.0, 1.0], states, p_values=(2.0, 4.0))
+    for p in (2.0, 4.0):
+        assert out["summary"][p]["gronwall_constant"] == 1.0
+
+
+def test_gronwall_constant_closes_the_bound_where_velocity_grows():
+    grid = Grid(dim=2, n=16, period_l=1.0)
+    w = random_scalar_field(grid, 2, amplitude=0.01)
+    states = [VorticityState(w, 0.0), VorticityState(3 * w, 0.5)]
+    out = gronwall_diagnostic([0.0, 0.5], states, p_values=(2.0, 4.0))
+    for p in (2.0, 4.0):
+        c = out["summary"][p]["gronwall_constant"]
+        first, last = (r for r in out["rows"] if r.p == p)
+        assert c > 1.0
+        closed = c * first.v_lp * math.exp(c * 0.5 * first.w_lp)
+        assert abs(closed - last.v_lp) <= 1e-12 * last.v_lp
+
+
 def test_gronwall_validation():
     w0 = curl(taylor_green_2d(GRID))
     times, states = run_vorticity(w0, dt=1e-3, n_steps=4, sample_every=2)

@@ -111,20 +111,22 @@ def test_pair_forcing_bilinear_and_projected():
 
 
 def test_nonlinear_term_transforms_its_field_once(monkeypatch):
-    calls = []
-    original = solver3d.inverse_transform
-
-    def counting(field):
-        calls.append(field)
-        return original(field)
-
-    monkeypatch.setattr(solver3d, "inverse_transform", counting)
-    u = random_divfree_field(GRID, seed=55)
-    expected = pair_forcing(u, u.copy()).coeffs
-    calls.clear()
-    got = nonlinear_term(u).coeffs
-    assert len(calls) == 1
-    assert np.array_equal(got, expected)
+    calls = {"inverse_transform": 0, "forward_transform": 0}
+    for name in calls:
+        def counting(*args, _name=name, _original=getattr(solver3d, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(solver3d, name, counting)
+    # u (x) u is symmetric: dim (dim + 1) / 2 products instead of dim^2
+    for grid, products, full in ((GRID, 6, 9), (Grid(dim=2, n=16, period_l=1.0), 3, 4)):
+        u = random_divfree_field(grid, seed=55)
+        calls.update(inverse_transform=0, forward_transform=0)
+        expected = pair_forcing(u, u.copy()).coeffs
+        assert calls == {"inverse_transform": 2, "forward_transform": full}
+        calls.update(inverse_transform=0, forward_transform=0)
+        got = (nonlinear_term(u) if grid.dim == 3 else pair_forcing(u, u)).coeffs
+        assert calls == {"inverse_transform": 1, "forward_transform": products}
+        assert np.array_equal(got, expected)
 
 
 def test_nonlinear_term_validation():
