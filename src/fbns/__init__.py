@@ -11,13 +11,13 @@ the constants in the underlying estimates.
 from .checkpoint import (CheckpointError, atomic_write_json, read_field,
                          roundtrip_report, write_field)
 from .lab import (EstimateReport, omega_independence_scan,
-                  sweep_product_estimate, verify_duhamel_smoothing,
-                  verify_product_estimate, verify_semigroup_bounds)
+                  verify_duhamel_smoothing, verify_product_estimate,
+                  verify_semigroup_bounds)
 from .lp import (DyadicPartition, NormReport, ShellRange, bernstein_ratio,
                  bernstein_slope, bony_decompose, chemin_lerner_norm,
                  critical_index, dyadic_block, dyadic_rescale, fb_norm,
                  fb_norm_value, get_partition, low_pass, mild_norm,
-                 mild_norm_reports, shell_range_for, smooth_cutoff)
+                 shell_range_for, shell_series, smooth_cutoff)
 from .semigroup import (apply_semigroup, duhamel, duhamel_sweep,
                         linear_trajectory, semigroup_matrix)
 from .solver2d import (VorticityState, advance_velocity, advance_vorticity,

@@ -418,7 +418,8 @@ def run_lab(cfg: dict, workdir: str) -> int:
         failed = not math.isfinite(report.max_ratio)
     elif inequality == "product":
         if cfg["s_values"]:
-            reports = lab_mod.sweep_product_estimate(cfg["s_values"], **common)
+            reports = [lab_mod.verify_product_estimate(s=s, **common)
+                       for s in cfg["s_values"]]
             payload = [rep.as_dict() for rep in reports]
             csv_rows = [(rep.params["s"], rep.max_ratio, rep.median_ratio,
                          rep.stability, rep.passed) for rep in reports]
@@ -491,6 +492,9 @@ def main(argv=None) -> int:
     except (ValueError, CheckpointError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (OverflowError, FloatingPointError) as exc:
+        print(f"error: numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

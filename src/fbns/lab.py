@@ -18,7 +18,8 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .lp import INF, chemin_lerner_norm, critical_index, fb_norm_value
+from .lp import (INF, chemin_lerner_norm, critical_index, fb_norm_of_series,
+                 fb_norm_value, get_partition, shell_series)
 from .semigroup import duhamel_sweep, linear_trajectory
 from .solver3d import SolverConfig3D, picard_solve, smallness_gate
 from .spectral import (Grid, SpectralField, dealias, forward_transform,
@@ -152,12 +153,15 @@ def verify_duhamel_smoothing(s: float = None, p: float = 2.0, r: float = 2.0,
     rhs_index = s - 2.0 - (0.0 if q == INF else 2.0 / q) \
         + (0.0 if a == INF else 2.0 / a)
     times = lab_times(horizon, n_samples)
+    part = get_partition(grid)
     ratios = []
     for i in range(2 * ensemble):
         f = decaying_trajectory(grid, times, seed, i, oscillation=(i % 2 == 1))
         integral = duhamel_sweep(f, omega)
-        lhs = chemin_lerner_norm(integral, s, p, r, q).total
-        rhs = chemin_lerner_norm(f, rhs_index, p, r, a).total
+        lhs = chemin_lerner_norm(shell_series(integral.coeffs, p, part),
+                                 times, s, r, q, part).total
+        rhs = chemin_lerner_norm(shell_series(f.coeffs, p, part),
+                                 times, rhs_index, r, a, part).total
         ratios.append(lhs / rhs if rhs > _TINY_RHS else math.nan)
     params = {"s": s, "p": p, "r": r, "q": q, "a": a, "omega": omega,
               "rhs_index": rhs_index, "horizon": horizon,
@@ -168,9 +172,13 @@ def verify_duhamel_smoothing(s: float = None, p: float = 2.0, r: float = 2.0,
 
 def product_y_norm(traj: Trajectory, s: float, p: float, r: float) -> float:
     """Norm of the persistence-plus-smoothing space entering the product
-    estimate: sup-in-time at regularity s plus time-integrated at 4 - 3/p."""
-    return (chemin_lerner_norm(traj, s, p, r, INF).total
-            + chemin_lerner_norm(traj, 4.0 - 3.0 / p, p, r, 1.0).total)
+    estimate: sup-in-time at regularity s plus time-integrated at 4 - 3/p,
+    both read from one shell series."""
+    part = get_partition(traj.grid)
+    series = shell_series(traj.coeffs, p, part)
+    return (chemin_lerner_norm(series, traj.times, s, r, INF, part).total
+            + chemin_lerner_norm(series, traj.times, 4.0 - 3.0 / p, r, 1.0,
+                                 part).total)
 
 
 def pointwise_product_trajectory(u: Trajectory, v: Trajectory) -> Trajectory:
@@ -205,23 +213,21 @@ def verify_product_estimate(s: float = 0.5, p: float = 2.0, r: float = 2.0,
     if grid is None:
         grid = default_lab_grid()
     times = lab_times(horizon, n_samples)
+    part = get_partition(grid)
     ratios = []
     for i in range(2 * ensemble):
         u = decaying_trajectory(grid, times, (seed, 0), i, scalar=True,
                                 oscillation=(i % 2 == 1))
         v = decaying_trajectory(grid, times, (seed, 1), i, scalar=True)
         w = pointwise_product_trajectory(u, v)
-        lhs = chemin_lerner_norm(w, s + 1.0, p, r, 1.0).total
+        lhs = chemin_lerner_norm(shell_series(w.coeffs, p, part),
+                                 times, s + 1.0, r, 1.0, part).total
         rhs = product_y_norm(u, s, p, r) * product_y_norm(v, s, p, r)
         ratios.append(lhs / rhs if rhs > _TINY_RHS else math.nan)
     params = {"s": s, "p": p, "r": r, "horizon": horizon,
               "n_samples": n_samples, "seed": seed, "grid_n": grid.n,
               "grid_l": grid.period_l}
     return _finalize("product_estimate", params, ensemble, ratios)
-
-
-def sweep_product_estimate(s_values, **kwargs) -> list:
-    return [verify_product_estimate(s=s, **kwargs) for s in s_values]
 
 
 def verify_semigroup_bounds(p: float = 2.0, r: float = 2.0, omega: float = 0.0,
@@ -231,24 +237,27 @@ def verify_semigroup_bounds(p: float = 2.0, r: float = 2.0, omega: float = 0.0,
     """Linear semigroup bounds at the critical regularity s = 2 - 3/p: the
     sup-in-time norm against the data norm (empirical constant 1: shell
     profiles decay from their initial values), and the time-integrated norm
-    two derivatives up (smoothing), reported in details."""
+    two derivatives up (smoothing), reported in details.  All three norms of
+    a member are read from one shell series; its first sample is u0."""
     if grid is None:
         grid = default_lab_grid()
     s = critical_index(p)
     times = lab_times(horizon, n_samples)
+    part = get_partition(grid)
     sup_ratios = []
     smoothing_ratios = []
     for i in range(2 * ensemble):
         u0 = random_divfree_field(grid, seed=member_seed(seed, i))
-        traj = linear_trajectory(u0, times, omega)
-        data_norm = fb_norm_value(u0, s, p, r)
+        series = shell_series(linear_trajectory(u0, times, omega).coeffs, p, part)
+        data_norm = float(fb_norm_of_series(series[0], s, r, part))
         if data_norm <= _TINY_RHS:
             sup_ratios.append(math.nan)
             smoothing_ratios.append(math.nan)
             continue
-        sup_ratios.append(chemin_lerner_norm(traj, s, p, r, INF).total / data_norm)
+        sup_ratios.append(
+            chemin_lerner_norm(series, times, s, r, INF, part).total / data_norm)
         smoothing_ratios.append(
-            chemin_lerner_norm(traj, s + 2.0, p, r, 1.0).total / data_norm)
+            chemin_lerner_norm(series, times, s + 2.0, r, 1.0, part).total / data_norm)
     params = {"s": s, "p": p, "r": r, "omega": omega, "horizon": horizon,
               "n_samples": n_samples, "seed": seed, "grid_n": grid.n,
               "grid_l": grid.period_l}

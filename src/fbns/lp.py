@@ -24,7 +24,6 @@ import numpy as np
 
 from .spectral import (Grid, SpectralField, forward_transform,
                        inverse_transform)
-from .trajectory import Trajectory
 
 INF = float("inf")
 
@@ -269,28 +268,10 @@ def _report(params: dict, values: np.ndarray, s: float, r: float,
                       list(part.shell_range.partial), tail)
 
 
-def _chemin_lerner_report(series: np.ndarray, times: np.ndarray, s: float,
-                          p: float, r: float, q: float,
-                          part: DyadicPartition) -> NormReport:
-    _validate_lebesgue("r", r)
-    _validate_lebesgue("q", q)
-    params = {"s": s, "p": p, "r": r, "q": q,
-              "horizon": float(times[-1] - times[0])}
-    if q == INF:
-        return _report(params, np.max(series, axis=0), s, r, part)
-    if len(times) < 2:
-        raise ValueError("time quadrature needs at least two samples")
-    last = float(fb_norm_of_series(series[-1], s, r, part))
-    tail = last * (1.0 / (q * part.grid.dxi ** 2)) ** (1.0 / q)
-    half = 0.5 * np.diff(times)  # composite trapezoid weights
-    weight = np.append(half, 0.0) + np.append(0.0, half)
-    return _report(params, lebesgue(series, q, weight[:, None], axis=0),
-                   s, r, part, tail)
-
-
-def chemin_lerner_norm(traj: Trajectory, s: float, p: float, r: float, q: float,
-                       partition: DyadicPartition | None = None) -> NormReport:
-    """Time-inside-shell norm: l^r over shells of
+def chemin_lerner_norm(series: np.ndarray, times, s: float, r: float, q: float,
+                       partition: DyadicPartition) -> NormReport:
+    """Time-inside-shell norm from the shell_series of every sample
+    (samples x shells): l^r over shells of
     2^(j s) || ||phi_j u_hat(t)||_{L^p} ||_{L^q([0, T])}.
 
     q = inf takes the max over samples; finite q uses composite trapezoid
@@ -298,9 +279,20 @@ def chemin_lerner_norm(traj: Trajectory, s: float, p: float, r: float, q: float,
     the truncated [T, inf) part is reported, assuming decay no slower than
     the slowest resolved heat mode exp(-dxi^2 t) past the horizon.
     """
-    part = partition or get_partition(traj.grid)
-    series = shell_series(traj.coeffs, p, part)
-    return _chemin_lerner_report(series, traj.times, s, p, r, q, part)
+    _validate_lebesgue("r", r)
+    _validate_lebesgue("q", q)
+    params = {"s": s, "r": r, "q": q,
+              "horizon": float(times[-1] - times[0])}
+    if q == INF:
+        return _report(params, np.max(series, axis=0), s, r, partition)
+    if len(times) < 2:
+        raise ValueError("time quadrature needs at least two samples")
+    last = float(fb_norm_of_series(series[-1], s, r, partition))
+    tail = last * (1.0 / (q * partition.grid.dxi ** 2)) ** (1.0 / q)
+    half = 0.5 * np.diff(times)  # composite trapezoid weights
+    weight = np.append(half, 0.0) + np.append(0.0, half)
+    return _report(params, lebesgue(series, q, weight[:, None], axis=0),
+                   s, r, partition, tail)
 
 
 def critical_index(p: float) -> float:
@@ -308,31 +300,14 @@ def critical_index(p: float) -> float:
     return 2.0 - 3.0 / p
 
 
-def mild_norm_reports(traj: Trajectory, p: float, r: float,
-                      partition: DyadicPartition | None = None):
-    """The two halves of the contraction metric: sup-in-time critical norm
-    and time-integrated smoothing norm (regularity gain 2)."""
-    part = partition or get_partition(traj.grid)
-    return _mild_reports(shell_series(traj.coeffs, p, part), traj.times, p, r, part)
-
-
-def _mild_reports(series, times, p, r, part):
+def mild_norm(series: np.ndarray, times, p: float, r: float,
+              partition: DyadicPartition) -> float:
+    """Contraction metric of the small-data solver, from the L^p shell_series
+    of every sample: the sup-in-time critical norm plus the time-integrated
+    smoothing norm (regularity gain 2)."""
     s = critical_index(p)
-    return (_chemin_lerner_report(series, times, s, p, r, INF, part),
-            _chemin_lerner_report(series, times, s + 2.0, p, r, 1.0, part))
-
-
-def mild_norm_of_series(series: np.ndarray, times, p: float, r: float,
-                        partition: DyadicPartition) -> float:
-    """mild_norm from the shell_series of every sample (samples x shells)."""
-    return sum(rep.total for rep in _mild_reports(series, times, p, r, partition))
-
-
-def mild_norm(traj: Trajectory, p: float, r: float,
-              partition: DyadicPartition | None = None) -> float:
-    """Contraction metric of the small-data solver: the sum of the
-    sup-in-time critical norm and the time-integrated smoothing norm."""
-    return sum(rep.total for rep in mild_norm_reports(traj, p, r, partition))
+    return (chemin_lerner_norm(series, times, s, r, INF, partition).total
+            + chemin_lerner_norm(series, times, s + 2.0, r, 1.0, partition).total)
 
 
 # ---------------------------------------------------------------------------

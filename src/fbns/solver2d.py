@@ -418,7 +418,11 @@ def gronwall_diagnostic(times, states, p_values, t1_index: int = 0) -> dict:
                 gm = czc * w_norms[k] - g_norms[k]
                 cz_margin = min(cz_margin, gm)
             tau = max(times[k] - t1, 0.0)
-            bound = c_needed * v1 * math.exp(c_needed * tau * w1) if v1 > 0 else 0.0
+            try:
+                growth = math.exp(c_needed * tau * w1)
+            except OverflowError:  # the bound exceeds every double
+                growth = math.inf
+            bound = c_needed * v1 * growth if v1 > 0 else 0.0
             rows.append(GronwallRow(float(times[k]), float(p), v_norms[k],
                                     w_norms[k], g_norms[k], gm,
                                     bound - v_norms[k]))

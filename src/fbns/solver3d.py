@@ -283,14 +283,14 @@ def picard_solve(u0: SpectralField, config: SolverConfig3D,
     traj = Trajectory(grid, times, np.zeros((times.size,) + u0.coeffs.shape,
                                             dtype=np.complex128))
     _mild_map_sweep(traj.coeffs, u0, prop, config.scheme, False, record)
-    diag.linear_norm = lp.mild_norm_of_series(series[0], times, p, r, part)
+    diag.linear_norm = lp.mild_norm(series[0], times, p, r, part)
     if not config.nonlinearity:
         traj.fb_norms = _sample_norms(series[0], config, part)
     if initial_iterate == "zero":
         series[0, 1:] = 0.0
         if config.nonlinearity:
             traj.coeffs[1:] = 0.0
-    diag.iterate_norms.append(lp.mild_norm_of_series(series[0], times, p, r, part))
+    diag.iterate_norms.append(lp.mild_norm(series[0], times, p, r, part))
 
     if not config.nonlinearity:
         diag.converged = True
@@ -301,7 +301,7 @@ def picard_solve(u0: SpectralField, config: SolverConfig3D,
 
     for m in range(1, config.max_iterations + 1):
         _mild_map_sweep(traj.coeffs, u0, prop, config.scheme, record=record)
-        norm, diff = (lp.mild_norm_of_series(x, times, p, r, part) for x in series)
+        norm, diff = (lp.mild_norm(x, times, p, r, part) for x in series)
         diag.diff_norms.append(diff)
         diag.iterate_norms.append(norm)
         if len(diag.diff_norms) >= 2 and diag.diff_norms[-2] > 0:

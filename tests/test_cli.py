@@ -322,6 +322,30 @@ def test_solve2d_support_at_boundary_exits_numerical(tmp_path, capsys):
     assert not (tmp_path / "short" / "solve2d_manifest.json").exists()
 
 
+def test_solve2d_gronwall_bound_overflow_is_inf(tmp_path):
+    code = run_cli("solve2d", "--workdir", str(tmp_path), "--set", "n=16",
+                   "--set", "initial=random", "--set", "amplitude=300",
+                   "--set", "dt=0.0005", "--set", "n_steps=1000",
+                   "--set", "sample_every=100")
+    assert code == 0
+    lines = (tmp_path / "solve2d_gronwall.csv").read_text().splitlines()
+    margins = [line.rsplit(",", 1)[1] for line in lines[1:]]
+    assert "inf" in margins
+    assert all(m == "inf" or math.isfinite(float(m)) for m in margins)
+
+
+@pytest.mark.parametrize("error", [OverflowError, FloatingPointError])
+def test_arithmetic_error_in_a_runner_exits_numerical(monkeypatch, tmp_path,
+                                                      capsys, error):
+    def failing(cfg, workdir):
+        raise error("math range error")
+
+    monkeypatch.setitem(fbns.cli.RUNNERS, "solve2d", failing)
+    code = run_cli("solve2d", "--workdir", str(tmp_path))
+    assert code == 2
+    assert "numerical failure: math range error" in capsys.readouterr().err
+
+
 def test_solve2d_unknown_initial(tmp_path, capsys):
     code = run_cli("solve2d", "--workdir", str(tmp_path),
                    "--set", "initial=vortex-sheet")

@@ -3,17 +3,25 @@ import math
 import numpy as np
 import pytest
 
+from fbns import lab, lp
 from fbns.lab import (STABILITY_LIMIT, constant_trajectory,
                       decaying_trajectory, default_lab_grid, lab_times,
                       member_seed, omega_independence_scan,
                       pointwise_product_trajectory, product_y_norm,
-                      sweep_product_estimate, verify_duhamel_smoothing,
-                      verify_product_estimate, verify_semigroup_bounds)
-from fbns.lp import INF, chemin_lerner_norm, critical_index, shell_profile
+                      verify_duhamel_smoothing, verify_product_estimate,
+                      verify_semigroup_bounds)
+from fbns.lp import (INF, chemin_lerner_norm, critical_index, get_partition,
+                     shell_profile, shell_series)
 from fbns.semigroup import duhamel_sweep
 from fbns.spectral import Grid, SpectralField
 
 GRID = default_lab_grid()  # 16^3, period 4
+
+
+def cl_norm(traj, s, p, r, q):
+    part = get_partition(traj.grid)
+    return chemin_lerner_norm(shell_series(traj.coeffs, p, part), traj.times,
+                              s, r, q, part)
 
 
 def transverse_mode(grid, k=(4, 0, 0), a=(0.0, 1.0, 0.0)):
@@ -57,8 +65,8 @@ def test_duhamel_ratio_closed_form_single_mode():
     integral = duhamel_sweep(forcing, omega=0.0)
     s, p, r, q, a = 0.5, 2.0, 2.0, 1.0, 1.0
     rhs_index = s - 2.0 - 2.0 / q + 2.0 / a
-    lhs = chemin_lerner_norm(integral, s, p, r, q).total
-    rhs = chemin_lerner_norm(forcing, rhs_index, p, r, a).total
+    lhs = cl_norm(integral, s, p, r, q).total
+    rhs = cl_norm(forcing, rhs_index, p, r, a).total
 
     def weight(sigma):
         vals = [2.0 ** (j * sigma) * shell_profile(np.array([1.0]), j)[0]
@@ -135,7 +143,8 @@ def test_verify_product_estimate_report_and_range():
 
 
 def test_sweep_product_estimate():
-    reports = sweep_product_estimate([-0.5, 0.0, 0.5], ensemble=2, seed=4)
+    reports = [verify_product_estimate(s=s, ensemble=2, seed=4)
+               for s in (-0.5, 0.0, 0.5)]
     assert [rep.params["s"] for rep in reports] == [-0.5, 0.0, 0.5]
     assert all(rep.passed for rep in reports)
 
@@ -143,9 +152,30 @@ def test_sweep_product_estimate():
 def test_product_y_norm_is_sum_of_parts():
     traj = decaying_trajectory(GRID, lab_times(), seed=2, index=0, scalar=True)
     y = product_y_norm(traj, 0.5, 2.0, 2.0)
-    parts = (chemin_lerner_norm(traj, 0.5, 2.0, 2.0, INF).total
-             + chemin_lerner_norm(traj, 4.0 - 1.5, 2.0, 2.0, 1.0).total)
+    parts = (cl_norm(traj, 0.5, 2.0, 2.0, INF).total
+             + cl_norm(traj, 4.0 - 1.5, 2.0, 2.0, 1.0).total)
     assert math.isclose(y, parts, rel_tol=1e-14)
+
+
+@pytest.mark.parametrize("verify, calls", [
+    (verify_duhamel_smoothing, 2),
+    (verify_product_estimate, 3),  # w, u and v: each measured once
+    (verify_semigroup_bounds, 1),  # the data norm is the first sample's
+])
+def test_each_member_trajectory_is_measured_once(monkeypatch, verify, calls):
+    counted = []
+    series = lp.shell_series
+
+    def counting(*args):
+        counted.append(args)
+        return series(*args)
+
+    # every norm of lp is read from a shell series, so this counts them all,
+    # whether lab calls shell_series itself or through a norm of lp
+    monkeypatch.setattr(lp, "shell_series", counting)
+    monkeypatch.setattr(lab, "shell_series", counting, raising=False)
+    verify(ensemble=1, n_samples=5)  # two members
+    assert len(counted) == 2 * calls
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fbns.lp import (INF, SHELL_INNER, SHELL_OUTER, bernstein_ratio,
                      bernstein_slope, bony_decompose, chemin_lerner_norm,
                      critical_index, dyadic_block, dyadic_rescale, fb_norm,
-                     fb_norm_value, get_partition, low_pass, mild_norm,
-                     mild_norm_reports, shell_product, shell_profile,
-                     shell_range_for, smooth_cutoff)
+                     fb_norm_value, get_partition, lebesgue, low_pass,
+                     mild_norm, shell_product, shell_profile,
+                     shell_range_for, shell_series, smooth_cutoff)
 from fbns.semigroup import linear_trajectory
 from fbns.spectral import (Grid, SpectralField, dealias, forward_transform,
                            inverse_transform, random_divfree_field,
@@ -24,6 +25,12 @@ def single_mode(grid, k, amplitude=1.0, ncomp=1, comp=0):
         if mode[-1] >= 0:
             coeffs[(comp,) + mode] = amplitude / 2.0
     return SpectralField(grid, coeffs)
+
+
+def cl_norm(traj, s, p, r, q):
+    part = get_partition(traj.grid)
+    return chemin_lerner_norm(shell_series(traj.coeffs, p, part), traj.times,
+                              s, r, q, part)
 
 
 # ---------------------------------------------------------------------------
@@ -151,11 +158,11 @@ def test_large_p_norm_approaches_sup_without_underflow():
     # the l^r sum over shells and the L^q time quadrature, likewise
     shell_sup = fb_norm_value(f, 0.0, 2.0, INF)
     traj = linear_trajectory(f, np.linspace(0.0, 1.0, 17), 0.0)
-    time_sup = chemin_lerner_norm(traj, 0.0, 2.0, 2.0, INF).total
+    time_sup = cl_norm(traj, 0.0, 2.0, 2.0, INF).total
     for big in (512.0, 1024.0):
         value = fb_norm_value(f, 0.0, 2.0, big)
         assert value > 0 and abs(value / shell_sup - 1.0) < 0.02
-        value = chemin_lerner_norm(traj, 0.0, 2.0, 2.0, big).total
+        value = cl_norm(traj, 0.0, 2.0, 2.0, big).total
         assert value > 0 and abs(value / time_sup - 1.0) < 0.02
 
 
@@ -168,15 +175,15 @@ def test_norms_exactly_homogeneous_at_small_amplitude():
     for p in (2.0, 256.0, 1024.0, INF):
         assert math.isclose(fb_norm_value(f * 1e-3, 0.5, p, 2.0),
                             1e-3 * fb_norm_value(f, 0.5, p, 2.0), rel_tol=1e-12)
-        assert math.isclose(chemin_lerner_norm(small, 0.5, p, 2.0, 1.0).total,
-                            1e-3 * chemin_lerner_norm(traj, 0.5, p, 2.0, 1.0).total,
+        assert math.isclose(cl_norm(small, 0.5, p, 2.0, 1.0).total,
+                            1e-3 * cl_norm(traj, 0.5, p, 2.0, 1.0).total,
                             rel_tol=1e-12)
     for big in (512.0, 1024.0):
         value = fb_norm_value(f, 0.5, 2.0, big)
         assert value > 0 and math.isclose(fb_norm_value(f * 1e-3, 0.5, 2.0, big),
                                           1e-3 * value, rel_tol=1e-12)
-        value = chemin_lerner_norm(traj, 0.5, 2.0, 2.0, big).total
-        scaled = chemin_lerner_norm(small, 0.5, 2.0, 2.0, big).total
+        value = cl_norm(traj, 0.5, 2.0, 2.0, big).total
+        scaled = cl_norm(small, 0.5, 2.0, 2.0, big).total
         assert value > 0 and math.isclose(scaled, 1e-3 * value, rel_tol=1e-12)
 
 
@@ -194,14 +201,14 @@ def test_chemin_lerner_sup_and_integral_closed_forms():
     traj = make_decay_trajectory(grid, k, kappa, times)
     base = fb_norm_value(traj.field(0), 0.5, 2.0, 2.0)
 
-    sup_rep = chemin_lerner_norm(traj, 0.5, 2.0, 2.0, INF)
+    sup_rep = cl_norm(traj, 0.5, 2.0, 2.0, INF)
     assert abs(sup_rep.total - base) < 1e-13
 
-    int_rep = chemin_lerner_norm(traj, 0.5, 2.0, 2.0, 1.0)
+    int_rep = cl_norm(traj, 0.5, 2.0, 2.0, 1.0)
     exact = base * (1.0 - math.exp(-kappa * 2.0)) / kappa
     assert abs(int_rep.total - exact) < 1e-5 * exact  # trapezoid error
 
-    sq_rep = chemin_lerner_norm(traj, 0.5, 2.0, 2.0, 2.0)
+    sq_rep = cl_norm(traj, 0.5, 2.0, 2.0, 2.0)
     exact_sq = base * math.sqrt((1.0 - math.exp(-2.0 * kappa * 2.0)) / (2.0 * kappa))
     assert abs(sq_rep.total - exact_sq) < 1e-5 * exact_sq
 
@@ -213,20 +220,58 @@ def test_chemin_lerner_single_sample_needs_sup():
     grid = Grid(dim=3, n=8, period_l=1.0)
     traj = Trajectory(grid, np.array([0.0]),
                       single_mode(grid, (1, 0, 0)).coeffs[None])
-    assert chemin_lerner_norm(traj, 0.0, 2.0, 2.0, INF).total > 0
+    assert cl_norm(traj, 0.0, 2.0, 2.0, INF).total > 0
     with pytest.raises(ValueError):
-        chemin_lerner_norm(traj, 0.0, 2.0, 2.0, 1.0)
+        cl_norm(traj, 0.0, 2.0, 2.0, 1.0)
 
 
 def test_mild_norm_is_sum_of_reports():
     grid = Grid(dim=3, n=16, period_l=4.0)
     times = np.linspace(0.0, 1.0, 9)
     traj = make_decay_trajectory(grid, (4, 0, 0), 1.0, times)
-    sup_rep, smooth_rep = mild_norm_reports(traj, 2.0, 2.0)
-    assert sup_rep.params["s"] == critical_index(2.0)
-    assert smooth_rep.params["s"] == critical_index(2.0) + 2.0
-    assert np.isclose(mild_norm(traj, 2.0, 2.0),
+    part = get_partition(grid)
+    series = shell_series(traj.coeffs, 2.0, part)
+    s = critical_index(2.0)
+    sup_rep = chemin_lerner_norm(series, times, s, 2.0, INF, part)
+    smooth_rep = chemin_lerner_norm(series, times, s + 2.0, 2.0, 1.0, part)
+    assert sup_rep.params == {"s": s, "r": 2.0, "q": INF, "horizon": 1.0}
+    assert smooth_rep.params["s"] == s + 2.0
+    assert np.isclose(mild_norm(series, times, 2.0, 2.0, part),
                       sup_rep.total + smooth_rep.total, rtol=1e-14)
+
+
+EXPONENTS = st.one_of(st.floats(1.0, 64.0), st.just(INF))
+MAGNITUDES = st.lists(st.one_of(st.just(0.0), st.floats(1e-100, 1e6)),
+                      min_size=1, max_size=40)
+
+
+@settings(max_examples=100, deadline=None)
+@given(MAGNITUDES, EXPONENTS, st.integers(-60, 60))
+def test_lebesgue_exactly_homogeneous(values, p, k):
+    # a power-of-two factor rescales without rounding, so equality is exact
+    values = np.array(values)
+    assert lebesgue(2.0 ** k * values, p) == 2.0 ** k * lebesgue(values, p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(MAGNITUDES, EXPONENTS, EXPONENTS)
+def test_lebesgue_non_increasing_in_p_at_unit_weight(values, p, q):
+    values = np.array(values)
+    lo, hi = sorted((p, q))
+    assert lebesgue(values, hi) <= lebesgue(values, lo) * (1.0 + 1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**16), st.sampled_from([(2, 16), (3, 8)]),
+       st.floats(-2.0, 3.0), EXPONENTS, EXPONENTS)
+def test_one_sample_sup_time_norm_is_fb_norm(seed, shape, s, p, r):
+    dim, n = shape
+    grid = Grid(dim=dim, n=n, period_l=4.0)
+    f = random_divfree_field(grid, seed=seed)
+    part = get_partition(grid)
+    series = shell_series(f.coeffs[None], p, part)
+    rep = chemin_lerner_norm(series, np.array([0.0]), s, r, INF, part)
+    assert rep.total == fb_norm(f, s, p, r, part).total
 
 
 # ---------------------------------------------------------------------------

@@ -314,6 +314,18 @@ def test_gronwall_constant_of_large_data_is_finite():
         assert out["summary"][p]["gronwall_constant"] == 1.0
 
 
+def test_gronwall_row_bound_past_the_float_range_is_inf():
+    # C = 1 from the t = 0 sample, then c tau ||w||_2 = 3 x 314 > 709 at t = 3
+    grid = Grid(dim=2, n=16, period_l=1.0)
+    w = random_scalar_field(grid, 1, amplitude=50.0)
+    states = [VorticityState(w, 0.0), VorticityState(w, 3.0)]
+    out = gronwall_diagnostic([0.0, 3.0], states, p_values=(2.0,))
+    assert out["summary"][2.0]["gronwall_constant"] == 1.0
+    first, last = out["rows"]
+    assert first.gronwall_margin == 0.0
+    assert last.gronwall_margin == math.inf
+
+
 def test_gronwall_constant_closes_the_bound_where_velocity_grows():
     grid = Grid(dim=2, n=16, period_l=1.0)
     w = random_scalar_field(grid, 2, amplitude=0.01)

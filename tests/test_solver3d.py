@@ -17,6 +17,12 @@ from fbns.trajectory import Trajectory
 GRID = Grid(dim=3, n=16, period_l=4.0)
 
 
+def mild_norm_of(traj, p=2.0, r=2.0):
+    part = lp.get_partition(traj.grid)
+    return lp.mild_norm(lp.shell_series(traj.coeffs, p, part), traj.times,
+                        p, r, part)
+
+
 def small_data(grid, seed, fraction=0.5, p=2.0, r=2.0):
     u0 = random_divfree_field(grid, seed=seed)
     norm = lp.fb_norm_value(u0, lp.critical_index(p), p, r)
@@ -184,7 +190,7 @@ def test_picard_fixed_point_is_scheme_consistent():
     u0 = small_data(GRID, seed=62)
     traj, _ = picard_solve(u0, solver_config())
     again = picard_map(traj, dealias(u0), 0.0)
-    diff = lp.mild_norm(again.difference(traj), 2.0, 2.0)
+    diff = mild_norm_of(again.difference(traj))
     assert diff < 1e-10
 
 
@@ -203,7 +209,7 @@ def test_zero_start_converges_to_same_fixed_point():
     t1, d1 = picard_solve(u0, solver_config(), initial_iterate="linear")
     t2, d2 = picard_solve(u0, solver_config(), initial_iterate="zero")
     assert d1.converged and d2.converged
-    diff = lp.mild_norm(t1.difference(t2), 2.0, 2.0)
+    diff = mild_norm_of(t1.difference(t2))
     assert diff < 1e-9
     with pytest.raises(ValueError, match="initial iterate"):
         picard_solve(u0, solver_config(), initial_iterate="picard")
@@ -277,20 +283,20 @@ def test_in_place_sweep_matches_repeated_picard_map(scheme, initial):
     assert diag.iterations == 4 and not diag.aborted
 
     current = linear_trajectory(u0, config.times, config.omega)
-    assert math.isclose(diag.linear_norm, lp.mild_norm(current, 2.0, 2.0),
+    assert math.isclose(diag.linear_norm, mild_norm_of(current),
                         rel_tol=1e-12)
     if initial == "zero":
         coeffs = np.zeros_like(current.coeffs)
         coeffs[0] = u0.coeffs
         current = Trajectory(GRID, config.times, coeffs)
-    assert math.isclose(diag.iterate_norms[0], lp.mild_norm(current, 2.0, 2.0),
+    assert math.isclose(diag.iterate_norms[0], mild_norm_of(current),
                         rel_tol=1e-12)
     for m in range(diag.iterations):
         nxt = picard_map(current, u0, config.omega, scheme)
-        diff = lp.mild_norm(nxt.difference(current), 2.0, 2.0)
+        diff = mild_norm_of(nxt.difference(current))
         assert math.isclose(diag.diff_norms[m], diff, rel_tol=1e-12)
         assert math.isclose(diag.iterate_norms[m + 1],
-                            lp.mild_norm(nxt, 2.0, 2.0), rel_tol=1e-12)
+                            mild_norm_of(nxt), rel_tol=1e-12)
         current = nxt
     assert np.max(np.abs(traj.coeffs - current.coeffs)) \
         <= 1e-12 * np.max(np.abs(current.coeffs))

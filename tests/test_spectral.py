@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fbns.spectral import (Grid, SpectralField, coriolis_matrix, curl,
                            dealias, derivative, divergence, divergence_defect,
@@ -117,6 +118,21 @@ def test_helmholtz_projection_hand_values():
     assert np.allclose(again.coeffs, proj.coeffs, atol=1e-15)
     g = gradient(random_scalar_field(grid, seed=5))
     assert np.max(np.abs(helmholtz_project(g).coeffs)) < 1e-14
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**16), st.sampled_from([(2, 16), (3, 8), (3, 16)]),
+       st.floats(0.5, 8.0))
+def test_helmholtz_projection_idempotent(seed, shape, period_l):
+    dim, n = shape
+    grid = Grid(dim=dim, n=n, period_l=period_l)
+    # dim independent scalars: a generic field, not divergence-free
+    u = SpectralField(grid, np.concatenate(
+        [random_scalar_field(grid, seed=(seed, ax)).coeffs for ax in range(dim)]))
+    proj = helmholtz_project(u)
+    again = helmholtz_project(proj)
+    assert np.max(np.abs(again.coeffs - proj.coeffs)) \
+        <= 1e-15 * np.max(np.abs(u.coeffs))
 
 
 def test_helmholtz_projection_preserves_divfree():
