@@ -30,7 +30,7 @@ from .lp import critical_index, fb_norm, fb_norm_value
 from .semigroup import apply_semigroup
 from .solver2d import (SupportError, gaussian_vortex, gronwall_diagnostic,
                        rotating_frame_residual, run_vorticity)
-from .solver3d import (DEFAULT_GATE_CONSTANT, SolverConfig3D, picard_solve)
+from .solver3d import SolverConfig3D, picard_solve
 from .spectral import (Grid, SpectralField, curl, divergence_defect,
                        forward_transform, random_divfree_field,
                        random_scalar_field, taylor_green_2d, taylor_green_3d)
@@ -98,12 +98,10 @@ SCHEMAS = {
         "dt": ("float", 1.0 / 64.0),
         "max_iterations": ("int", 25),
         "tolerance": ("float", 1e-9),
-        "scheme": ("str", "exponential-midpoint"),
         "nonlinearity": ("bool", True),
         "initial": ("str", "random"),
         "seed": ("int", 0),
         "amplitude": ("float", 0.05),
-        "gate_constant": ("float", DEFAULT_GATE_CONSTANT),
         "save_trajectory": ("bool", False),
         "output_prefix": ("str", "solve3d"),
     },
@@ -293,7 +291,13 @@ def run_semigroup(cfg: dict, workdir: str) -> int:
     return EXIT_OK
 
 
+def _check_amplitude(cfg: dict):
+    if not math.isfinite(cfg["amplitude"]):
+        raise UsageError(f"amplitude must be finite, got {cfg['amplitude']}")
+
+
 def _solve3d_initial(cfg: dict, grid: Grid) -> SpectralField:
+    _check_amplitude(cfg)
     if cfg["initial"] == "taylor-green":
         return taylor_green_3d(grid, amplitude=cfg["amplitude"])
     if cfg["initial"] == "random":
@@ -312,8 +316,7 @@ def run_solve3d(cfg: dict, workdir: str) -> int:
         grid=grid, omega=cfg["omega"], p=cfg["p"], r=cfg["r"],
         horizon=cfg["horizon"], dt=cfg["dt"],
         max_iterations=cfg["max_iterations"], tolerance=cfg["tolerance"],
-        nonlinearity=cfg["nonlinearity"], scheme=cfg["scheme"],
-        gate_constant=cfg["gate_constant"])
+        nonlinearity=cfg["nonlinearity"])
     traj, diag = picard_solve(u0, config)
 
     prefix = cfg["output_prefix"]
@@ -343,6 +346,7 @@ def run_solve3d(cfg: dict, workdir: str) -> int:
 
 
 def _solve2d_initial(cfg: dict, grid: Grid) -> SpectralField:
+    _check_amplitude(cfg)
     if cfg["initial"] == "taylor-green":
         w0 = curl(taylor_green_2d(grid, amplitude=cfg["amplitude"]))
         return w0

@@ -36,13 +36,12 @@ class Propagator:
     def __init__(self, grid: Grid, dt: float, omega: float):
         if grid.dim != 3:
             raise ValueError("the rotating semigroup is three-dimensional")
-        self.dt = float(dt)
         origin = (0,) * 3
         safe = grid.xi_abs.copy()
         safe[origin] = 1.0
         unit = [grid.xi_axis(ax) / safe for ax in range(3)]
         z = grid.xi_sq - 1j * float(omega) * unit[2]
-        decay = np.exp(-z * self.dt)  # exp(-|xi|^2 dt) (cos + i sin)(rho dt)
+        decay = np.exp(-z * float(dt))  # exp(-|xi|^2 dt) (cos + i sin)(rho dt)
         z[origin] = 1.0
 
         def arrays(c):  # those of f -> Re(c) f + Im(c) R(xi) f
@@ -70,21 +69,16 @@ class Propagator:
         """m(dt) f for coefficients of shape (3,) + grid.spectral_shape."""
         return self._rotate(coeffs, self.multiplier)
 
-    def step(self, y: np.ndarray, g_lo: np.ndarray, g_hi: np.ndarray,
-             scheme: str) -> np.ndarray:
+    def step(self, y: np.ndarray, g_lo: np.ndarray, g_hi: np.ndarray) -> np.ndarray:
         """One interval of the Duhamel recursion y(t + dt) = m(dt) y(t) +
-        integral_0^dt m(s) g(t + dt - s) ds from g_lo = g(t), g_hi = g(t + dt):
-        exponential-midpoint integrates the multiplier exactly against the
-        nodal average of the forcing, trapezoid uses endpoint weights."""
-        if scheme == "exponential-midpoint":
-            local = self._rotate(0.5 * (g_lo + g_hi), self.local)
-            out = self.apply(y)
-            out += local
-        elif scheme == "trapezoid":
-            out = self.apply(y + (0.5 * self.dt) * g_lo)
-            out += (0.5 * self.dt) * g_hi
-        else:
-            raise ValueError(f"unknown scheme {scheme!r}")
+        integral_0^dt m(s) g(t + dt - s) ds from g_lo = g(t), g_hi = g(t + dt).
+
+        The exponential-midpoint rule: the multiplier is integrated exactly
+        against the nodal average (g_lo + g_hi)/2 of the forcing.  It is
+        second order in dt, and its steps compose exactly across intervals
+        through the semigroup law m(t) m(s) = m(t + s)."""
+        out = self.apply(y)
+        out += self._rotate(0.5 * (g_lo + g_hi), self.local)
         return out
 
 
@@ -94,7 +88,7 @@ def propagator(grid: Grid, dt: float, omega: float) -> Propagator:
 
 
 def duhamel_recursion(prop: Propagator, start: np.ndarray, n_steps: int, emit,
-                      forcing=None, scheme: str = "exponential-midpoint"):
+                      forcing=None):
     """y_(k+1) = prop.step(y_k, forcing(k), forcing(k + 1)) from y_0 = start,
     or y_(k+1) = m(dt) y_k without forcing; emit(k + 1, y_(k+1)) gets each
     value (and must not modify it) after forcing(k + 1) has been read."""
@@ -105,7 +99,7 @@ def duhamel_recursion(prop: Propagator, start: np.ndarray, n_steps: int, emit,
             y = prop.apply(y)
         else:
             g_hi = forcing(k + 1)
-            y = prop.step(y, g_lo, g_hi, scheme)
+            y = prop.step(y, g_lo, g_hi)
             g_lo = g_hi
         emit(k + 1, y)
 
@@ -146,25 +140,10 @@ def apply_semigroup(field: SpectralField, t: float, omega: float,
     return SpectralField(field.grid, propagator(field.grid, t, omega).apply(field.coeffs))
 
 
-def duhamel(forcing: Trajectory, t: float, omega: float,
-            scheme: str = "exponential-midpoint") -> SpectralField:
-    """integral_0^t T(t - tau) g(tau) dtau from uniform samples of g on [0, t].
-
-    exponential-midpoint samples the forcing at interval midpoints (nodal
-    average) and propagates each interval exactly with the multiplier;
-    trapezoid uses endpoint weights.  Both are second order in dt and both
-    compose exactly across intervals through the semigroup law.
-    """
-    traj = duhamel_sweep(forcing, omega, scheme)
-    if not math.isclose(traj.times[-1], t, rel_tol=1e-9, abs_tol=1e-12):
-        raise ValueError(f"forcing samples cover [0, {traj.times[-1]}], not [0, {t}]")
-    return traj.field(traj.n_samples - 1)
-
-
-def duhamel_sweep(forcing: Trajectory, omega: float,
-                  scheme: str = "exponential-midpoint") -> Trajectory:
-    """Duhamel integrals at every sample time of the forcing trajectory,
-    whose first sample must be divergence-free."""
+def duhamel_sweep(forcing: Trajectory, omega: float) -> Trajectory:
+    """Duhamel integrals integral_0^t T(t - tau) g(tau) dtau at every sample
+    time t of the forcing trajectory g, whose first sample must be
+    divergence-free."""
     if forcing.n_samples < 2:
         raise ValueError("need at least two forcing samples")
     if forcing.ncomp != 3 or forcing.grid.dim != 3:
@@ -175,7 +154,7 @@ def duhamel_sweep(forcing: Trajectory, omega: float,
     out = np.zeros_like(forcing.coeffs)
     duhamel_recursion(propagator(forcing.grid, forcing.dt, omega), out[0],
                       forcing.n_samples - 1, out.__setitem__,
-                      forcing.coeffs.__getitem__, scheme)
+                      forcing.coeffs.__getitem__)
     return Trajectory(forcing.grid, forcing.times.copy(), out)
 
 

@@ -97,8 +97,9 @@ def _if_rk4(w: np.ndarray, grid: Grid, dt: float, steps: int, rhs) -> np.ndarray
 def advance_vorticity(state: VorticityState, dt: float, steps: int,
                       check_cfl: bool = True) -> VorticityState:
     """Integrating-factor RK4 of the vorticity equation."""
-    if dt <= 0 or steps < 0:
-        raise ValueError("need dt > 0 and steps >= 0")
+    if not 0 < dt < math.inf or steps < 0:
+        raise ValueError(f"need finite dt > 0 and steps >= 0, got dt={dt}, "
+                         f"steps={steps}")
     grid = state.w.grid
     if check_cfl and steps > 0:
         advect_check(state.velocity, dt)

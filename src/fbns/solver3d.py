@@ -47,8 +47,6 @@ class SolverConfig3D:
     max_iterations: int = 25
     tolerance: float = 1e-9
     nonlinearity: bool = True
-    scheme: str = "exponential-midpoint"
-    gate_constant: float = DEFAULT_GATE_CONSTANT
 
     def __post_init__(self):
         if self.grid.dim != 3:
@@ -60,10 +58,10 @@ class SolverConfig3D:
             )
         if not self.r >= 1:
             raise ValueError(f"summation index r must lie in [1, inf], got {self.r}")
-        if not self.horizon > 0:
-            raise ValueError("horizon must be positive")
+        if not 0 < self.horizon < INF:
+            raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
         if not 0 < self.dt <= self.horizon:
-            raise ValueError("need 0 < dt <= horizon")
+            raise ValueError(f"need 0 < dt <= horizon, got dt={self.dt}")
         steps = self.horizon / self.dt
         if abs(steps - round(steps)) > 1e-9:
             raise ValueError("horizon must be an integer multiple of dt")
@@ -71,8 +69,6 @@ class SolverConfig3D:
             raise ValueError("max_iterations must be at least 1")
         if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
-        if self.scheme not in ("exponential-midpoint", "trapezoid"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
 
     @property
     def n_steps(self) -> int:
@@ -103,6 +99,12 @@ class GateReport:
 
 @dataclass
 class IterationDiagnostics:
+    """History of a Picard solve.  residual_estimate is the mild norm of the
+    last increment d; error_estimate is q/(1 - q) d, with q the last
+    contraction ratio, the a-posteriori distance to the fixed point that
+    the Banach argument gives.  It is an estimate, not a guaranteed bound,
+    because q is measured rather than proven, and it is None while there is
+    no ratio yet or when q >= 1 (ratios shows which)."""
     iterate_norms: list = dataclass_field(default_factory=list)
     diff_norms: list = dataclass_field(default_factory=list)
     ratios: list = dataclass_field(default_factory=list)
@@ -110,6 +112,7 @@ class IterationDiagnostics:
     converged: bool = False
     aborted: bool = False
     residual_estimate: float = math.nan
+    error_estimate: float | None = None
     linear_norm: float = math.nan
     gate: GateReport | None = None
     message: str = ""
@@ -123,6 +126,8 @@ class IterationDiagnostics:
             "converged": self.converged,
             "aborted": self.aborted,
             "residual_estimate": float(self.residual_estimate),
+            "error_estimate": (None if self.error_estimate is None
+                               else float(self.error_estimate)),
             "linear_norm": float(self.linear_norm),
             "gate": self.gate.as_dict() if self.gate else None,
             "message": self.message,
@@ -172,13 +177,6 @@ def pair_forcing(u: SpectralField, v: SpectralField) -> SpectralField:
     return helmholtz_project(SpectralField(grid, div))
 
 
-def nonlinear_term(u: SpectralField) -> SpectralField:
-    """P div(u (x) u), the quadratic forcing of the mild formulation."""
-    if u.grid.dim != 3 or u.ncomp != 3:
-        raise ValueError("nonlinear term expects a 3-component field on a 3d grid")
-    return pair_forcing(u, u)
-
-
 def advect_check(u: SpectralField, dt: float):
     """Warn when the velocity u moves more than one grid cell in time dt."""
     ratio = float(np.max(np.abs(inverse_transform(u)))) * dt / u.grid.dx
@@ -187,7 +185,7 @@ def advect_check(u: SpectralField, dt: float):
                       RuntimeWarning)
 
 
-def _mild_map_sweep(buffer: np.ndarray, u0: SpectralField, prop, scheme: str,
+def _mild_map_sweep(buffer: np.ndarray, u0: SpectralField, prop,
                     nonlinearity: bool = True, record=None):
     """Overwrite the iterate u in buffer (samples x components x grid), one
     sample at a time, with T(t) u0 - integral_0^t T(t - tau) P div(u (x) u)
@@ -196,7 +194,8 @@ def _mild_map_sweep(buffer: np.ndarray, u0: SpectralField, prop, scheme: str,
     forcing = None
     if nonlinearity:
         def forcing(k):  # -P div(u (x) u), the forcing of the mild map
-            g = nonlinear_term(SpectralField(u0.grid, buffer[k])).coeffs
+            u = SpectralField(u0.grid, buffer[k])
+            g = pair_forcing(u, u).coeffs
             return np.negative(g, out=g)
 
     def write(k, new):
@@ -204,13 +203,11 @@ def _mild_map_sweep(buffer: np.ndarray, u0: SpectralField, prop, scheme: str,
             record(k, new, buffer[k])
         buffer[k] = new
 
-    duhamel_recursion(prop, u0.coeffs, len(buffer) - 1, write, forcing, scheme)
+    duhamel_recursion(prop, u0.coeffs, len(buffer) - 1, write, forcing)
     write(0, u0.coeffs)
 
 
-def picard_map(traj: Trajectory, u0: SpectralField, omega: float,
-               scheme: str = "exponential-midpoint",
-               nonlinearity: bool = True) -> Trajectory:
+def picard_map(traj: Trajectory, u0: SpectralField, omega: float) -> Trajectory:
     """One application of the mild-formulation map
     u -> T(t) u0 - integral_0^t T(t - tau) P div(u (x) u) dtau,
     evaluated at every sample time by interval-exact multiplier recursion.
@@ -218,13 +215,12 @@ def picard_map(traj: Trajectory, u0: SpectralField, omega: float,
     if u0.grid != traj.grid or u0.ncomp != traj.ncomp:
         raise ValueError("initial data does not match trajectory layout")
     out = traj.coeffs.copy()
-    _mild_map_sweep(out, u0, propagator(traj.grid, traj.dt, omega), scheme,
-                    nonlinearity)
+    _mild_map_sweep(out, u0, propagator(traj.grid, traj.dt, omega))
     return Trajectory(traj.grid, traj.times.copy(), out)
 
 
-def duhamel_bilinear(u_traj: Trajectory, v_traj: Trajectory, omega: float,
-                     scheme: str = "exponential-midpoint") -> Trajectory:
+def duhamel_bilinear(u_traj: Trajectory, v_traj: Trajectory,
+                     omega: float) -> Trajectory:
     """B(u, v)(t) = integral_0^t T(t - tau) P div(u (x) v)(tau) dtau on the
     shared time grid of the two trajectories."""
     if u_traj.grid != v_traj.grid or not np.array_equal(u_traj.times, v_traj.times):
@@ -235,7 +231,7 @@ def duhamel_bilinear(u_traj: Trajectory, v_traj: Trajectory, omega: float,
 
     out = np.zeros_like(u_traj.coeffs)
     duhamel_recursion(propagator(u_traj.grid, u_traj.dt, omega), out[0],
-                      u_traj.n_samples - 1, out.__setitem__, forcing, scheme)
+                      u_traj.n_samples - 1, out.__setitem__, forcing)
     return Trajectory(u_traj.grid, u_traj.times.copy(), out)
 
 
@@ -268,7 +264,7 @@ def picard_solve(u0: SpectralField, config: SolverConfig3D,
     part = lp.get_partition(grid)
     p, r, times = config.p, config.r, config.times
     diag = IterationDiagnostics()
-    diag.gate = smallness_gate(u0, p, r, config.gate_constant)
+    diag.gate = smallness_gate(u0, p, r)
     if config.nonlinearity:
         advect_check(u0, config.dt)
     prop = propagator(grid, config.dt, config.omega)
@@ -282,7 +278,7 @@ def picard_solve(u0: SpectralField, config: SolverConfig3D,
 
     traj = Trajectory(grid, times, np.zeros((times.size,) + u0.coeffs.shape,
                                             dtype=np.complex128))
-    _mild_map_sweep(traj.coeffs, u0, prop, config.scheme, False, record)
+    _mild_map_sweep(traj.coeffs, u0, prop, False, record)
     diag.linear_norm = lp.mild_norm(series[0], times, p, r, part)
     if not config.nonlinearity:
         traj.fb_norms = _sample_norms(series[0], config, part)
@@ -300,7 +296,7 @@ def picard_solve(u0: SpectralField, config: SolverConfig3D,
         return traj, diag
 
     for m in range(1, config.max_iterations + 1):
-        _mild_map_sweep(traj.coeffs, u0, prop, config.scheme, record=record)
+        _mild_map_sweep(traj.coeffs, u0, prop, record=record)
         norm, diff = (lp.mild_norm(x, times, p, r, part) for x in series)
         diag.diff_norms.append(diff)
         diag.iterate_norms.append(norm)
@@ -308,6 +304,8 @@ def picard_solve(u0: SpectralField, config: SolverConfig3D,
             diag.ratios.append(diff / diag.diff_norms[-2])
         diag.iterations = m
         diag.residual_estimate = diff
+        q = diag.ratios[-1] if diag.ratios else INF
+        diag.error_estimate = q / (1.0 - q) * diff if q < 1.0 else None
         if not (math.isfinite(diff) and math.isfinite(norm)):
             diag.aborted = True
             diag.message = f"non-finite mild norm at iteration {m}"

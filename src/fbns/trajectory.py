@@ -52,10 +52,6 @@ class Trajectory:
             raise ValueError("trajectory has a single sample, no time step")
         return float(self.times[1] - self.times[0])
 
-    @property
-    def horizon(self) -> float:
-        return float(self.times[-1] - self.times[0])
-
     def field(self, k: int) -> SpectralField:
         return SpectralField(self.grid, self.coeffs[k])
 

@@ -77,6 +77,12 @@ def test_config_file_rejects_unknown_sections_and_keys(tmp_path, capsys):
     assert run_cli("solve3d", "--workdir", str(tmp_path),
                    "--config", "bad_key.ini") == 1
     assert "unknown config key" in capsys.readouterr().err
+    # the Duhamel scheme and the gate constant are fixed, not configurable
+    for setting in ("scheme=trapezoid", "gate_constant=3"):
+        assert run_cli("solve3d", "--workdir", str(tmp_path),
+                       "--set", setting) == 1
+        key = setting.split("=")[0]
+        assert f"unknown config key solve3d.{key}" in capsys.readouterr().err
     assert run_cli("solve3d", "--workdir", str(tmp_path),
                    "--config", "missing.ini") == 1
     assert "config file not found" in capsys.readouterr().err
@@ -182,6 +188,7 @@ def test_solve3d_end_to_end(tmp_path, capsys):
     manifest = json.loads((tmp_path / "run_manifest.json").read_text())
     assert manifest["exit_code"] == 0
     assert manifest["diagnostics"]["gate"]["passed"] is True
+    assert manifest["diagnostics"]["error_estimate"] > 0
     assert manifest["config"]["n"] == 12
     final = read_field(tmp_path / "run_final.fbns")
     assert final.grid == Grid(dim=3, n=12, period_l=4.0)
@@ -222,6 +229,27 @@ def test_solve3d_deterministic_artifacts(tmp_path):
         assert a == b, artifact
 
 
+@pytest.mark.parametrize("command, key, value", [
+    ("solve3d", "horizon", "inf"),
+    ("solve3d", "amplitude", "inf"),
+    ("solve3d", "amplitude", "nan"),
+    ("solve2d", "dt", "inf"),
+    ("solve2d", "dt", "nan"),
+    ("solve2d", "amplitude", "inf"),
+    ("solve2d", "amplitude", "nan"),
+])
+def test_non_finite_inputs_are_usage_errors(tmp_path, capsys, command, key,
+                                            value):
+    small = {"solve3d": ("--set", "n=8"),
+             "solve2d": ("--set", "n=16", "--set", "n_steps=10",
+                         "--set", "sample_every=5")}
+    code = run_cli(command, "--workdir", str(tmp_path), *small[command],
+                   "--set", f"{key}={value}")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert key in err and value in err
+
+
 def test_solve3d_divergent_data_exits_numerical(tmp_path, capsys):
     # critical norm 1000 times the gate threshold 1/32
     code = run_cli("solve3d", "--workdir", str(tmp_path), "--set", "n=16",
@@ -235,6 +263,7 @@ def test_solve3d_divergent_data_exits_numerical(tmp_path, capsys):
     diag = manifest["diagnostics"]
     assert not diag["gate"]["passed"]
     assert diag["iterations"] <= 4 and diag["ratios"][-1] > 1.0
+    assert diag["error_estimate"] is None
     assert "diverging" in diag["message"]
     assert (tmp_path / "solve3d_final.fbns").is_file()
 

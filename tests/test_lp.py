@@ -2,14 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from fbns.lp import (INF, SHELL_INNER, SHELL_OUTER, bernstein_ratio,
-                     bernstein_slope, bony_decompose, chemin_lerner_norm,
-                     critical_index, dyadic_block, dyadic_rescale, fb_norm,
-                     fb_norm_value, get_partition, lebesgue, low_pass,
-                     mild_norm, shell_product, shell_profile,
-                     shell_range_for, shell_series, smooth_cutoff)
+from fbns.lp import (INF, SHELL_INNER, SHELL_OUTER, DyadicPartition,
+                     bernstein_ratio, bernstein_slope, bony_decompose,
+                     chemin_lerner_norm, critical_index, dyadic_block,
+                     dyadic_rescale, fb_norm, fb_norm_value, get_partition,
+                     lebesgue, low_pass, mild_norm, shell_product,
+                     shell_profile, shell_range_for, shell_series,
+                     smooth_cutoff)
 from fbns.semigroup import linear_trajectory
 from fbns.spectral import (Grid, SpectralField, dealias, forward_transform,
                            inverse_transform, random_divfree_field,
@@ -69,9 +70,12 @@ def test_shell_range_for_lab_grid():
     assert -3 in rng and 1 in rng and 2 not in rng
 
 
-def test_partition_sums_to_one_on_band():
-    grid = Grid(dim=3, n=16, period_l=4.0)
-    assert get_partition(grid).unity_defect() < 1e-13
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 3]), st.integers(4, 24), st.floats(0.25, 8.0))
+@example(3, 8, 4.0)
+def test_partition_sums_to_one_on_band(dim, half_n, period_l):
+    grid = Grid(dim=dim, n=2 * half_n, period_l=period_l)
+    assert DyadicPartition(grid).unity_defect() < 1e-13
 
 
 def test_block_reconstruction_and_low_pass():
