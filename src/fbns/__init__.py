@@ -26,9 +26,9 @@ from .solver2d import (VorticityState, advance_velocity, advance_vorticity,
                        gronwall_diagnostic, lp_physical,
                        rotating_frame_residual, rotating_frame_transform,
                        run_vorticity)
-from .solver3d import (GateReport, IterationDiagnostics, SolverConfig3D,
-                       duhamel_bilinear, pair_forcing, picard_map,
-                       picard_solve, smallness_gate)
+from .solver3d import (BandTrajectory, GateReport, IterationDiagnostics,
+                       SolverConfig3D, duhamel_bilinear, pair_forcing,
+                       picard_map, picard_solve, smallness_gate)
 from .spectral import (Grid, SpectralField, curl, dealias, derivative,
                        divergence, divergence_defect, forward_transform,
                        gradient, helmholtz_project, inverse_transform,

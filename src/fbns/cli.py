@@ -311,13 +311,17 @@ def _solve3d_initial(cfg: dict, grid: Grid) -> SpectralField:
 
 def run_solve3d(cfg: dict, workdir: str) -> int:
     grid = Grid(dim=3, n=cfg["n"], period_l=cfg["period_l"])
-    u0 = _solve3d_initial(cfg, grid)
     config = SolverConfig3D(
         grid=grid, omega=cfg["omega"], p=cfg["p"], r=cfg["r"],
         horizon=cfg["horizon"], dt=cfg["dt"],
         max_iterations=cfg["max_iterations"], tolerance=cfg["tolerance"],
         nonlinearity=cfg["nonlinearity"])
-    traj, diag = picard_solve(u0, config)
+    need = config.memory_bytes
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise UsageError(f"solve3d needs about {need:.3g} bytes, more than the "
+                         f"{have:.3g} bytes of physical memory; lower n or horizon/dt")
+    traj, diag = picard_solve(_solve3d_initial(cfg, grid), config)
 
     prefix = cfg["output_prefix"]
     ok = diag.converged and not diag.aborted

@@ -96,8 +96,8 @@ def default_lab_grid(dim: int = 3, n: int = 16, period_l: float = 4.0) -> Grid:
 
 
 def lab_times(horizon: float = 1.0, n_samples: int = 17) -> np.ndarray:
-    if n_samples < 2 or horizon <= 0:
-        raise ValueError("need n_samples >= 2 and horizon > 0")
+    if n_samples < 2 or not 0 < horizon < math.inf:
+        raise ValueError(f"need 0 < horizon={horizon} < inf and n_samples={n_samples} >= 2")
     return np.linspace(0.0, horizon, n_samples)
 
 

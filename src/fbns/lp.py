@@ -96,13 +96,15 @@ def shell_range_for(xi_min: float, xi_max: float) -> ShellRange:
 
 
 class DyadicPartition:
-    """Shell multipliers of a grid, cached as lattice arrays."""
+    """Shell multipliers of a grid, cached as lattice arrays; with packed=True
+    they cover the dealiased band only, in its packed layout (Grid.pack)."""
 
-    def __init__(self, grid: Grid):
+    def __init__(self, grid: Grid, packed: bool = False):
         self.grid = grid
         self.shell_range = shell_range_for(grid.dxi, grid.band_max)
         js = list(self.shell_range.indices)
-        self.masks = np.stack([shell_profile(grid.xi_abs, j) for j in js])
+        xi_abs = grid.pack(grid.xi_abs) if packed else grid.xi_abs
+        self.masks = np.stack([shell_profile(xi_abs, j) for j in js])
         self._low = np.cumsum(self.masks, axis=0)
         # Sparse shell support, grouped by shell: by almost-orthogonality
         # every lattice point lies in at most two shells, so all shells of
@@ -111,7 +113,7 @@ class DyadicPartition:
         flat = self.masks.reshape(len(js), -1)
         rows, self.support = np.nonzero(flat)
         self.weights = flat[rows, self.support]
-        self.multiplicity = grid.multiplicity.ravel()[self.support % grid.spectral_shape[-1]]
+        self.multiplicity = grid.multiplicity.ravel()[self.support % xi_abs.shape[-1]]
         counts = np.bincount(rows, minlength=len(js))
         self.filled = counts > 0
         self.sizes = counts[self.filled]
@@ -145,8 +147,8 @@ class DyadicPartition:
 
 
 @lru_cache(maxsize=32)
-def get_partition(grid: Grid) -> DyadicPartition:
-    return DyadicPartition(grid)
+def get_partition(grid: Grid, packed: bool = False) -> DyadicPartition:
+    return DyadicPartition(grid, packed)
 
 
 def dyadic_block(field: SpectralField, j: int, partition: DyadicPartition | None = None) -> SpectralField:
@@ -191,8 +193,8 @@ def shell_series(coeffs: np.ndarray, p: float,
     """Frequency L^p norms ||phi_j f_hat||_{L^p} of every shell j, the
     values every other norm of this module is built from.
 
-    coeffs has shape lead + (ncomp,) + grid.spectral_shape (one field or a
-    stack of samples); the result has shape lead + (number of shells,).
+    coeffs has shape lead + (ncomp,) + grid.spectral_shape, or the packed
+    band for a packed partition; the result has shape lead + (shells,).
     Each shell is divided by its largest value before powering, as LAPACK
     xNRM2 does, so large finite p neither underflows nor overflows.
     """
@@ -203,7 +205,7 @@ def shell_series(coeffs: np.ndarray, p: float,
     out = np.zeros(lead + (len(part.js),))
     # field by field, so the gathered values stay cache-sized
     rows = out.reshape(-1, out.shape[-1])
-    for row, field in zip(rows, coeffs.reshape((len(rows), -1) + grid.spectral_shape)):
+    for row, field in zip(rows, coeffs.reshape((len(rows), -1) + coeffs.shape[-grid.dim:])):
         vals = _magnitude(field).ravel()[part.support]
         vals *= part.weights
         top = np.maximum.reduceat(vals, part.offsets)

@@ -31,16 +31,18 @@ class Propagator:
     C + iS = integral_0^dt exp(-z s) ds computed once, z = |xi|^2 - i rho,
     rho = Omega xi_3/|xi|.  Each is held as the arrays (a, b u_1, b u_2,
     b u_3) of f -> a f + b R(xi) f with u = xi/|xi|, all zero at xi = 0.
+    With packed=True they, and the coefficients, are band-packed (Grid.pack).
     """
 
-    def __init__(self, grid: Grid, dt: float, omega: float):
+    def __init__(self, grid: Grid, dt: float, omega: float, packed: bool = False):
         if grid.dim != 3:
             raise ValueError("the rotating semigroup is three-dimensional")
         origin = (0,) * 3
-        safe = grid.xi_abs.copy()
+        gather = grid.pack if packed else np.array  # np.array copies
+        safe = gather(grid.xi_abs)
         safe[origin] = 1.0
-        unit = [grid.xi_axis(ax) / safe for ax in range(3)]
-        z = grid.xi_sq - 1j * float(omega) * unit[2]
+        unit = [gather(grid.xi_axis(ax)) / safe for ax in range(3)]
+        z = gather(grid.xi_sq) - 1j * float(omega) * unit[2]
         decay = np.exp(-z * float(dt))  # exp(-|xi|^2 dt) (cos + i sin)(rho dt)
         z[origin] = 1.0
 
@@ -83,8 +85,8 @@ class Propagator:
 
 
 @lru_cache(maxsize=8)
-def propagator(grid: Grid, dt: float, omega: float) -> Propagator:
-    return Propagator(grid, dt, omega)
+def propagator(grid: Grid, dt: float, omega: float, packed: bool = False) -> Propagator:
+    return Propagator(grid, dt, omega, packed)
 
 
 def duhamel_recursion(prop: Propagator, start: np.ndarray, n_steps: int, emit,

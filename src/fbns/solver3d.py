@@ -14,14 +14,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import asdict, dataclass, field as dataclass_field
 
 import numpy as np
 
 from . import lp
 from .semigroup import check_divergence_free, duhamel_recursion, propagator
 from .spectral import (Grid, SpectralField, dealias, forward_transform,
-                       helmholtz_project, inverse_transform)
+                       inverse_transform, leray)
 from .trajectory import Trajectory
 
 INF = float("inf")
@@ -78,6 +78,15 @@ class SolverConfig3D:
     def times(self) -> np.ndarray:
         return np.arange(self.n_steps + 1) * self.dt
 
+    @property
+    def memory_bytes(self) -> int:
+        """Rough peak of picard_solve: the band-packed trajectory, two shell series
+        per sample, and scratch of about twelve half-spectrum vector fields."""
+        k, samples = self.grid.kcut, self.n_steps + 1
+        shells = len(lp.shell_range_for(self.grid.dxi, self.grid.band_max).indices)
+        return (samples * (48 * (2 * k + 1) ** 2 * (k + 1) + 16 * shells)
+                + 12 * 48 * math.prod(self.grid.spectral_shape))
+
 
 @dataclass
 class GateReport:
@@ -86,15 +95,6 @@ class GateReport:
     epsilon: float
     threshold: float
     passed: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "norm": float(self.norm),
-            "constant": float(self.constant),
-            "epsilon": float(self.epsilon),
-            "threshold": float(self.threshold),
-            "passed": bool(self.passed),
-        }
 
 
 @dataclass
@@ -118,20 +118,27 @@ class IterationDiagnostics:
     message: str = ""
 
     def as_dict(self) -> dict:
-        return {
-            "iterate_norms": [float(v) for v in self.iterate_norms],
-            "diff_norms": [float(v) for v in self.diff_norms],
-            "ratios": [float(v) for v in self.ratios],
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "aborted": self.aborted,
-            "residual_estimate": float(self.residual_estimate),
-            "error_estimate": (None if self.error_estimate is None
-                               else float(self.error_estimate)),
-            "linear_norm": float(self.linear_norm),
-            "gate": self.gate.as_dict() if self.gate else None,
-            "message": self.message,
-        }
+        return asdict(self)
+
+
+@dataclass
+class BandTrajectory:
+    """A Picard iterate stored on the dealiased band: packed is samples x 3 x
+    band (Grid.pack); field(k) and full() scatter into the half spectrum."""
+    grid: Grid
+    times: np.ndarray
+    packed: np.ndarray
+    fb_norms: list | None = None
+
+    @property
+    def n_samples(self) -> int:
+        return self.times.size
+
+    def field(self, k: int) -> SpectralField:
+        return SpectralField(self.grid, self.grid.unpack(self.packed[k]))
+
+    def full(self) -> Trajectory:
+        return Trajectory(self.grid, self.times, self.grid.unpack(self.packed), self.fb_norms)
 
 
 def smallness_gate(u0: SpectralField, p: float, r: float,
@@ -154,8 +161,9 @@ def smallness_gate(u0: SpectralField, p: float, r: float,
 def pair_forcing(u: SpectralField, v: SpectralField) -> SpectralField:
     """P div(u (x) v) for dim-component fields on a 2d or 3d grid: component
     i is P applied to sum_j d_j (u_i v_j), computed pseudo-spectrally with
-    the 2/3-band product rule.  When v is u, u is transformed once and each
-    symmetric product u_i u_j = u_j u_i formed once, feeding div_i and div_j."""
+    the 2/3-band product rule, the products gathered to the band (Grid.pack)
+    to form and project the divergence.  When v is u, u is transformed once
+    and each symmetric product u_i u_j formed once, feeding div_i and div_j."""
     if u.grid != v.grid:
         raise ValueError("fields live on different grids")
     grid = u.grid
@@ -165,16 +173,16 @@ def pair_forcing(u: SpectralField, v: SpectralField) -> SpectralField:
     up = inverse_transform(u)
     symmetric = v is u
     vp = up if symmetric else inverse_transform(v)
-    div = np.zeros((grid.dim,) + grid.spectral_shape, dtype=np.complex128)
+    xi = [grid.pack(grid.xi_axis(ax)) for ax in range(grid.dim)]
+    div = np.zeros((grid.dim,) + xi[0].shape, dtype=np.complex128)
     for jax in range(grid.dim):
         for iax in range(jax + 1 if symmetric else grid.dim):
-            prod_hat = forward_transform(up[iax] * vp[jax], grid).coeffs[0]
-            div[iax] += 1j * grid.xi_axis(jax) * prod_hat
+            prod_hat = grid.pack(forward_transform(up[iax] * vp[jax], grid).coeffs[0])
+            div[iax] += 1j * xi[jax] * prod_hat
             if symmetric and iax < jax:
-                div[jax] += 1j * grid.xi_axis(iax) * prod_hat
+                div[jax] += 1j * xi[iax] * prod_hat
     del up, vp  # free the samples before projecting
-    div *= grid.dealias_mask
-    return helmholtz_project(SpectralField(grid, div))
+    return SpectralField(grid, grid.unpack(leray(div, xi, grid.pack(grid.inv_xi_sq))))
 
 
 def advect_check(u: SpectralField, dt: float):
@@ -185,38 +193,39 @@ def advect_check(u: SpectralField, dt: float):
                       RuntimeWarning)
 
 
-def _mild_map_sweep(buffer: np.ndarray, u0: SpectralField, prop,
+def _mild_map_sweep(buffer: np.ndarray, u0: np.ndarray, grid: Grid, prop,
                     nonlinearity: bool = True, record=None):
-    """Overwrite the iterate u in buffer (samples x components x grid), one
+    """Overwrite the iterate u in buffer (samples x components x band), one
     sample at a time, with T(t) u0 - integral_0^t T(t - tau) P div(u (x) u)
-    dtau.  Sample k of u is read for its forcing before the new value
-    replaces it; record(k, new, old) sees both."""
+    dtau, all band-packed.  Sample k of u is read for its forcing before the
+    new value replaces it; record(k, new, old) sees both."""
     forcing = None
     if nonlinearity:
         def forcing(k):  # -P div(u (x) u), the forcing of the mild map
-            u = SpectralField(u0.grid, buffer[k])
-            g = pair_forcing(u, u).coeffs
-            return np.negative(g, out=g)
+            u = SpectralField(grid, grid.unpack(buffer[k]))
+            return np.negative(grid.pack(pair_forcing(u, u).coeffs))
 
     def write(k, new):
         if record is not None:
             record(k, new, buffer[k])
         buffer[k] = new
 
-    duhamel_recursion(prop, u0.coeffs, len(buffer) - 1, write, forcing)
-    write(0, u0.coeffs)
+    duhamel_recursion(prop, u0, len(buffer) - 1, write, forcing)
+    write(0, u0)
 
 
 def picard_map(traj: Trajectory, u0: SpectralField, omega: float) -> Trajectory:
     """One application of the mild-formulation map
     u -> T(t) u0 - integral_0^t T(t - tau) P div(u (x) u) dtau,
-    evaluated at every sample time by interval-exact multiplier recursion.
-    The input trajectory is left untouched: the sweep runs on a copy."""
+    evaluated at every sample time by the band sweep of picard_solve (u and
+    u0 enter through their dealiased band).  The input is left untouched."""
     if u0.grid != traj.grid or u0.ncomp != traj.ncomp:
         raise ValueError("initial data does not match trajectory layout")
-    out = traj.coeffs.copy()
-    _mild_map_sweep(out, u0, propagator(traj.grid, traj.dt, omega))
-    return Trajectory(traj.grid, traj.times.copy(), out)
+    grid = traj.grid
+    out = grid.pack(traj.coeffs)
+    _mild_map_sweep(out, grid.pack(u0.coeffs), grid,
+                    propagator(grid, traj.dt, omega, packed=True))
+    return Trajectory(grid, traj.times.copy(), grid.unpack(out))
 
 
 def duhamel_bilinear(u_traj: Trajectory, v_traj: Trajectory,
@@ -239,14 +248,14 @@ def picard_solve(u0: SpectralField, config: SolverConfig3D,
                  initial_iterate: str = "linear"):
     """Iterate the mild map to its fixed point.
 
-    The iterate lives in one trajectory buffer, which every Picard step
-    overwrites in place, sample by sample, while it records the per-shell
-    L^p values of the new iterate and of the increment; the contraction
-    metric is computed from those, so no second trajectory is ever stored.
-    The linear trajectory T(t) u0 is measured in the same way and kept
-    only as the linear starting iterate.
+    The iterate lives in one buffer on the dealiased band, which every
+    Picard step overwrites in place, sample by sample, while it records the
+    per-shell L^p values of the new iterate and of the increment; the
+    contraction metric is computed from those, so no second trajectory is
+    ever stored.  The linear trajectory T(t) u0 is measured in the same way
+    and kept only as the linear starting iterate.
 
-    Returns (trajectory, diagnostics).  A non-finite mild norm, or a
+    Returns (BandTrajectory, diagnostics).  A non-finite mild norm, or a
     contraction ratio above 1 on two consecutive iterations (divergence;
     the message gives the ratio), stops the iteration with aborted=True and
     converged=False.  The ratio sequence is reported either way.
@@ -261,13 +270,14 @@ def picard_solve(u0: SpectralField, config: SolverConfig3D,
     check_divergence_free(u0, "initial data")
 
     u0 = dealias(u0)
-    part = lp.get_partition(grid)
+    part = lp.get_partition(grid, packed=True)
     p, r, times = config.p, config.r, config.times
     diag = IterationDiagnostics()
     diag.gate = smallness_gate(u0, p, r)
     if config.nonlinearity:
         advect_check(u0, config.dt)
-    prop = propagator(grid, config.dt, config.omega)
+    prop = propagator(grid, config.dt, config.omega, packed=True)
+    u0 = grid.pack(u0.coeffs)
 
     # shell_series of each sample of the new iterate and of the increment
     series = np.zeros((2, times.size, len(part.js)))
@@ -276,16 +286,15 @@ def picard_solve(u0: SpectralField, config: SolverConfig3D,
         series[0, k] = lp.shell_series(new, p, part)
         series[1, k] = lp.shell_series(new - old, p, part)
 
-    traj = Trajectory(grid, times, np.zeros((times.size,) + u0.coeffs.shape,
-                                            dtype=np.complex128))
-    _mild_map_sweep(traj.coeffs, u0, prop, False, record)
+    traj = BandTrajectory(grid, times, np.zeros((times.size,) + u0.shape, dtype=np.complex128))
+    _mild_map_sweep(traj.packed, u0, grid, prop, False, record)
     diag.linear_norm = lp.mild_norm(series[0], times, p, r, part)
     if not config.nonlinearity:
-        traj.fb_norms = _sample_norms(series[0], config, part)
+        traj.fb_norms = lp.fb_norm_of_series(series[0], lp.critical_index(p), r, part).tolist()
     if initial_iterate == "zero":
         series[0, 1:] = 0.0
         if config.nonlinearity:
-            traj.coeffs[1:] = 0.0
+            traj.packed[1:] = 0.0
     diag.iterate_norms.append(lp.mild_norm(series[0], times, p, r, part))
 
     if not config.nonlinearity:
@@ -296,7 +305,7 @@ def picard_solve(u0: SpectralField, config: SolverConfig3D,
         return traj, diag
 
     for m in range(1, config.max_iterations + 1):
-        _mild_map_sweep(traj.coeffs, u0, prop, record=record)
+        _mild_map_sweep(traj.packed, u0, grid, prop, record=record)
         norm, diff = (lp.mild_norm(x, times, p, r, part) for x in series)
         diag.diff_norms.append(diff)
         diag.iterate_norms.append(norm)
@@ -322,10 +331,5 @@ def picard_solve(u0: SpectralField, config: SolverConfig3D,
     else:
         diag.message = "maximum iterations reached without convergence"
 
-    traj.fb_norms = _sample_norms(series[0], config, part)
+    traj.fb_norms = lp.fb_norm_of_series(series[0], lp.critical_index(p), r, part).tolist()
     return traj, diag
-
-
-def _sample_norms(series: np.ndarray, config: SolverConfig3D, part) -> list:
-    return lp.fb_norm_of_series(series, lp.critical_index(config.p), config.r,
-                                part).tolist()

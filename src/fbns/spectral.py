@@ -131,10 +131,26 @@ class Grid:
         return out
 
     @cached_property
+    def band(self) -> tuple:
+        """Index of the dealiased band in (...,) + spectral_shape arrays, in
+        storage order: k = 0 ... kcut, -kcut ... -1 on full axes, 0 ... kcut last."""
+        full = np.r_[0:self.kcut + 1, self.n - self.kcut:self.n]
+        return (Ellipsis,) + np.ix_(*[full] * (self.dim - 1)) + (slice(self.kcut + 1),)
+
+    def pack(self, arr: np.ndarray) -> np.ndarray:
+        """The band of a stored array, or of a symbol broadcasting against one."""
+        return np.broadcast_to(arr, np.broadcast_shapes(arr.shape, self.spectral_shape))[self.band]
+
+    def unpack(self, packed: np.ndarray) -> np.ndarray:
+        """Band-packed coefficients in the half spectrum, zero outside the band."""
+        out = np.zeros(packed.shape[:-self.dim] + self.spectral_shape, dtype=np.complex128)
+        out[self.band] = packed
+        return out
+
+    @cached_property
     def dealias_mask(self) -> np.ndarray:
-        mask = np.ones(self.spectral_shape, dtype=bool)
-        for ax in range(self.dim):
-            mask &= np.abs(self.xi_axis(ax)) <= self.kcut * self.dxi
+        mask = np.zeros(self.spectral_shape, dtype=bool)
+        mask[self.band] = True
         return mask
 
     @cached_property
@@ -331,16 +347,18 @@ def helmholtz_project(field: SpectralField) -> SpectralField:
     grid = field.grid
     if field.ncomp != grid.dim:
         raise ValueError(f"projection expects {grid.dim} components, got {field.ncomp}")
-    dot = np.zeros(grid.spectral_shape, dtype=np.complex128)
-    for ax in range(grid.dim):
-        dot += grid.xi_axis(ax) * field.coeffs[ax]
-    dot *= grid.inv_xi_sq
-    out = np.empty_like(field.coeffs)  # one buffer, written component by component
-    for ax in range(grid.dim):
-        np.multiply(grid.xi_axis(ax), dot, out=out[ax])
-        np.subtract(field.coeffs[ax], out[ax], out=out[ax])
-    out[(slice(None),) + (0,) * grid.dim] = 0.0
-    return SpectralField(grid, out)
+    xi = [grid.xi_axis(ax) for ax in range(grid.dim)]
+    return SpectralField(grid, leray(field.coeffs, xi, grid.inv_xi_sq))
+
+
+def leray(coeffs: np.ndarray, xi: list, inv_xi_sq: np.ndarray) -> np.ndarray:
+    """helmholtz_project of coefficients laid out like the symbols, stored or packed."""
+    dot = sum(x * c for x, c in zip(xi, coeffs)) * inv_xi_sq
+    out = np.empty_like(coeffs)  # one buffer, written component by component
+    for ax, x in enumerate(xi):
+        np.subtract(coeffs[ax], np.multiply(x, dot, out=out[ax]), out=out[ax])
+    out[(slice(None),) + (0,) * len(xi)] = 0.0
+    return out
 
 
 def riesz_transform(field: SpectralField, axis: int) -> SpectralField:

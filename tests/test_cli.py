@@ -3,6 +3,8 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +15,7 @@ from fbns.checkpoint import read_field, write_field
 from fbns.cli import main
 from fbns.lp import fb_norm_value
 from fbns.semigroup import apply_semigroup
+from fbns.solver3d import SolverConfig3D
 from fbns.spectral import Grid, random_divfree_field
 
 
@@ -248,6 +251,34 @@ def test_non_finite_inputs_are_usage_errors(tmp_path, capsys, command, key,
     assert code == 1
     err = capsys.readouterr().err
     assert key in err and value in err
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_lab_non_finite_horizon_is_usage_error(tmp_path, capsys, value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = run_cli("lab", "--workdir", str(tmp_path), "--set",
+                       "ensemble=2", "--set", f"horizon={value}")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"horizon={value}" in err
+
+
+def test_solve3d_memory_preflight_refuses_before_allocating(tmp_path, capsys):
+    # the band-packed trajectory alone would take about 32 TB at n = 4096
+    tracemalloc.start()
+    try:
+        code = run_cli("solve3d", "--workdir", str(tmp_path), "--set", "n=4096")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert peak < 2**20
+    need = SolverConfig3D(grid=Grid(dim=3, n=4096)).memory_bytes
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    err = capsys.readouterr().err
+    assert f"{need:.3g} bytes" in err and f"{have:.3g} bytes" in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_solve3d_divergent_data_exits_numerical(tmp_path, capsys):

@@ -11,7 +11,9 @@ from fbns.solver3d import (DEFAULT_GATE_CONSTANT, SolverConfig3D,
                            duhamel_bilinear, pair_forcing, picard_map,
                            picard_solve, smallness_gate)
 from fbns.spectral import (Grid, SpectralField, dealias, divergence_defect,
-                           random_divfree_field, taylor_green_3d)
+                           forward_transform, helmholtz_project,
+                           inverse_transform, random_divfree_field,
+                           taylor_green_3d)
 from fbns.trajectory import Trajectory
 
 GRID = Grid(dim=3, n=16, period_l=4.0)
@@ -42,6 +44,30 @@ def component_mode(grid, comp, k, amplitude=1.0):
 
 # ---------------------------------------------------------------------------
 # quadratic forcing
+
+def pair_forcing_on_stored_modes(u, v):
+    # the divergence accumulated on every stored mode, then masked to the
+    # band and projected: the formula before the band gather
+    grid = u.grid
+    up, vp = inverse_transform(u), inverse_transform(v)
+    div = np.zeros((grid.dim,) + grid.spectral_shape, dtype=np.complex128)
+    for jax in range(grid.dim):
+        for iax in range(grid.dim):
+            prod_hat = forward_transform(up[iax] * vp[jax], grid).coeffs[0]
+            div[iax] += 1j * grid.xi_axis(jax) * prod_hat
+    div *= grid.dealias_mask
+    return helmholtz_project(SpectralField(grid, div))
+
+
+@pytest.mark.parametrize("grid", [Grid(dim=2, n=32, period_l=1.0),
+                                  Grid(dim=3, n=16, period_l=4.0)])
+def test_pair_forcing_on_the_band_equals_stored_mode_formula(grid):
+    u = random_divfree_field(grid, seed=71, cutoff=grid.band_max)
+    v = random_divfree_field(grid, seed=72, cutoff=grid.band_max)
+    for a, b in ((u, v), (u, u)):
+        expected = pair_forcing_on_stored_modes(a, b).coeffs
+        assert np.array_equal(pair_forcing(a, b).coeffs, expected)
+
 
 def test_pair_forcing_hand_oracle():
     # u = (0, cos x1, 0), v = (cos x2, 0, 0) on a 2 pi box: the tensor
@@ -183,12 +209,12 @@ def test_picard_contracts_on_small_data():
     assert all(r <= 0.5 for r in diag.ratios)
     assert diag.iterate_norms[-1] <= 2.0 * diag.linear_norm
     assert traj.fb_norms is not None and len(traj.fb_norms) == traj.n_samples
-    assert np.array_equal(traj.coeffs[0], dealias(u0).coeffs)
+    assert np.array_equal(traj.field(0).coeffs, dealias(u0).coeffs)
 
 
 def test_picard_fixed_point_is_scheme_consistent():
     u0 = small_data(GRID, seed=62)
-    traj, _ = picard_solve(u0, solver_config())
+    traj = picard_solve(u0, solver_config())[0].full()
     again = picard_map(traj, dealias(u0), 0.0)
     diff = mild_norm_of(again.difference(traj))
     assert diff < 1e-10
@@ -209,7 +235,7 @@ def test_zero_start_converges_to_same_fixed_point():
     t1, d1 = picard_solve(u0, solver_config(), initial_iterate="linear")
     t2, d2 = picard_solve(u0, solver_config(), initial_iterate="zero")
     assert d1.converged and d2.converged
-    diff = mild_norm_of(t1.difference(t2))
+    diff = mild_norm_of(t1.full().difference(t2.full()))
     assert diff < 1e-9
     with pytest.raises(ValueError, match="initial iterate"):
         picard_solve(u0, solver_config(), initial_iterate="picard")
@@ -224,7 +250,7 @@ def test_nonlinearity_disabled_reproduces_semigroup():
     u0d = dealias(u0)
     for k in (3, config.n_steps):
         direct = apply_semigroup(u0d, config.times[k], config.omega)
-        assert np.max(np.abs(traj.coeffs[k] - direct.coeffs)) < 1e-13
+        assert np.max(np.abs(traj.field(k).coeffs - direct.coeffs)) < 1e-13
 
 
 def test_rotation_changes_trajectory_but_not_data_norm():
@@ -232,7 +258,7 @@ def test_rotation_changes_trajectory_but_not_data_norm():
     t0, d0 = picard_solve(u0, solver_config(omega=0.0))
     t1, d1 = picard_solve(u0, solver_config(omega=20.0))
     assert d0.converged and d1.converged
-    assert np.max(np.abs(t0.coeffs[-1] - t1.coeffs[-1])) > 1e-12
+    assert np.max(np.abs(t0.packed[-1] - t1.packed[-1])) > 1e-12
     assert math.isclose(d0.gate.norm, d1.gate.norm, rel_tol=1e-13)
 
 
@@ -294,7 +320,7 @@ def test_in_place_sweep_matches_repeated_picard_map(initial):
         assert math.isclose(diag.iterate_norms[m + 1],
                             mild_norm_of(nxt), rel_tol=1e-12)
         current = nxt
-    assert np.max(np.abs(traj.coeffs - current.coeffs)) \
+    assert np.max(np.abs(traj.full().coeffs - current.coeffs)) \
         <= 1e-12 * np.max(np.abs(current.coeffs))
     s = lp.critical_index(2.0)
     expected = [lp.fb_norm_value(current.field(k), s, 2.0, 2.0)
@@ -317,7 +343,8 @@ def test_error_estimate_tracks_distance_to_fixed_point():
                     omega=3.0, max_iterations=m, tolerance=1e-14))
                 q = diag.ratios[-1]
                 assert diag.error_estimate == q / (1 - q) * diag.diff_norms[-1]
-                ratio = diag.error_estimate / mild_norm_of(traj.difference(fixed))
+                ratio = diag.error_estimate / mild_norm_of(
+                    traj.full().difference(fixed.full()))
                 assert 0.9 < ratio < 1.35, (seed, fraction, m, ratio)
     _, diag = picard_solve(u0, solver_config(max_iterations=1))
     assert diag.ratios == [] and diag.error_estimate is None
@@ -335,6 +362,9 @@ def test_picard_map_leaves_input_untouched():
 
 
 def test_picard_solve_keeps_one_trajectory_live():
+    # the iterate is stored on the dealiased band only (726 of the 2,304
+    # stored modes at 16^3), so the whole solve peaks below one trajectory
+    # in the half-spectrum layout
     u0 = small_data(GRID, seed=70)
     config = solver_config(omega=3.0)
     picard_solve(u0, config)  # fills the partition and propagator caches
@@ -345,7 +375,8 @@ def test_picard_solve_keeps_one_trajectory_live():
     finally:
         tracemalloc.stop()
     assert diag.converged
-    assert peak <= 1.5 * traj.coeffs.nbytes
+    full_layout = traj.n_samples * u0.coeffs.nbytes
+    assert peak <= 0.75 * full_layout
 
 
 def test_divergent_data_aborts_early_without_overflow():
@@ -363,4 +394,4 @@ def test_divergent_data_aborts_early_without_overflow():
     assert diag.ratios[-2] > 1.0 and diag.ratios[-1] > 1.0
     assert "diverging" in diag.message
     assert f"{diag.ratios[-1]:.3g}" in diag.message
-    assert np.all(np.isfinite(traj.coeffs))
+    assert np.all(np.isfinite(traj.packed))
