@@ -17,15 +17,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import lambertw
 
 from .lp import lebesgue
 from .solver3d import advect_check, pair_forcing
-from .spectral import (Grid, SpectralField, dealias, derivative,
-                       forward_transform, gradient, helmholtz_project,
-                       inverse_transform, laplacian, zero_mean)
+from .spectral import (Grid, SpectralField, dealias, forward_transform,
+                       gradient, helmholtz_project, inverse_transform,
+                       laplacian, zero_mean)
 
 BOUNDARY_FRAC = 0.9  # of pi L: the annulus rotating_frame_residual checks
 SUPPORT_TOL = 1e-4   # largest relative variation allowed in that annulus
@@ -56,12 +57,18 @@ def biot_savart(w: SpectralField) -> SpectralField:
     v_hat = (i xi_2, -i xi_1) w_hat / |xi|^2, zero mode dropped."""
     if not w.is_scalar or w.grid.dim != 2:
         raise ValueError("biot_savart expects a scalar field on a 2d grid")
-    grid = w.grid
-    inv = grid.inv_xi_sq
-    wc = w.coeffs[0]
-    v1 = 1j * grid.xi_axis(1) * wc * inv
-    v2 = -1j * grid.xi_axis(0) * wc * inv
-    return SpectralField(grid, np.stack([v1, v2]))
+    return SpectralField(w.grid, _rhs_symbols(w.grid)[0][:2] * w.coeffs)
+
+
+@lru_cache(maxsize=8)
+def _rhs_symbols(grid: Grid) -> tuple:
+    """Read-only RHS symbols (i xi_2, -i xi_1)/|xi|^2, i xi_1, i xi_2 and -dealias_mask."""
+    xi1, xi2, inv = grid.xi_axis(0), grid.xi_axis(1), grid.inv_xi_sq
+    symbols = np.stack(np.broadcast_arrays(1j * xi2 * inv, -1j * xi1 * inv, 1j * xi1, 1j * xi2))
+    neg_mask = -1.0 * grid.dealias_mask
+    for arr in (symbols, neg_mask):
+        arr.setflags(write=False)
+    return symbols, neg_mask
 
 
 def rotation_generator(omega: float) -> np.ndarray:
@@ -101,16 +108,17 @@ def advance_vorticity(state: VorticityState, dt: float, steps: int,
         raise ValueError(f"need finite dt > 0 and steps >= 0, got dt={dt}, "
                          f"steps={steps}")
     grid = state.w.grid
+    symbols, neg_mask = _rhs_symbols(grid)
     if check_cfl and steps > 0:
         advect_check(state.velocity, dt)
 
-    def rhs(w_hat):  # -dealias((v . grad w)_hat)
-        field = SpectralField(grid, w_hat)
-        v = inverse_transform(biot_savart(field))
-        gx = inverse_transform(derivative(field, 0))[0]
-        gy = inverse_transform(derivative(field, 1))[0]
-        adv = v[0] * gx + v[1] * gy
-        return -forward_transform(adv, grid).coeffs * grid.dealias_mask
+    def rhs(w_hat):  # -dealias((v . grad w)_hat) from four scalar inverse transforms
+        v1, v2, g1, g2 = (inverse_transform(SpectralField(grid, s * w_hat)) for s in symbols)
+        v1 *= g1  # v . grad w in place: fresh arrays this size page-fault per call
+        v1 += np.multiply(v2, g2, out=v2)
+        out = forward_transform(v1, grid).coeffs
+        out *= neg_mask
+        return out
 
     w = _if_rk4(state.w.coeffs * grid.dealias_mask, grid, dt, steps, rhs)
     return VorticityState(SpectralField(grid, w), state.t + steps * dt)
@@ -175,8 +183,7 @@ def _domain_center(grid: Grid) -> np.ndarray:
 
 
 def _lattice_points(grid: Grid) -> np.ndarray:
-    x1 = grid.x_axis(0) + np.zeros(grid.shape)
-    x2 = grid.x_axis(1) + np.zeros(grid.shape)
+    x1, x2 = np.broadcast_arrays(grid.x_axis(0), grid.x_axis(1))
     return np.stack([x1.ravel(), x2.ravel()], axis=1)
 
 
@@ -318,10 +325,8 @@ def gaussian_vortex(grid: Grid, width_sq: float = 0.1, center=None,
     Biot-Savart needs zero total circulation; the constant shift does not
     change any term of the vorticity equation)."""
     c = _domain_center(grid) if center is None else np.asarray(center, dtype=float)
-    x1 = grid.x_axis(0) + np.zeros(grid.shape)
-    x2 = grid.x_axis(1) + np.zeros(grid.shape)
-    w = amplitude * np.exp(-((x1 - c[0])**2 + (x2 - c[1])**2) / width_sq)
-    return zero_mean(forward_transform(w, grid))
+    d_sq = np.sum((_lattice_points(grid) - c) ** 2, axis=1).reshape(grid.shape)
+    return zero_mean(forward_transform(amplitude * np.exp(-d_sq / width_sq), grid))
 
 
 # ---------------------------------------------------------------------------

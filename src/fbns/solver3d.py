@@ -173,7 +173,7 @@ def pair_forcing(u: SpectralField, v: SpectralField) -> SpectralField:
     up = inverse_transform(u)
     symmetric = v is u
     vp = up if symmetric else inverse_transform(v)
-    xi = [grid.pack(grid.xi_axis(ax)) for ax in range(grid.dim)]
+    *xi, inv_xi_sq = grid.band_symbols
     div = np.zeros((grid.dim,) + xi[0].shape, dtype=np.complex128)
     for jax in range(grid.dim):
         for iax in range(jax + 1 if symmetric else grid.dim):
@@ -182,7 +182,7 @@ def pair_forcing(u: SpectralField, v: SpectralField) -> SpectralField:
             if symmetric and iax < jax:
                 div[jax] += 1j * xi[iax] * prod_hat
     del up, vp  # free the samples before projecting
-    return SpectralField(grid, grid.unpack(leray(div, xi, grid.pack(grid.inv_xi_sq))))
+    return SpectralField(grid, grid.unpack(leray(div, xi, inv_xi_sq)))
 
 
 def advect_check(u: SpectralField, dt: float):

@@ -141,6 +141,11 @@ class Grid:
         """The band of a stored array, or of a symbol broadcasting against one."""
         return np.broadcast_to(arr, np.broadcast_shapes(arr.shape, self.spectral_shape))[self.band]
 
+    @cached_property
+    def band_symbols(self) -> tuple:
+        """xi_1, ..., xi_dim and 1/|xi|^2, each gathered to the band (pack)."""
+        return tuple(self.pack(s) for s in (*map(self.xi_axis, range(self.dim)), self.inv_xi_sq))
+
     def unpack(self, packed: np.ndarray) -> np.ndarray:
         """Band-packed coefficients in the half spectrum, zero outside the band."""
         out = np.zeros(packed.shape[:-self.dim] + self.spectral_shape, dtype=np.complex128)

@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from fbns.solver2d import (SupportError, VorticityState, advance_velocity,
-                           advance_vorticity, biot_savart,
+from fbns.solver2d import (SupportError, VorticityState, _if_rk4, _rhs_symbols,
+                           advance_velocity, advance_vorticity, biot_savart,
                            coriolis_projection_identity,
                            czero_constant, frame_rotation, gaussian_vortex,
                            gradient_lp, gronwall_diagnostic, lp_physical,
                            rotating_frame_residual, rotating_frame_transform,
                            rotation_generator, run_vorticity)
-from fbns.spectral import (Grid, SpectralField, curl, dealias,
+from fbns.spectral import (Grid, SpectralField, curl, dealias, derivative,
                            divergence_defect, forward_transform, gradient,
                            inverse_transform, random_divfree_field,
                            random_scalar_field, taylor_green_2d)
@@ -94,6 +94,58 @@ def test_velocity_and_vorticity_steppers_agree_on_taylor_green():
     u1 = advance_velocity(u0, dt=1e-3, steps=50, omega=10.0, coriolis=True)
     state = advance_vorticity(VorticityState(w0), dt=1e-3, steps=50)
     assert np.max(np.abs(curl(u1).coeffs - state.w.coeffs)) < 1e-13
+
+
+def _reference_rhs(grid):
+    """The vorticity RHS as first written: -dealias(forward(v . grad w)),
+    v from the Biot-Savart formula (i xi_2, -i xi_1) w_hat / |xi|^2 taken
+    in that order of products, grad w from derivative."""
+    def rhs(w_hat):
+        field = SpectralField(grid, w_hat)
+        wc, inv = field.coeffs[0], grid.inv_xi_sq
+        v = inverse_transform(SpectralField(grid, np.stack(
+            [1j * grid.xi_axis(1) * wc * inv, -1j * grid.xi_axis(0) * wc * inv])))
+        gx = inverse_transform(derivative(field, 0))[0]
+        gy = inverse_transform(derivative(field, 1))[0]
+        return -dealias(forward_transform(v[0] * gx + v[1] * gy, grid)).coeffs
+    return rhs
+
+
+@pytest.mark.parametrize("n", [16, 64])
+@pytest.mark.parametrize("period_l", [1.0, 4.0])
+def test_vorticity_rhs_matches_the_reference_formula(n, period_l):
+    grid = Grid(2, n, period_l)
+    w0 = dealias(random_scalar_field(grid, 5, amplitude=3.0))
+    dt = 1e-3
+    expected = _if_rk4(w0.coeffs * grid.dealias_mask, grid, dt, 1, _reference_rhs(grid))
+    got = advance_vorticity(VorticityState(w0), dt, 1).w.coeffs
+    # the nonlinear term must weigh in, or the comparison pins only diffusion
+    linear = _if_rk4(w0.coeffs, grid, dt, 1, lambda w: np.zeros_like(w))
+    assert np.max(np.abs(expected - linear)) > 1e-8 * np.max(np.abs(expected))
+    assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
+def test_rhs_symbol_cache_is_keyed_by_the_whole_grid():
+    grids = [Grid(2, 16, 1.0), Grid(2, 16, 4.0), Grid(2, 32, 1.0)]
+
+    def run(grid):  # v . grad w does not change when 1/L scales xi; v does
+        w0 = dealias(random_scalar_field(grid, 7, amplitude=2.0))
+        return np.concatenate([advance_vorticity(VorticityState(w0), 1e-3, 3).w.coeffs,
+                               biot_savart(w0).coeffs])
+
+    alone = []
+    for grid in grids:
+        _rhs_symbols.cache_clear()
+        alone.append(run(grid))
+    _rhs_symbols.cache_clear()
+    for k in (0, 1, 2, 1, 0, 2):
+        assert np.array_equal(run(grids[k]), alone[k])
+    assert _rhs_symbols(Grid(2, 16, 4.0)) is _rhs_symbols(grids[1])
+    symbols, neg_mask = _rhs_symbols(grids[0])
+    with pytest.raises(ValueError):
+        symbols[0, 1, 1] = 0.0
+    with pytest.raises(ValueError):
+        neg_mask[1, 1] = 0.0
 
 
 def test_coriolis_term_is_invisible_after_projection():
