@@ -417,30 +417,23 @@ def run_lab(cfg: dict, workdir: str) -> int:
                   n_samples=cfg["n_samples"], seed=cfg["seed"])
     s_value = None if cfg["s"] == "auto" else float(cfg["s"])
     inequality = cfg["inequality"]
-    csv_rows = None
+    csv_rows = report = None
 
     if inequality == "duhamel":
         report = lab_mod.verify_duhamel_smoothing(
             s=s_value, q=cfg["q"], a=cfg["a"], omega=cfg["omega"], **common)
-        payload = report.as_dict()
-        failed = not math.isfinite(report.max_ratio)
+    elif inequality == "product" and cfg["s_values"]:
+        reports = [lab_mod.verify_product_estimate(s=s, **common)
+                   for s in cfg["s_values"]]
+        payload = [rep.as_dict() for rep in reports]
+        csv_rows = [(rep.params["s"], rep.max_ratio, rep.median_ratio,
+                     rep.stability, rep.passed) for rep in reports]
+        failed = any(not math.isfinite(rep.max_ratio) for rep in reports)
     elif inequality == "product":
-        if cfg["s_values"]:
-            reports = [lab_mod.verify_product_estimate(s=s, **common)
-                       for s in cfg["s_values"]]
-            payload = [rep.as_dict() for rep in reports]
-            csv_rows = [(rep.params["s"], rep.max_ratio, rep.median_ratio,
-                         rep.stability, rep.passed) for rep in reports]
-            failed = any(not math.isfinite(rep.max_ratio) for rep in reports)
-        else:
-            report = lab_mod.verify_product_estimate(
-                s=0.5 if s_value is None else s_value, **common)
-            payload = report.as_dict()
-            failed = not math.isfinite(report.max_ratio)
+        report = lab_mod.verify_product_estimate(
+            s=0.5 if s_value is None else s_value, **common)
     elif inequality == "semigroup":
         report = lab_mod.verify_semigroup_bounds(omega=cfg["omega"], **common)
-        payload = report.as_dict()
-        failed = not math.isfinite(report.max_ratio)
     elif inequality == "omega-scan":
         kwargs = {}
         if cfg["experiment"] == "linear":
@@ -453,6 +446,9 @@ def run_lab(cfg: dict, workdir: str) -> int:
         csv_rows = list(zip(payload["omegas"], payload["constants"]))
     else:
         raise UsageError(f"unknown inequality {inequality!r}")
+    if report is not None:
+        payload = report.as_dict()
+        failed = not math.isfinite(report.max_ratio)
 
     out = {"config": _config_echo(cfg), "report": payload}
     atomic_write_json(_resolve_path(workdir, cfg["output"]), out)

@@ -8,7 +8,9 @@ hardcoded number: the verifier always computes 2n samples and passes when
 the max over all 2n exceeds the max over the first n by less than 20%.
 
 Ensemble members are seeded per index, so member i is the same object in
-every run and in both ensemble sizes.
+every run and in both ensemble sizes.  Every member is drawn dealiased, so
+it is stored, stepped and measured on the dealiased band only, in the
+band-packed layout of the Picard solver (Grid.pack).
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ import numpy as np
 
 from .lp import (INF, chemin_lerner_norm, critical_index, fb_norm_of_series,
                  fb_norm_value, get_partition, shell_series)
-from .semigroup import duhamel_sweep, linear_trajectory
+from .semigroup import sweep_samples
 from .solver3d import SolverConfig3D, picard_solve, smallness_gate
-from .spectral import (Grid, SpectralField, dealias, forward_transform,
+from .spectral import (Grid, SpectralField, forward_transform,
                        inverse_transform, random_divfree_field,
                        random_scalar_field)
 from .trajectory import Trajectory
@@ -46,48 +48,37 @@ class EstimateReport:
     details: dict = dataclass_field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        def clean(x):
-            if isinstance(x, float) and not math.isfinite(x):
-                return None
-            return x
-        return {
-            "name": self.name,
-            "params": self.params,
-            "ensemble": self.ensemble,
-            "ratios": [clean(float(r)) for r in self.ratios],
-            "max_ratio": clean(self.max_ratio),
-            "median_ratio": clean(self.median_ratio),
-            "prefix_max": clean(self.prefix_max),
-            "stability": clean(self.stability),
-            "discarded": self.discarded,
-            "passed": bool(self.passed),
-            "details": self.details,
-        }
+        out = {key: _clean(value) for key, value in vars(self).items()}
+        out["ratios"] = [_clean(float(r)) for r in self.ratios]
+        return out
+
+
+def _clean(x):
+    return None if isinstance(x, float) and not math.isfinite(x) else x
+
+
+def _excess(value: float, base: float) -> float:
+    """(value - base) / base; for base <= 0, 0 if value is 0 and inf if not."""
+    if base > 0:
+        return (value - base) / base
+    return 0.0 if value == 0.0 else math.inf
 
 
 def _finalize(name: str, params: dict, ensemble: int, ratios: list,
               details: dict | None = None,
               extra_ok: bool = True) -> EstimateReport:
+    # ratios are quotients of norms, so a max starting from 0 is their max
     arr = np.asarray(ratios, dtype=float)
     valid = np.isfinite(arr)
-    discarded = int((~valid).sum())
-    if valid.any():
-        max_all = float(arr[valid].max())
-        median = float(np.median(arr[valid]))
-    else:
-        max_all = 0.0
-        median = 0.0
+    max_all = float(np.max(arr[valid], initial=0.0))
+    median = float(np.median(arr[valid])) if valid.any() else 0.0
     head = arr[:ensemble]
-    head_valid = np.isfinite(head)
-    prefix_max = float(head[head_valid].max()) if head_valid.any() else 0.0
-    if prefix_max > 0:
-        stability = (max_all - prefix_max) / prefix_max
-    else:
-        stability = 0.0 if max_all == 0.0 else math.inf
+    prefix_max = float(np.max(head[np.isfinite(head)], initial=0.0))
+    stability = _excess(max_all, prefix_max)
     passed = bool(math.isfinite(max_all) and stability < STABILITY_LIMIT
                   and extra_ok)
     return EstimateReport(name, params, ensemble, list(arr), max_all, median,
-                          prefix_max, stability, discarded, passed,
+                          prefix_max, stability, int((~valid).sum()), passed,
                           details or {})
 
 
@@ -109,21 +100,37 @@ def member_seed(seed, index: int) -> tuple:
     return (int(seed), int(index))
 
 
+def _members(ensemble: int) -> range:
+    """Indices of the 2 * ensemble members; an empty ensemble is refused."""
+    if not ensemble >= 1:
+        raise ValueError(f"ensemble must be >= 1, got {ensemble}")
+    return range(2 * ensemble)
+
+
+def _member_field(grid: Grid, seed, index: int, scalar: bool = False) -> np.ndarray:
+    """Member `index`'s random field, drawn dealiased, packed C-contiguous."""
+    draw = random_scalar_field if scalar else random_divfree_field
+    return np.ascontiguousarray(grid.pack(draw(grid, seed=member_seed(seed, index)).coeffs))
+
+
+def _decaying(grid: Grid, times: np.ndarray, seed, index: int,
+              scalar: bool = False, oscillation: bool = False) -> np.ndarray:
+    """The samples of decaying_trajectory, band-packed."""
+    base = _member_field(grid, seed, index, scalar)
+    env = np.exp(-np.asarray(times, dtype=float))
+    if oscillation:
+        env = env * (1.0 + 0.5 * np.sin(5.0 * np.asarray(times)))
+    return env[(slice(None),) + (np.newaxis,) * base.ndim] * base[np.newaxis]
+
+
 def decaying_trajectory(grid: Grid, times: np.ndarray, seed, index: int,
                         scalar: bool = False,
                         oscillation: bool = False) -> Trajectory:
     """e^{-t} times a fixed random field; odd members can get an extra
     bounded oscillation so both time exponents a in {1, inf} see
     non-monotone inputs."""
-    if scalar:
-        base = random_scalar_field(grid, seed=member_seed(seed, index))
-    else:
-        base = random_divfree_field(grid, seed=member_seed(seed, index))
-    env = np.exp(-np.asarray(times, dtype=float))
-    if oscillation:
-        env = env * (1.0 + 0.5 * np.sin(5.0 * np.asarray(times)))
-    coeffs = env[(slice(None),) + (np.newaxis,) * (base.coeffs.ndim)] * base.coeffs[np.newaxis]
-    return Trajectory(grid, np.asarray(times, dtype=float), coeffs)
+    return Trajectory(grid, times, grid.unpack(_decaying(grid, times, seed, index,
+                                                         scalar, oscillation)))
 
 
 def constant_trajectory(field: SpectralField, times) -> Trajectory:
@@ -153,14 +160,14 @@ def verify_duhamel_smoothing(s: float = None, p: float = 2.0, r: float = 2.0,
     rhs_index = s - 2.0 - (0.0 if q == INF else 2.0 / q) \
         + (0.0 if a == INF else 2.0 / a)
     times = lab_times(horizon, n_samples)
-    part = get_partition(grid)
+    part = get_partition(grid, packed=True)
     ratios = []
-    for i in range(2 * ensemble):
-        f = decaying_trajectory(grid, times, seed, i, oscillation=(i % 2 == 1))
-        integral = duhamel_sweep(f, omega)
-        lhs = chemin_lerner_norm(shell_series(integral.coeffs, p, part),
+    for i in _members(ensemble):
+        f = _decaying(grid, times, seed, i, oscillation=(i % 2 == 1))
+        integral = sweep_samples(grid, times, omega, np.zeros_like(f[0]), f, True)
+        lhs = chemin_lerner_norm(shell_series(integral, p, part),
                                  times, s, r, q, part).total
-        rhs = chemin_lerner_norm(shell_series(f.coeffs, p, part),
+        rhs = chemin_lerner_norm(shell_series(f, p, part),
                                  times, rhs_index, r, a, part).total
         ratios.append(lhs / rhs if rhs > _TINY_RHS else math.nan)
     params = {"s": s, "p": p, "r": r, "q": q, "a": a, "omega": omega,
@@ -170,15 +177,27 @@ def verify_duhamel_smoothing(s: float = None, p: float = 2.0, r: float = 2.0,
     return _finalize("duhamel_smoothing", params, ensemble, ratios)
 
 
+def _y_norm(packed: np.ndarray, times, s: float, p: float, r: float, part) -> float:
+    series = shell_series(packed, p, part)
+    return sum(chemin_lerner_norm(series, times, sigma, r, q, part).total
+               for sigma, q in ((s, INF), (4.0 - 3.0 / p, 1.0)))
+
+
 def product_y_norm(traj: Trajectory, s: float, p: float, r: float) -> float:
     """Norm of the persistence-plus-smoothing space entering the product
     estimate: sup-in-time at regularity s plus time-integrated at 4 - 3/p,
-    both read from one shell series."""
-    part = get_partition(traj.grid)
-    series = shell_series(traj.coeffs, p, part)
-    return (chemin_lerner_norm(series, traj.times, s, r, INF, part).total
-            + chemin_lerner_norm(series, traj.times, 4.0 - 3.0 / p, r, 1.0,
-                                 part).total)
+    both read from one shell series of the dealiased band of traj."""
+    return _y_norm(traj.grid.pack(traj.coeffs), traj.times, s, p, r,
+                   get_partition(traj.grid, packed=True))
+
+
+def _band_product(grid: Grid, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Band (Grid.pack, the 2/3 rule) of the dot product of two samples x ncomp
+    stacks of stored coefficients: one transform per factor, one back."""
+    phys = [inverse_transform(SpectralField(grid, c.reshape((-1,) + grid.spectral_shape)))
+            .reshape(c.shape[:2] + grid.shape) for c in (u, v)]
+    prod = np.sum(phys[0] * phys[1], axis=1)
+    return grid.pack(forward_transform(prod, grid).coeffs)[:, np.newaxis]
 
 
 def pointwise_product_trajectory(u: Trajectory, v: Trajectory) -> Trajectory:
@@ -189,11 +208,8 @@ def pointwise_product_trajectory(u: Trajectory, v: Trajectory) -> Trajectory:
         raise ValueError("trajectories are sampled at different times")
     if u.ncomp != v.ncomp:
         raise ValueError("component counts differ")
-    out = np.empty((u.n_samples, 1) + u.grid.spectral_shape, dtype=np.complex128)
-    for k in range(u.n_samples):
-        prod = np.sum(inverse_transform(u.field(k)) * inverse_transform(v.field(k)), axis=0)
-        out[k] = dealias(forward_transform(prod, u.grid)).coeffs
-    return Trajectory(u.grid, u.times, out)
+    return Trajectory(u.grid, u.times,
+                      u.grid.unpack(_band_product(u.grid, u.coeffs, v.coeffs)))
 
 
 def verify_product_estimate(s: float = 0.5, p: float = 2.0, r: float = 2.0,
@@ -213,16 +229,16 @@ def verify_product_estimate(s: float = 0.5, p: float = 2.0, r: float = 2.0,
     if grid is None:
         grid = default_lab_grid()
     times = lab_times(horizon, n_samples)
-    part = get_partition(grid)
+    part = get_partition(grid, packed=True)
     ratios = []
-    for i in range(2 * ensemble):
-        u = decaying_trajectory(grid, times, (seed, 0), i, scalar=True,
-                                oscillation=(i % 2 == 1))
-        v = decaying_trajectory(grid, times, (seed, 1), i, scalar=True)
-        w = pointwise_product_trajectory(u, v)
-        lhs = chemin_lerner_norm(shell_series(w.coeffs, p, part),
+    for i in _members(ensemble):
+        u = _decaying(grid, times, (seed, 0), i, scalar=True,
+                      oscillation=(i % 2 == 1))
+        v = _decaying(grid, times, (seed, 1), i, scalar=True)
+        w = _band_product(grid, grid.unpack(u), grid.unpack(v))
+        lhs = chemin_lerner_norm(shell_series(w, p, part),
                                  times, s + 1.0, r, 1.0, part).total
-        rhs = product_y_norm(u, s, p, r) * product_y_norm(v, s, p, r)
+        rhs = _y_norm(u, times, s, p, r, part) * _y_norm(v, times, s, p, r, part)
         ratios.append(lhs / rhs if rhs > _TINY_RHS else math.nan)
     params = {"s": s, "p": p, "r": r, "horizon": horizon,
               "n_samples": n_samples, "seed": seed, "grid_n": grid.n,
@@ -243,12 +259,12 @@ def verify_semigroup_bounds(p: float = 2.0, r: float = 2.0, omega: float = 0.0,
         grid = default_lab_grid()
     s = critical_index(p)
     times = lab_times(horizon, n_samples)
-    part = get_partition(grid)
+    part = get_partition(grid, packed=True)
     sup_ratios = []
     smoothing_ratios = []
-    for i in range(2 * ensemble):
-        u0 = random_divfree_field(grid, seed=member_seed(seed, i))
-        series = shell_series(linear_trajectory(u0, times, omega).coeffs, p, part)
+    for i in _members(ensemble):
+        u = sweep_samples(grid, times, omega, _member_field(grid, seed, i), packed=True)
+        series = shell_series(u, p, part)
         data_norm = float(fb_norm_of_series(series[0], s, r, part))
         if data_norm <= _TINY_RHS:
             sup_ratios.append(math.nan)
@@ -263,8 +279,7 @@ def verify_semigroup_bounds(p: float = 2.0, r: float = 2.0, omega: float = 0.0,
               "grid_l": grid.period_l}
     smoothing = _finalize("smoothing", params, ensemble, smoothing_ratios)
     details = {
-        "smoothing_ratios": [float(x) if math.isfinite(x) else None
-                             for x in smoothing_ratios],
+        "smoothing_ratios": smoothing.as_dict()["ratios"],
         "smoothing_max": smoothing.max_ratio,
         "smoothing_stability": smoothing.stability,
     }
@@ -309,6 +324,8 @@ def omega_independence_scan(experiment: str, omegas, grid: Grid | None = None,
     """
     if experiment not in ("linear", "contraction"):
         raise ValueError(f"unknown experiment {experiment!r}")
+    if experiment == "linear" and "ensemble" in kwargs:
+        _members(kwargs["ensemble"])
     omegas = [float(w) for w in omegas]
     if grid is None:
         grid = default_lab_grid()
@@ -320,21 +337,14 @@ def omega_independence_scan(experiment: str, omegas, grid: Grid | None = None,
             constants.append(rep.max_ratio)
             per_omega.append({"omega": w, "max_ratio": rep.max_ratio,
                               "smoothing_max": rep.details["smoothing_max"],
-                              "ratios": [None if not math.isfinite(x) else float(x)
-                                         for x in rep.ratios]})
+                              "ratios": rep.as_dict()["ratios"]})
         else:
             entry = _contraction_constant(grid, w, seed, **kwargs)
             constants.append(entry["constant"])
             per_omega.append(entry)
-    if constants:
-        lo, hi = min(constants), max(constants)
-        spread = (hi - lo) / lo if lo > 0 else (0.0 if hi == 0.0 else math.inf)
-        base = constants[0]
-        growth = max(0.0, (hi - base) / base) if base > 0 \
-            else (0.0 if hi == 0.0 else math.inf)
-    else:
-        spread = 0.0
-        growth = 0.0
+    lo, hi = min(constants, default=0.0), max(constants, default=0.0)
+    spread = _excess(hi, lo)
+    growth = max(0.0, _excess(hi, constants[0] if constants else 0.0))
     return {
         "experiment": experiment,
         "omegas": omegas,

@@ -170,9 +170,9 @@ def _validate_lebesgue(name: str, value: float, minimum: float = 1.0):
         raise ValueError(f"{name} must satisfy {name} >= {minimum}, got {value}")
 
 
-def _magnitude(coeffs: np.ndarray) -> np.ndarray:
+def _magnitude(coeffs: np.ndarray, axis: int = 0) -> np.ndarray:
     # pointwise Euclidean norm over the component axis
-    return np.sqrt(np.sum(np.abs(coeffs) ** 2, axis=0))
+    return np.sqrt(np.sum(np.abs(coeffs) ** 2, axis=axis))
 
 
 def lebesgue(values: np.ndarray, p: float, weight=1.0, axis=None) -> np.ndarray:
@@ -195,28 +195,29 @@ def shell_series(coeffs: np.ndarray, p: float,
 
     coeffs has shape lead + (ncomp,) + grid.spectral_shape, or the packed
     band for a packed partition; the result has shape lead + (shells,).
-    Each shell is divided by its largest value before powering, as LAPACK
-    xNRM2 does, so large finite p neither underflows nor overflows.
+    One pass reduces every field of the stack: the magnitudes on the shell
+    support are gathered into a (support, fields) array whose shells are
+    reduced down axis 0.  Each shell is divided by its largest value before
+    powering, as LAPACK xNRM2 does, so large finite p neither underflows nor
+    overflows.
     """
     _validate_lebesgue("p", p)
     part = partition
     grid = part.grid
     lead = coeffs.shape[:coeffs.ndim - grid.dim - 1]
-    out = np.zeros(lead + (len(part.js),))
-    # field by field, so the gathered values stay cache-sized
-    rows = out.reshape(-1, out.shape[-1])
-    for row, field in zip(rows, coeffs.reshape((len(rows), -1) + coeffs.shape[-grid.dim:])):
-        vals = _magnitude(field).ravel()[part.support]
-        vals *= part.weights
-        top = np.maximum.reduceat(vals, part.offsets)
-        if p == INF:
-            row[part.filled] = top
-            continue
-        scale = np.where(top > 0.0, top, 1.0)
-        vals /= np.repeat(scale, part.sizes)
+    mag = _magnitude(coeffs, -grid.dim - 1).reshape(-1, part.masks[0].size)
+    vals = mag.T[part.support]
+    vals *= part.weights[:, None]
+    norms = np.maximum.reduceat(vals, part.offsets)
+    if p != INF:
+        scale = np.where(norms > 0.0, norms, 1.0)
+        vals /= np.repeat(scale, part.sizes, axis=0)
         vals **= p
-        sums = np.add.reduceat(vals * part.multiplicity, part.offsets)
-        row[part.filled] = grid.dxi ** (grid.dim / p) * scale * sums ** (1.0 / p)
+        vals *= part.multiplicity[:, None]
+        sums = np.add.reduceat(vals, part.offsets)
+        norms = grid.dxi ** (grid.dim / p) * scale * sums ** (1.0 / p)
+    out = np.zeros(lead + (len(part.js),))
+    out[..., part.filled] = norms.T.reshape(lead + (-1,))
     return out
 
 

@@ -106,6 +106,20 @@ def duhamel_recursion(prop: Propagator, start: np.ndarray, n_steps: int, emit,
         emit(k + 1, y)
 
 
+def sweep_samples(grid: Grid, times, omega: float, start: np.ndarray,
+                  forcing: np.ndarray | None = None, packed: bool = False) -> np.ndarray:
+    """duhamel_recursion over uniform sample times from start: T(t_k - t_0)
+    start, plus the Duhamel integrals of the forcing samples when given, all
+    band-packed (Grid.pack) with packed=True."""
+    out = np.empty((len(times),) + start.shape, dtype=np.complex128)
+    out[0] = start
+    if len(times) > 1:
+        duhamel_recursion(propagator(grid, float(times[1] - times[0]), omega, packed),
+                          out[0], len(times) - 1, out.__setitem__,
+                          None if forcing is None else forcing.__getitem__)
+    return out
+
+
 def semigroup_matrix(xi, t: float, omega: float) -> np.ndarray:
     """Dense 3x3 multiplier at a single wavevector, for oracle comparisons."""
     v = np.asarray(xi, dtype=float)
@@ -153,20 +167,14 @@ def duhamel_sweep(forcing: Trajectory, omega: float) -> Trajectory:
     if abs(forcing.times[0]) > 1e-12:
         raise ValueError("forcing samples must start at time 0")
     check_divergence_free(forcing.field(0), "forcing")
-    out = np.zeros_like(forcing.coeffs)
-    duhamel_recursion(propagator(forcing.grid, forcing.dt, omega), out[0],
-                      forcing.n_samples - 1, out.__setitem__,
-                      forcing.coeffs.__getitem__)
-    return Trajectory(forcing.grid, forcing.times.copy(), out)
+    return Trajectory(forcing.grid, forcing.times.copy(),
+                      sweep_samples(forcing.grid, forcing.times, omega,
+                                    np.zeros_like(forcing.coeffs[0]), forcing.coeffs))
 
 
 def linear_trajectory(u0: SpectralField, times, omega: float) -> Trajectory:
     """T(t_k) u0 on a uniform time grid, built by exact stepwise composition."""
     times = np.asarray(times, dtype=float)
-    out = np.empty((times.size,) + u0.coeffs.shape, dtype=np.complex128)
-    out[0] = (propagator(u0.grid, float(times[0]), omega).apply(u0.coeffs)
-              if times[0] != 0 else u0.coeffs)
-    if times.size > 1:
-        prop = propagator(u0.grid, float(times[1] - times[0]), omega)
-        duhamel_recursion(prop, out[0], times.size - 1, out.__setitem__)
-    return Trajectory(u0.grid, times, out)
+    start = (propagator(u0.grid, float(times[0]), omega).apply(u0.coeffs)
+             if times[0] != 0 else u0.coeffs)
+    return Trajectory(u0.grid, times, sweep_samples(u0.grid, times, omega, start))

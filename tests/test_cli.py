@@ -483,6 +483,19 @@ def test_lab_duhamel_rejects_bad_exponents(tmp_path, capsys):
     assert "a <= q" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("ensemble", ["0", "-3"])
+@pytest.mark.parametrize("inequality",
+                         ["duhamel", "product", "semigroup", "omega-scan"])
+def test_lab_empty_ensemble_is_usage_error(tmp_path, capsys, inequality,
+                                           ensemble):
+    code = run_cli("lab", "--workdir", str(tmp_path),
+                   "--set", f"inequality={inequality}",
+                   "--set", f"ensemble={ensemble}", "--set", "n_samples=5")
+    assert code == 1
+    assert f"ensemble must be >= 1, got {ensemble}" in capsys.readouterr().err
+    assert not (tmp_path / "lab_report.json").exists()
+
+
 def test_lab_unknown_inequality(tmp_path, capsys):
     code = run_cli("lab", "--workdir", str(tmp_path),
                    "--set", "inequality=trilinear")

@@ -10,10 +10,13 @@ from fbns.lab import (STABILITY_LIMIT, constant_trajectory,
                       pointwise_product_trajectory, product_y_norm,
                       verify_duhamel_smoothing, verify_product_estimate,
                       verify_semigroup_bounds)
-from fbns.lp import (INF, chemin_lerner_norm, critical_index, get_partition,
-                     shell_profile, shell_series)
-from fbns.semigroup import duhamel_sweep
-from fbns.spectral import Grid, SpectralField
+from fbns.lp import (INF, chemin_lerner_norm, critical_index, fb_norm_value,
+                     get_partition, shell_profile, shell_series)
+from fbns.semigroup import duhamel_sweep, linear_trajectory
+from fbns.spectral import (Grid, SpectralField, dealias, forward_transform,
+                           inverse_transform, random_divfree_field,
+                           random_scalar_field)
+from fbns.trajectory import Trajectory
 
 GRID = default_lab_grid()  # 16^3, period 4
 
@@ -176,6 +179,85 @@ def test_each_member_trajectory_is_measured_once(monkeypatch, verify, calls):
     monkeypatch.setattr(lab, "shell_series", counting, raising=False)
     verify(ensemble=1, n_samples=5)  # two members
     assert len(counted) == 2 * calls
+
+
+# ---------------------------------------------------------------------------
+# the band-packed members against the full-layout pieces
+
+def full_layout_member(grid, times, seed, index, scalar=False,
+                       oscillation=False):
+    draw = random_scalar_field if scalar else random_divfree_field
+    base = draw(grid, seed=member_seed(seed, index)).coeffs
+    env = np.exp(-times) * (1.0 + 0.5 * np.sin(5.0 * times) if oscillation else 1.0)
+    return Trajectory(grid, times, env[:, None, None, None, None] * base)
+
+
+def full_layout_product(u, v):
+    grid = u.grid
+    out = np.empty(u.coeffs.shape, dtype=np.complex128)
+    for k in range(u.n_samples):
+        prod = np.sum(inverse_transform(u.field(k))
+                      * inverse_transform(v.field(k)), axis=0)
+        out[k] = dealias(forward_transform(prod, grid)).coeffs
+    return Trajectory(grid, u.times, out)
+
+
+@pytest.mark.parametrize("omega", [0.0, 10.0])
+def test_packed_lab_matches_full_layout_reference(omega):
+    grid = Grid(dim=3, n=12, period_l=4.0)
+    ensemble, n_samples, seed, p, r = 2, 5, 13, 2.0, 2.0
+    times = lab_times(1.0, n_samples)
+    part = get_partition(grid)
+    s = critical_index(p)
+
+    def norm(traj, sigma, q):
+        return chemin_lerner_norm(shell_series(traj.coeffs, p, part), times,
+                                  sigma, r, q, part).total
+
+    def y_norm(traj, sigma):
+        return norm(traj, sigma, INF) + norm(traj, 4.0 - 3.0 / p, 1.0)
+
+    duhamel, product, sup, smoothing = [], [], [], []
+    for i in range(2 * ensemble):
+        f = full_layout_member(grid, times, seed, i, oscillation=i % 2 == 1)
+        duhamel.append(norm(duhamel_sweep(f, omega), s, 1.0) / norm(f, s - 2.0, 1.0))
+        u = full_layout_member(grid, times, (seed, 0), i, scalar=True,
+                               oscillation=i % 2 == 1)
+        v = full_layout_member(grid, times, (seed, 1), i, scalar=True)
+        product.append(norm(full_layout_product(u, v), 1.5, 1.0)
+                       / (y_norm(u, 0.5) * y_norm(v, 0.5)))
+        u0 = random_divfree_field(grid, seed=member_seed(seed, i))
+        linear = linear_trajectory(u0, times, omega)
+        data = fb_norm_value(u0, s, p, r, part)
+        sup.append(norm(linear, s, INF) / data)
+        smoothing.append(norm(linear, s + 2.0, 1.0) / data)
+
+    common = dict(p=p, r=r, ensemble=ensemble, grid=grid, n_samples=n_samples,
+                  seed=seed)
+    got = verify_duhamel_smoothing(omega=omega, **common)
+    np.testing.assert_allclose(got.ratios, duhamel, rtol=1e-14, atol=0)
+    got = verify_product_estimate(s=0.5, **common)
+    np.testing.assert_allclose(got.ratios, product, rtol=1e-14, atol=0)
+    got = verify_semigroup_bounds(omega=omega, **common)
+    np.testing.assert_allclose(got.ratios, sup, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(got.details["smoothing_ratios"], smoothing,
+                               rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("ensemble", [0, -3])
+@pytest.mark.parametrize("verify", [
+    verify_duhamel_smoothing, verify_product_estimate, verify_semigroup_bounds,
+    lambda ensemble: omega_independence_scan("linear", [], ensemble=ensemble),
+])
+def test_empty_ensemble_is_refused_before_any_member_is_drawn(
+        monkeypatch, verify, ensemble):
+    def draw(*args, **kwargs):
+        raise AssertionError("a member was drawn")
+
+    monkeypatch.setattr(lab, "random_divfree_field", draw)
+    monkeypatch.setattr(lab, "random_scalar_field", draw)
+    with pytest.raises(ValueError, match=f"ensemble must be >= 1, got {ensemble}"):
+        verify(ensemble=ensemble)
 
 
 # ---------------------------------------------------------------------------

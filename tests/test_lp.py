@@ -282,6 +282,30 @@ def test_packed_shell_series_matches_full_support(seed, n, p, period_l, scale):
     assert np.all(np.abs(packed - full) <= 1e-15 * full)
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**16), st.sampled_from([(), (3,), (2, 3)]),
+       st.sampled_from([(2, 16), (3, 16)]), st.booleans(),
+       st.sampled_from([1.0, 2.0, 3.0, 1024.0, INF]))
+@example(0, (2, 3), (3, 16), True, 1024.0)
+def test_stack_shell_series_matches_row_by_row(seed, lead, shape, packed, p):
+    # the one-pass reduction of a stack against each of its fields alone,
+    # fields of amplitudes 1e-6 to 1e6 so the per-shell scales differ
+    dim, n = shape
+    grid = Grid(dim=dim, n=n, period_l=4.0)
+    fields = [random_divfree_field(grid, seed=(seed, i), cutoff=grid.band_max,
+                                   amplitude=10.0 ** (6 - 3 * (i % 5))).coeffs
+              for i in range(math.prod(lead))]
+    stack = np.reshape(fields, lead + fields[0].shape)
+    if packed:
+        stack = grid.pack(stack)
+    part = get_partition(grid, packed=packed)
+    series = shell_series(stack, p, part)
+    assert series.shape == lead + (len(part.js),)
+    for index in np.ndindex(*lead):
+        row = shell_series(stack[index], p, part)
+        assert np.all(np.abs(series[index] - row) <= 1e-15 * row)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2**16), st.sampled_from([(2, 16), (3, 8)]),
        st.floats(-2.0, 3.0), EXPONENTS, EXPONENTS)
