@@ -18,17 +18,15 @@ from .lp import (DyadicPartition, NormReport, ShellRange, bernstein_ratio,
                  critical_index, dyadic_block, dyadic_rescale, fb_norm,
                  fb_norm_value, get_partition, low_pass, mild_norm,
                  shell_range_for, shell_series, smooth_cutoff)
-from .semigroup import (apply_semigroup, duhamel_sweep, linear_trajectory,
-                        semigroup_matrix)
+from .semigroup import apply_semigroup, semigroup_matrix
 from .solver2d import (VorticityState, advance_velocity, advance_vorticity,
                        biot_savart, coriolis_projection_identity,
                        frame_rotation, gaussian_vortex, gradient_lp,
                        gronwall_diagnostic, lp_physical,
                        rotating_frame_residual, rotating_frame_transform,
                        run_vorticity)
-from .solver3d import (BandTrajectory, GateReport, IterationDiagnostics,
-                       SolverConfig3D, duhamel_bilinear, pair_forcing,
-                       picard_map, picard_solve, smallness_gate)
+from .solver3d import (GateReport, IterationDiagnostics, SolverConfig3D,
+                       pair_forcing, picard_solve, smallness_gate)
 from .spectral import (Grid, SpectralField, curl, dealias, derivative,
                        divergence, divergence_defect, forward_transform,
                        gradient, helmholtz_project, inverse_transform,

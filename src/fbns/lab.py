@@ -27,7 +27,6 @@ from .solver3d import SolverConfig3D, picard_solve, smallness_gate
 from .spectral import (Grid, SpectralField, forward_transform,
                        inverse_transform, random_divfree_field,
                        random_scalar_field)
-from .trajectory import Trajectory
 
 STABILITY_LIMIT = 0.2
 _TINY_RHS = 1e-300
@@ -108,35 +107,21 @@ def _members(ensemble: int) -> range:
 
 
 def _member_field(grid: Grid, seed, index: int, scalar: bool = False) -> np.ndarray:
-    """Member `index`'s random field, drawn dealiased, packed C-contiguous."""
+    """Member `index`'s random field, drawn dealiased, band-packed."""
     draw = random_scalar_field if scalar else random_divfree_field
-    return np.ascontiguousarray(grid.pack(draw(grid, seed=member_seed(seed, index)).coeffs))
+    return grid.pack(draw(grid, seed=member_seed(seed, index)).coeffs)
 
 
 def _decaying(grid: Grid, times: np.ndarray, seed, index: int,
               scalar: bool = False, oscillation: bool = False) -> np.ndarray:
-    """The samples of decaying_trajectory, band-packed."""
+    """Band-packed samples of e^{-t} times member `index`'s random field; odd
+    members can get an extra bounded oscillation so both time exponents
+    a in {1, inf} see non-monotone inputs."""
     base = _member_field(grid, seed, index, scalar)
     env = np.exp(-np.asarray(times, dtype=float))
     if oscillation:
         env = env * (1.0 + 0.5 * np.sin(5.0 * np.asarray(times)))
     return env[(slice(None),) + (np.newaxis,) * base.ndim] * base[np.newaxis]
-
-
-def decaying_trajectory(grid: Grid, times: np.ndarray, seed, index: int,
-                        scalar: bool = False,
-                        oscillation: bool = False) -> Trajectory:
-    """e^{-t} times a fixed random field; odd members can get an extra
-    bounded oscillation so both time exponents a in {1, inf} see
-    non-monotone inputs."""
-    return Trajectory(grid, times, grid.unpack(_decaying(grid, times, seed, index,
-                                                         scalar, oscillation)))
-
-
-def constant_trajectory(field: SpectralField, times) -> Trajectory:
-    times = np.asarray(times, dtype=float)
-    coeffs = np.repeat(field.coeffs[np.newaxis], times.size, axis=0)
-    return Trajectory(field.grid, times, coeffs)
 
 
 def verify_duhamel_smoothing(s: float = None, p: float = 2.0, r: float = 2.0,
@@ -164,7 +149,7 @@ def verify_duhamel_smoothing(s: float = None, p: float = 2.0, r: float = 2.0,
     ratios = []
     for i in _members(ensemble):
         f = _decaying(grid, times, seed, i, oscillation=(i % 2 == 1))
-        integral = sweep_samples(grid, times, omega, np.zeros_like(f[0]), f, True)
+        integral = sweep_samples(grid, times, omega, np.zeros_like(f[0]), f)
         lhs = chemin_lerner_norm(shell_series(integral, p, part),
                                  times, s, r, q, part).total
         rhs = chemin_lerner_norm(shell_series(f, p, part),
@@ -178,38 +163,22 @@ def verify_duhamel_smoothing(s: float = None, p: float = 2.0, r: float = 2.0,
 
 
 def _y_norm(packed: np.ndarray, times, s: float, p: float, r: float, part) -> float:
+    """Norm of the persistence-plus-smoothing space entering the product
+    estimate: sup-in-time at regularity s plus time-integrated at 4 - 3/p,
+    both read from one shell series of the band-packed samples."""
     series = shell_series(packed, p, part)
     return sum(chemin_lerner_norm(series, times, sigma, r, q, part).total
                for sigma, q in ((s, INF), (4.0 - 3.0 / p, 1.0)))
 
 
-def product_y_norm(traj: Trajectory, s: float, p: float, r: float) -> float:
-    """Norm of the persistence-plus-smoothing space entering the product
-    estimate: sup-in-time at regularity s plus time-integrated at 4 - 3/p,
-    both read from one shell series of the dealiased band of traj."""
-    return _y_norm(traj.grid.pack(traj.coeffs), traj.times, s, p, r,
-                   get_partition(traj.grid, packed=True))
-
-
 def _band_product(grid: Grid, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Band (Grid.pack, the 2/3 rule) of the dot product of two samples x ncomp
-    stacks of stored coefficients: one transform per factor, one back."""
-    phys = [inverse_transform(SpectralField(grid, c.reshape((-1,) + grid.spectral_shape)))
-            .reshape(c.shape[:2] + grid.shape) for c in (u, v)]
+    """Sample-by-sample pointwise (dot) product of two samples x ncomp
+    band-packed stacks, restricted to the band (Grid.pack, the 2/3 rule):
+    one transform per factor, one back."""
+    phys = [inverse_transform(SpectralField(grid, grid.unpack(c).reshape(
+        (-1,) + grid.spectral_shape))).reshape(c.shape[:2] + grid.shape) for c in (u, v)]
     prod = np.sum(phys[0] * phys[1], axis=1)
     return grid.pack(forward_transform(prod, grid).coeffs)[:, np.newaxis]
-
-
-def pointwise_product_trajectory(u: Trajectory, v: Trajectory) -> Trajectory:
-    """Sample-by-sample pointwise product, restricted to the resolved band."""
-    if u.grid is not v.grid and u.grid != v.grid:
-        raise ValueError("trajectories live on different grids")
-    if not np.array_equal(u.times, v.times):
-        raise ValueError("trajectories are sampled at different times")
-    if u.ncomp != v.ncomp:
-        raise ValueError("component counts differ")
-    return Trajectory(u.grid, u.times,
-                      u.grid.unpack(_band_product(u.grid, u.coeffs, v.coeffs)))
 
 
 def verify_product_estimate(s: float = 0.5, p: float = 2.0, r: float = 2.0,
@@ -235,7 +204,7 @@ def verify_product_estimate(s: float = 0.5, p: float = 2.0, r: float = 2.0,
         u = _decaying(grid, times, (seed, 0), i, scalar=True,
                       oscillation=(i % 2 == 1))
         v = _decaying(grid, times, (seed, 1), i, scalar=True)
-        w = _band_product(grid, grid.unpack(u), grid.unpack(v))
+        w = _band_product(grid, u, v)
         lhs = chemin_lerner_norm(shell_series(w, p, part),
                                  times, s + 1.0, r, 1.0, part).total
         rhs = _y_norm(u, times, s, p, r, part) * _y_norm(v, times, s, p, r, part)
@@ -263,7 +232,7 @@ def verify_semigroup_bounds(p: float = 2.0, r: float = 2.0, omega: float = 0.0,
     sup_ratios = []
     smoothing_ratios = []
     for i in _members(ensemble):
-        u = sweep_samples(grid, times, omega, _member_field(grid, seed, i), packed=True)
+        u = sweep_samples(grid, times, omega, _member_field(grid, seed, i))
         series = shell_series(u, p, part)
         data_norm = float(fb_norm_of_series(series[0], s, r, part))
         if data_norm <= _TINY_RHS:
@@ -314,8 +283,9 @@ def omega_independence_scan(experiment: str, omegas, grid: Grid | None = None,
                             seed: int = 0, **kwargs) -> dict:
     """Tabulate an empirical constant against the rotation rate.
 
-    Experiments: 'linear' (semigroup-bound max ratio) and 'contraction'
-    (late Picard contraction ratio for fixed small data).  Independence is
+    Experiments: 'linear' (semigroup-bound max ratio; kwargs go to
+    verify_semigroup_bounds) and 'contraction' (late Picard contraction
+    ratio for fixed small data; takes no kwargs).  Independence is
     operationalized as uniform boundedness: the scan flags growth of the
     constant above 50% of its value at the first (baseline) rotation rate.
     Rotation often shrinks the measured constant, because oscillation
@@ -324,7 +294,9 @@ def omega_independence_scan(experiment: str, omegas, grid: Grid | None = None,
     """
     if experiment not in ("linear", "contraction"):
         raise ValueError(f"unknown experiment {experiment!r}")
-    if experiment == "linear" and "ensemble" in kwargs:
+    if experiment == "contraction" and kwargs:
+        raise ValueError(f"the contraction experiment takes no options, got {sorted(kwargs)}")
+    if "ensemble" in kwargs:
         _members(kwargs["ensemble"])
     omegas = [float(w) for w in omegas]
     if grid is None:
@@ -339,7 +311,7 @@ def omega_independence_scan(experiment: str, omegas, grid: Grid | None = None,
                               "smoothing_max": rep.details["smoothing_max"],
                               "ratios": rep.as_dict()["ratios"]})
         else:
-            entry = _contraction_constant(grid, w, seed, **kwargs)
+            entry = _contraction_constant(grid, w, seed)
             constants.append(entry["constant"])
             per_omega.append(entry)
     lo, hi = min(constants, default=0.0), max(constants, default=0.0)

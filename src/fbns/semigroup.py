@@ -20,7 +20,6 @@ from functools import lru_cache
 import numpy as np
 
 from .spectral import Grid, SpectralField, coriolis_matrix, divergence_defect
-from .trajectory import Trajectory
 
 DIVFREE_TOL = 1e-10
 
@@ -107,14 +106,15 @@ def duhamel_recursion(prop: Propagator, start: np.ndarray, n_steps: int, emit,
 
 
 def sweep_samples(grid: Grid, times, omega: float, start: np.ndarray,
-                  forcing: np.ndarray | None = None, packed: bool = False) -> np.ndarray:
+                  forcing: np.ndarray | None = None) -> np.ndarray:
     """duhamel_recursion over uniform sample times from start: T(t_k - t_0)
     start, plus the Duhamel integrals of the forcing samples when given, all
-    band-packed (Grid.pack) with packed=True."""
+    band-packed (Grid.pack)."""
     out = np.empty((len(times),) + start.shape, dtype=np.complex128)
     out[0] = start
     if len(times) > 1:
-        duhamel_recursion(propagator(grid, float(times[1] - times[0]), omega, packed),
+        dt = float(times[1] - times[0])
+        duhamel_recursion(propagator(grid, dt, omega, packed=True),
                           out[0], len(times) - 1, out.__setitem__,
                           None if forcing is None else forcing.__getitem__)
     return out
@@ -154,27 +154,3 @@ def apply_semigroup(field: SpectralField, t: float, omega: float,
     if require_divergence_free:
         check_divergence_free(field, "input")
     return SpectralField(field.grid, propagator(field.grid, t, omega).apply(field.coeffs))
-
-
-def duhamel_sweep(forcing: Trajectory, omega: float) -> Trajectory:
-    """Duhamel integrals integral_0^t T(t - tau) g(tau) dtau at every sample
-    time t of the forcing trajectory g, whose first sample must be
-    divergence-free."""
-    if forcing.n_samples < 2:
-        raise ValueError("need at least two forcing samples")
-    if forcing.ncomp != 3 or forcing.grid.dim != 3:
-        raise ValueError("semigroup forcing must have 3 components on a 3d grid")
-    if abs(forcing.times[0]) > 1e-12:
-        raise ValueError("forcing samples must start at time 0")
-    check_divergence_free(forcing.field(0), "forcing")
-    return Trajectory(forcing.grid, forcing.times.copy(),
-                      sweep_samples(forcing.grid, forcing.times, omega,
-                                    np.zeros_like(forcing.coeffs[0]), forcing.coeffs))
-
-
-def linear_trajectory(u0: SpectralField, times, omega: float) -> Trajectory:
-    """T(t_k) u0 on a uniform time grid, built by exact stepwise composition."""
-    times = np.asarray(times, dtype=float)
-    start = (propagator(u0.grid, float(times[0]), omega).apply(u0.coeffs)
-             if times[0] != 0 else u0.coeffs)
-    return Trajectory(u0.grid, times, sweep_samples(u0.grid, times, omega, start))

@@ -71,13 +71,9 @@ def _rhs_symbols(grid: Grid) -> tuple:
     return symbols, neg_mask
 
 
-def rotation_generator(omega: float) -> np.ndarray:
-    """M = -(omega/2) [[0, -1], [1, 0]], the half-rate rotation generator."""
-    return np.array([[0.0, omega / 2.0], [-omega / 2.0, 0.0]])
-
-
 def frame_rotation(omega: float, t: float) -> np.ndarray:
-    """exp(t M): planar rotation by the angle -omega t / 2."""
+    """exp(t M) for the half-rate rotation generator M = -(omega/2) [[0, -1],
+    [1, 0]]: planar rotation by the angle -omega t / 2."""
     a = -omega * t / 2.0
     c, s = math.cos(a), math.sin(a)
     return np.array([[c, -s], [s, c]])

@@ -121,26 +121,6 @@ class IterationDiagnostics:
         return asdict(self)
 
 
-@dataclass
-class BandTrajectory:
-    """A Picard iterate stored on the dealiased band: packed is samples x 3 x
-    band (Grid.pack); field(k) and full() scatter into the half spectrum."""
-    grid: Grid
-    times: np.ndarray
-    packed: np.ndarray
-    fb_norms: list | None = None
-
-    @property
-    def n_samples(self) -> int:
-        return self.times.size
-
-    def field(self, k: int) -> SpectralField:
-        return SpectralField(self.grid, self.grid.unpack(self.packed[k]))
-
-    def full(self) -> Trajectory:
-        return Trajectory(self.grid, self.times, self.grid.unpack(self.packed), self.fb_norms)
-
-
 def smallness_gate(u0: SpectralField, p: float, r: float,
                    constant: float | None = None) -> GateReport:
     """Advisory check that the critical norm of the data is small enough for
@@ -214,36 +194,6 @@ def _mild_map_sweep(buffer: np.ndarray, u0: np.ndarray, grid: Grid, prop,
     write(0, u0)
 
 
-def picard_map(traj: Trajectory, u0: SpectralField, omega: float) -> Trajectory:
-    """One application of the mild-formulation map
-    u -> T(t) u0 - integral_0^t T(t - tau) P div(u (x) u) dtau,
-    evaluated at every sample time by the band sweep of picard_solve (u and
-    u0 enter through their dealiased band).  The input is left untouched."""
-    if u0.grid != traj.grid or u0.ncomp != traj.ncomp:
-        raise ValueError("initial data does not match trajectory layout")
-    grid = traj.grid
-    out = grid.pack(traj.coeffs)
-    _mild_map_sweep(out, grid.pack(u0.coeffs), grid,
-                    propagator(grid, traj.dt, omega, packed=True))
-    return Trajectory(grid, traj.times.copy(), grid.unpack(out))
-
-
-def duhamel_bilinear(u_traj: Trajectory, v_traj: Trajectory,
-                     omega: float) -> Trajectory:
-    """B(u, v)(t) = integral_0^t T(t - tau) P div(u (x) v)(tau) dtau on the
-    shared time grid of the two trajectories."""
-    if u_traj.grid != v_traj.grid or not np.array_equal(u_traj.times, v_traj.times):
-        raise ValueError("trajectories must share grid and time samples")
-
-    def forcing(k):
-        return pair_forcing(u_traj.field(k), v_traj.field(k)).coeffs
-
-    out = np.zeros_like(u_traj.coeffs)
-    duhamel_recursion(propagator(u_traj.grid, u_traj.dt, omega), out[0],
-                      u_traj.n_samples - 1, out.__setitem__, forcing)
-    return Trajectory(u_traj.grid, u_traj.times.copy(), out)
-
-
 def picard_solve(u0: SpectralField, config: SolverConfig3D,
                  initial_iterate: str = "linear"):
     """Iterate the mild map to its fixed point.
@@ -255,7 +205,7 @@ def picard_solve(u0: SpectralField, config: SolverConfig3D,
     ever stored.  The linear trajectory T(t) u0 is measured in the same way
     and kept only as the linear starting iterate.
 
-    Returns (BandTrajectory, diagnostics).  A non-finite mild norm, or a
+    Returns (Trajectory, diagnostics).  A non-finite mild norm, or a
     contraction ratio above 1 on two consecutive iterations (divergence;
     the message gives the ratio), stops the iteration with aborted=True and
     converged=False.  The ratio sequence is reported either way.
@@ -286,7 +236,7 @@ def picard_solve(u0: SpectralField, config: SolverConfig3D,
         series[0, k] = lp.shell_series(new, p, part)
         series[1, k] = lp.shell_series(new - old, p, part)
 
-    traj = BandTrajectory(grid, times, np.zeros((times.size,) + u0.shape, dtype=np.complex128))
+    traj = Trajectory(grid, times, np.zeros((times.size,) + u0.shape, dtype=np.complex128))
     _mild_map_sweep(traj.packed, u0, grid, prop, False, record)
     diag.linear_norm = lp.mild_norm(series[0], times, p, r, part)
     if not config.nonlinearity:

@@ -138,8 +138,10 @@ class Grid:
         return (Ellipsis,) + np.ix_(*[full] * (self.dim - 1)) + (slice(self.kcut + 1),)
 
     def pack(self, arr: np.ndarray) -> np.ndarray:
-        """The band of a stored array, or of a symbol broadcasting against one."""
-        return np.broadcast_to(arr, np.broadcast_shapes(arr.shape, self.spectral_shape))[self.band]
+        """The band of a stored array, or of a symbol broadcasting against one,
+        as a new C-contiguous array whatever the leading axes."""
+        full = np.broadcast_to(arr, np.broadcast_shapes(arr.shape, self.spectral_shape))
+        return np.ascontiguousarray(full[self.band])
 
     @cached_property
     def band_symbols(self) -> tuple:
@@ -364,17 +366,6 @@ def leray(coeffs: np.ndarray, xi: list, inv_xi_sq: np.ndarray) -> np.ndarray:
         np.subtract(coeffs[ax], np.multiply(x, dot, out=out[ax]), out=out[ax])
     out[(slice(None),) + (0,) * len(xi)] = 0.0
     return out
-
-
-def riesz_transform(field: SpectralField, axis: int) -> SpectralField:
-    """Riesz symbol -i xi_axis / |xi| applied componentwise."""
-    grid = field.grid
-    safe = grid.xi_abs.copy()
-    safe[(0,) * grid.dim] = 1.0
-    sym = -1j * grid.xi_axis(axis) / safe
-    out = field.coeffs * sym
-    out[(slice(None),) + (0,) * grid.dim] = 0.0
-    return SpectralField(grid, out)
 
 
 def coriolis_matrix(xi) -> np.ndarray:

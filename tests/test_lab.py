@@ -4,19 +4,17 @@ import numpy as np
 import pytest
 
 from fbns import lab, lp
-from fbns.lab import (STABILITY_LIMIT, constant_trajectory,
-                      decaying_trajectory, default_lab_grid, lab_times,
+from fbns.lab import (STABILITY_LIMIT, default_lab_grid, lab_times,
                       member_seed, omega_independence_scan,
-                      pointwise_product_trajectory, product_y_norm,
                       verify_duhamel_smoothing, verify_product_estimate,
                       verify_semigroup_bounds)
 from fbns.lp import (INF, chemin_lerner_norm, critical_index, fb_norm_value,
                      get_partition, shell_profile, shell_series)
-from fbns.semigroup import duhamel_sweep, linear_trajectory
+from fbns.semigroup import sweep_samples
 from fbns.spectral import (Grid, SpectralField, dealias, forward_transform,
                            inverse_transform, random_divfree_field,
                            random_scalar_field)
-from fbns.trajectory import Trajectory
+from full_layout import Samples, duhamel_samples, linear_samples
 
 GRID = default_lab_grid()  # 16^3, period 4
 
@@ -38,11 +36,11 @@ def transverse_mode(grid, k=(4, 0, 0), a=(0.0, 1.0, 0.0)):
 def test_member_seed_flattens():
     assert member_seed(7, 3) == (7, 3)
     assert member_seed((7, 1), 3) == (7, 1, 3)
-    a = decaying_trajectory(GRID, lab_times(), seed=7, index=3)
-    b = decaying_trajectory(GRID, lab_times(), seed=7, index=3)
-    c = decaying_trajectory(GRID, lab_times(), seed=7, index=4)
-    assert np.array_equal(a.coeffs, b.coeffs)
-    assert not np.array_equal(a.coeffs, c.coeffs)
+    a = lab._decaying(GRID, lab_times(), seed=7, index=3)
+    b = lab._decaying(GRID, lab_times(), seed=7, index=3)
+    c = lab._decaying(GRID, lab_times(), seed=7, index=4)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_lab_times_validation():
@@ -62,14 +60,17 @@ def test_duhamel_ratio_closed_form_single_mode():
     # the integral is (1 - e^{-t}) g per mode, so the ratio of the two
     # Chemin-Lerner norms (q = a = 1) reduces to the shell-weight quotient
     # times int_0^1 (1 - e^{-t}) dt = 1/e
-    g = transverse_mode(GRID)
+    g = GRID.pack(transverse_mode(GRID).coeffs)
     times = np.linspace(0.0, 1.0, 257)
-    forcing = constant_trajectory(g, times)
-    integral = duhamel_sweep(forcing, omega=0.0)
+    forcing = np.repeat(g[np.newaxis], times.size, axis=0)
+    integral = sweep_samples(GRID, times, 0.0, np.zeros_like(g), forcing)
     s, p, r, q, a = 0.5, 2.0, 2.0, 1.0, 1.0
     rhs_index = s - 2.0 - 2.0 / q + 2.0 / a
-    lhs = cl_norm(integral, s, p, r, q).total
-    rhs = cl_norm(forcing, rhs_index, p, r, a).total
+    part = get_partition(GRID, packed=True)
+    lhs = chemin_lerner_norm(shell_series(integral, p, part), times,
+                             s, r, q, part).total
+    rhs = chemin_lerner_norm(shell_series(forcing, p, part), times,
+                             rhs_index, r, a, part).total
 
     def weight(sigma):
         vals = [2.0 ** (j * sigma) * shell_profile(np.array([1.0]), j)[0]
@@ -118,18 +119,14 @@ def test_pointwise_product_single_modes():
     cu[0, 1, 0, 0] = cu[0, -1, 0, 0] = 0.5
     cv = np.zeros((1,) + grid.spectral_shape, dtype=np.complex128)
     cv[0, 0, 1, 0] = cv[0, 0, -1, 0] = 0.5
-    u = constant_trajectory(SpectralField(grid, cu), times)
-    v = constant_trajectory(SpectralField(grid, cv), times)
-    w = pointwise_product_trajectory(u, v)
+    u, v = (np.repeat(grid.pack(c)[np.newaxis], times.size, axis=0) for c in (cu, cv))
+    w = grid.unpack(lab._band_product(grid, u, v))
     expected = np.zeros(grid.spectral_shape, dtype=np.complex128)
     for k1 in (1, -1):
         for k2 in (1, -1):
             expected[k1, k2, 0] = 0.25
-    assert np.max(np.abs(w.coeffs[0, 0] - expected)) < 1e-15
-    assert np.max(np.abs(w.coeffs[2, 0] - expected)) < 1e-15
-    shifted = constant_trajectory(SpectralField(grid, cv), times + 0.5)
-    with pytest.raises(ValueError, match="different times"):
-        pointwise_product_trajectory(u, shifted)
+    assert np.max(np.abs(w[0, 0] - expected)) < 1e-15
+    assert np.max(np.abs(w[2, 0] - expected)) < 1e-15
 
 
 def test_verify_product_estimate_report_and_range():
@@ -153,8 +150,10 @@ def test_sweep_product_estimate():
 
 
 def test_product_y_norm_is_sum_of_parts():
-    traj = decaying_trajectory(GRID, lab_times(), seed=2, index=0, scalar=True)
-    y = product_y_norm(traj, 0.5, 2.0, 2.0)
+    times = lab_times()
+    packed = lab._decaying(GRID, times, seed=2, index=0, scalar=True)
+    y = lab._y_norm(packed, times, 0.5, 2.0, 2.0, get_partition(GRID, packed=True))
+    traj = Samples(GRID, times, GRID.unpack(packed))
     parts = (cl_norm(traj, 0.5, 2.0, 2.0, INF).total
              + cl_norm(traj, 4.0 - 1.5, 2.0, 2.0, 1.0).total)
     assert math.isclose(y, parts, rel_tol=1e-14)
@@ -189,7 +188,7 @@ def full_layout_member(grid, times, seed, index, scalar=False,
     draw = random_scalar_field if scalar else random_divfree_field
     base = draw(grid, seed=member_seed(seed, index)).coeffs
     env = np.exp(-times) * (1.0 + 0.5 * np.sin(5.0 * times) if oscillation else 1.0)
-    return Trajectory(grid, times, env[:, None, None, None, None] * base)
+    return Samples(grid, times, env[:, None, None, None, None] * base)
 
 
 def full_layout_product(u, v):
@@ -199,7 +198,7 @@ def full_layout_product(u, v):
         prod = np.sum(inverse_transform(u.field(k))
                       * inverse_transform(v.field(k)), axis=0)
         out[k] = dealias(forward_transform(prod, grid)).coeffs
-    return Trajectory(grid, u.times, out)
+    return Samples(grid, u.times, out)
 
 
 @pytest.mark.parametrize("omega", [0.0, 10.0])
@@ -220,14 +219,14 @@ def test_packed_lab_matches_full_layout_reference(omega):
     duhamel, product, sup, smoothing = [], [], [], []
     for i in range(2 * ensemble):
         f = full_layout_member(grid, times, seed, i, oscillation=i % 2 == 1)
-        duhamel.append(norm(duhamel_sweep(f, omega), s, 1.0) / norm(f, s - 2.0, 1.0))
+        duhamel.append(norm(duhamel_samples(f, omega), s, 1.0) / norm(f, s - 2.0, 1.0))
         u = full_layout_member(grid, times, (seed, 0), i, scalar=True,
                                oscillation=i % 2 == 1)
         v = full_layout_member(grid, times, (seed, 1), i, scalar=True)
         product.append(norm(full_layout_product(u, v), 1.5, 1.0)
                        / (y_norm(u, 0.5) * y_norm(v, 0.5)))
         u0 = random_divfree_field(grid, seed=member_seed(seed, i))
-        linear = linear_trajectory(u0, times, omega)
+        linear = linear_samples(u0, times, omega)
         data = fb_norm_value(u0, s, p, r, part)
         sup.append(norm(linear, s, INF) / data)
         smoothing.append(norm(linear, s + 2.0, 1.0) / data)
@@ -298,6 +297,15 @@ def test_omega_scan_contraction():
     # rotation only helps: no growth over the omega = 0 baseline
     assert out["variation"] == 0.0
     assert not out["flagged"]
+
+
+def test_contraction_scan_refuses_options_before_any_solve(monkeypatch):
+    def solve(*args, **kwargs):
+        raise AssertionError("a Picard solve ran")
+
+    monkeypatch.setattr(lab, "picard_solve", solve)
+    with pytest.raises(ValueError, match=r"takes no options, got \['ensemble'\]"):
+        omega_independence_scan("contraction", [0.0], ensemble=2)
 
 
 def test_omega_scan_empty_and_unknown():

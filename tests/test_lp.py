@@ -11,11 +11,10 @@ from fbns.lp import (INF, SHELL_INNER, SHELL_OUTER, DyadicPartition,
                      lebesgue, low_pass, mild_norm, shell_product,
                      shell_profile, shell_range_for, shell_series,
                      smooth_cutoff)
-from fbns.semigroup import linear_trajectory
 from fbns.spectral import (Grid, SpectralField, dealias, forward_transform,
                            inverse_transform, random_divfree_field,
                            random_scalar_field, zero_mean)
-from fbns.trajectory import Trajectory
+from full_layout import Samples, linear_samples
 
 
 def single_mode(grid, k, amplitude=1.0, ncomp=1, comp=0):
@@ -161,7 +160,7 @@ def test_large_p_norm_approaches_sup_without_underflow():
         assert abs(value / sup - 1.0) < 0.02
     # the l^r sum over shells and the L^q time quadrature, likewise
     shell_sup = fb_norm_value(f, 0.0, 2.0, INF)
-    traj = linear_trajectory(f, np.linspace(0.0, 1.0, 17), 0.0)
+    traj = linear_samples(f, np.linspace(0.0, 1.0, 17), 0.0)
     time_sup = cl_norm(traj, 0.0, 2.0, 2.0, INF).total
     for big in (512.0, 1024.0):
         value = fb_norm_value(f, 0.0, 2.0, big)
@@ -173,9 +172,9 @@ def test_large_p_norm_approaches_sup_without_underflow():
 def test_norms_exactly_homogeneous_at_small_amplitude():
     grid = Grid(dim=3, n=16, period_l=4.0)
     f = random_divfree_field(grid, seed=1)
-    traj = Trajectory(grid, np.linspace(0.0, 1.0, 3),
-                      np.stack([f.coeffs, 0.5 * f.coeffs, 0.25 * f.coeffs]))
-    small = Trajectory(grid, traj.times, 1e-3 * traj.coeffs)
+    traj = Samples(grid, np.linspace(0.0, 1.0, 3),
+                   np.stack([f.coeffs, 0.5 * f.coeffs, 0.25 * f.coeffs]))
+    small = Samples(grid, traj.times, 1e-3 * traj.coeffs)
     for p in (2.0, 256.0, 1024.0, INF):
         assert math.isclose(fb_norm_value(f * 1e-3, 0.5, p, 2.0),
                             1e-3 * fb_norm_value(f, 0.5, p, 2.0), rel_tol=1e-12)
@@ -194,7 +193,7 @@ def test_norms_exactly_homogeneous_at_small_amplitude():
 def make_decay_trajectory(grid, k, kappa, times):
     base = single_mode(grid, k)
     coeffs = np.exp(-kappa * times)[:, None, None, None, None] * base.coeffs[None]
-    return Trajectory(grid, times, coeffs)
+    return Samples(grid, times, coeffs)
 
 
 def test_chemin_lerner_sup_and_integral_closed_forms():
@@ -222,8 +221,8 @@ def test_chemin_lerner_sup_and_integral_closed_forms():
 
 def test_chemin_lerner_single_sample_needs_sup():
     grid = Grid(dim=3, n=8, period_l=1.0)
-    traj = Trajectory(grid, np.array([0.0]),
-                      single_mode(grid, (1, 0, 0)).coeffs[None])
+    traj = Samples(grid, np.array([0.0]),
+                   single_mode(grid, (1, 0, 0)).coeffs[None])
     assert cl_norm(traj, 0.0, 2.0, 2.0, INF).total > 0
     with pytest.raises(ValueError):
         cl_norm(traj, 0.0, 2.0, 2.0, 1.0)

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fbns.lp import INF, fb_norm_value
-from fbns.semigroup import (apply_semigroup, duhamel_sweep, linear_trajectory,
-                            semigroup_matrix)
+from fbns.semigroup import (apply_semigroup, propagator, semigroup_matrix,
+                            sweep_samples)
 from fbns.spectral import (Grid, SpectralField, divergence_defect, gradient,
                            helmholtz_project, random_divfree_field,
                            random_scalar_field)
-from fbns.trajectory import Trajectory
+from full_layout import sweep
 
 GRID = Grid(dim=3, n=16, period_l=1.0)
 
@@ -113,9 +113,8 @@ def test_duhamel_constant_forcing_is_exact():
     g = random_divfree_field(GRID, seed=46)
     t, omega = 0.4, 15.0
     times = np.linspace(0.0, t, 5)
-    forcing = Trajectory(GRID, times, np.broadcast_to(
-        g.coeffs[None], (5,) + g.coeffs.shape).copy())
-    out = duhamel_sweep(forcing, omega).field(-1)
+    forcing = np.repeat(GRID.pack(g.coeffs)[None], 5, axis=0)
+    out = sweep_samples(GRID, times, omega, np.zeros_like(forcing[0]), forcing)[-1]
     # per mode: integral_0^t m(s) ds applied to g_hat, with m acting as
     # exp(-(kappa - i omega rho) s) on the (a, Ra) plane
     xi = GRID.xi_abs
@@ -134,7 +133,7 @@ def test_duhamel_constant_forcing_is_exact():
     quarter[2] = g.coeffs[0] * xin[1] - g.coeffs[1] * xin[0]
     expected = gi.real * g.coeffs + gi.imag * quarter
     expected[(slice(None),) + (0,) * 3] = 0.0
-    assert np.max(np.abs(out.coeffs - expected)) < 1e-14
+    assert np.max(np.abs(out - GRID.pack(expected))) < 1e-14
 
 
 def closed_form_duhamel(alpha, kappa, rho, omega, t):
@@ -148,11 +147,12 @@ def test_duhamel_schemes_second_order():
     alpha, omega, t = 1.7, 8.0, 0.5
     base = transverse_mode(GRID, k, a)
 
-    def forcing(n):
+    def sweep_last(n):
         times = np.linspace(0.0, t, n)
         env = np.exp(-alpha * times)
-        return Trajectory(GRID, times,
-                          env[:, None, None, None, None] * base.coeffs[None])
+        forcing = env[:, None, None, None, None] * GRID.pack(base.coeffs)[None]
+        last = sweep_samples(GRID, times, omega, np.zeros_like(forcing[0]), forcing)[-1]
+        return GRID.unpack(last)
 
     w = closed_form_duhamel(alpha, 1.0, 1.0, omega, t)
     # identify x a + y (quarter turn a) with x + i y; at +k the quarter
@@ -160,30 +160,34 @@ def test_duhamel_schemes_second_order():
     expected = 0.5 * np.array([w.real, -w.imag, 0.0])
     errs = []
     for n in (9, 17):
-        out = duhamel_sweep(forcing(n), omega).field(-1)
-        errs.append(np.max(np.abs(out.coeffs[:, 0, 0, 1] - expected)))
+        errs.append(np.max(np.abs(sweep_last(n)[:, 0, 0, 1] - expected)))
     order = math.log2(errs[0] / errs[1])
     assert 1.8 < order < 2.3, (errs, order)
-
-
-def test_duhamel_validation():
-    g = random_divfree_field(GRID, seed=47)
-    times = np.linspace(0.0, 0.2, 3)
-    traj = Trajectory(GRID, times, np.broadcast_to(
-        g.coeffs[None], (3,) + g.coeffs.shape).copy())
-    single = Trajectory(GRID, np.array([0.0]), g.coeffs[None].copy())
-    with pytest.raises(ValueError, match="two forcing samples"):
-        duhamel_sweep(single, 0.0)
-    shifted = Trajectory(GRID, times + 1.0, traj.coeffs.copy())
-    with pytest.raises(ValueError, match="start at time 0"):
-        duhamel_sweep(shifted, 0.0)
 
 
 def test_linear_trajectory_matches_direct_application():
     u = random_divfree_field(GRID, seed=48)
     omega = 6.0
     times = np.array([0.2, 0.4, 0.6])
-    traj = linear_trajectory(u, times, omega)
+    start = propagator(GRID, 0.2, omega, packed=True).apply(GRID.pack(u.coeffs))
+    samples = sweep_samples(GRID, times, omega, start)
     for i, t in enumerate(times):
         direct = apply_semigroup(u, float(t), omega)
-        assert np.max(np.abs(traj.coeffs[i] - direct.coeffs)) < 1e-13
+        assert np.max(np.abs(GRID.unpack(samples[i]) - direct.coeffs)) < 1e-13
+
+
+@pytest.mark.parametrize("n", [8, 12])
+@pytest.mark.parametrize("omega", [0.0, 10.0])
+@pytest.mark.parametrize("forced", [False, True])
+def test_band_sweep_matches_full_layout_sweep(n, omega, forced):
+    grid = Grid(dim=3, n=n, period_l=2.0)
+    times = np.linspace(0.0, 0.5, 6)
+    start = random_divfree_field(grid, seed=49).coeffs
+    forcing = None
+    if forced:
+        g = random_divfree_field(grid, seed=50).coeffs
+        forcing = np.cos(3.0 * times)[:, None, None, None, None] * g[None]
+    packed = sweep_samples(grid, times, omega, grid.pack(start),
+                           None if forcing is None else grid.pack(forcing))
+    want = grid.pack(sweep(grid, times, omega, start, forcing))
+    assert np.max(np.abs(packed - want)) <= 1e-14 * np.max(np.abs(want))

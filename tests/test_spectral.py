@@ -10,8 +10,7 @@ from fbns.spectral import (Grid, SpectralField, coriolis_matrix, curl,
                            fft_workers, forward_transform, gradient,
                            helmholtz_project, inverse_transform, laplacian,
                            random_divfree_field, random_scalar_field,
-                           riesz_transform, taylor_green_2d, taylor_green_3d,
-                           zero_mean, zeros)
+                           taylor_green_2d, taylor_green_3d, zero_mean, zeros)
 
 
 def direct_dft_3d(samples, grid):
@@ -171,17 +170,6 @@ def test_coriolis_matrix_vertical_mode():
         coriolis_matrix(np.zeros(3))
 
 
-def test_riesz_transform_symbol():
-    grid = Grid(dim=3, n=8, period_l=1.0)
-    coeffs = np.zeros((1,) + grid.spectral_shape, dtype=np.complex128)
-    coeffs[0, 0, 2, 0] = 1.0
-    f = SpectralField(grid, coeffs)
-    r2 = riesz_transform(f, 1)
-    # -i xi_1 /|xi| at xi = (0,2,0) -> -i
-    assert abs(r2.coeffs[0, 0, 2, 0] + 1j) < 1e-15
-    assert abs(riesz_transform(f, 0).coeffs[0, 0, 2, 0]) < 1e-15
-
-
 def test_random_fields_deterministic_and_normalized():
     grid = Grid(dim=3, n=16, period_l=4.0)
     a = random_divfree_field(grid, seed=(7, 3))
@@ -206,6 +194,18 @@ def test_dealias_and_zero_mean():
     assert f.coeffs[0, grid.kcut, 0] == 1.0
     g = zero_mean(SpectralField(grid, coeffs))
     assert g.coeffs[0, 0, 0] == 0.0
+
+
+@pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+def test_pack_is_c_contiguous_band_of_any_stack(lead):
+    grid = Grid(dim=3, n=16, period_l=1.0)
+    shape = lead + grid.spectral_shape
+    rng = np.random.default_rng(51)
+    arr = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    packed = grid.pack(arr)
+    assert packed.flags.c_contiguous
+    assert np.array_equal(packed, arr[grid.band])
+    assert np.array_equal(grid.unpack(packed), arr * grid.dealias_mask)
 
 
 def test_taylor_green_fields():
