@@ -32,8 +32,8 @@ from .solver2d import (SupportError, gaussian_vortex, gronwall_diagnostic,
                        rotating_frame_residual, run_vorticity)
 from .solver3d import SolverConfig3D, picard_solve
 from .spectral import (Grid, SpectralField, curl, divergence_defect,
-                       forward_transform, random_divfree_field,
-                       random_scalar_field, taylor_green_2d, taylor_green_3d)
+                       random_divfree_field, random_scalar_field,
+                       taylor_green_2d, taylor_green_3d)
 
 EXIT_OK = 0
 EXIT_USAGE = 1

@@ -145,7 +145,7 @@ def verify_duhamel_smoothing(s: float = None, p: float = 2.0, r: float = 2.0,
     rhs_index = s - 2.0 - (0.0 if q == INF else 2.0 / q) \
         + (0.0 if a == INF else 2.0 / a)
     times = lab_times(horizon, n_samples)
-    part = get_partition(grid, packed=True)
+    part = get_partition(grid)
     ratios = []
     for i in _members(ensemble):
         f = _decaying(grid, times, seed, i, oscillation=(i % 2 == 1))
@@ -162,11 +162,11 @@ def verify_duhamel_smoothing(s: float = None, p: float = 2.0, r: float = 2.0,
     return _finalize("duhamel_smoothing", params, ensemble, ratios)
 
 
-def _y_norm(packed: np.ndarray, times, s: float, p: float, r: float, part) -> float:
+def _y_norm(samples: np.ndarray, times, s: float, p: float, r: float, part) -> float:
     """Norm of the persistence-plus-smoothing space entering the product
     estimate: sup-in-time at regularity s plus time-integrated at 4 - 3/p,
     both read from one shell series of the band-packed samples."""
-    series = shell_series(packed, p, part)
+    series = shell_series(samples, p, part)
     return sum(chemin_lerner_norm(series, times, sigma, r, q, part).total
                for sigma, q in ((s, INF), (4.0 - 3.0 / p, 1.0)))
 
@@ -198,7 +198,7 @@ def verify_product_estimate(s: float = 0.5, p: float = 2.0, r: float = 2.0,
     if grid is None:
         grid = default_lab_grid()
     times = lab_times(horizon, n_samples)
-    part = get_partition(grid, packed=True)
+    part = get_partition(grid)
     ratios = []
     for i in _members(ensemble):
         u = _decaying(grid, times, (seed, 0), i, scalar=True,
@@ -228,7 +228,7 @@ def verify_semigroup_bounds(p: float = 2.0, r: float = 2.0, omega: float = 0.0,
         grid = default_lab_grid()
     s = critical_index(p)
     times = lab_times(horizon, n_samples)
-    part = get_partition(grid, packed=True)
+    part = get_partition(grid)
     sup_ratios = []
     smoothing_ratios = []
     for i in _members(ensemble):

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -96,28 +97,33 @@ def shell_range_for(xi_min: float, xi_max: float) -> ShellRange:
 
 
 class DyadicPartition:
-    """Shell multipliers of a grid, cached as lattice arrays; with packed=True
-    they cover the dealiased band only, in its packed layout (Grid.pack)."""
+    """Shell multipliers of a grid, cached as half-spectrum arrays, and their
+    sparse support in each coefficient layout (Grid.layout), built when
+    that layout is first measured."""
 
-    def __init__(self, grid: Grid, packed: bool = False):
+    def __init__(self, grid: Grid):
         self.grid = grid
         self.shell_range = shell_range_for(grid.dxi, grid.band_max)
-        js = list(self.shell_range.indices)
-        xi_abs = grid.pack(grid.xi_abs) if packed else grid.xi_abs
-        self.masks = np.stack([shell_profile(xi_abs, j) for j in js])
+        self.masks = np.stack([shell_profile(grid.xi_abs, j) for j in self.js])
         self._low = np.cumsum(self.masks, axis=0)
-        # Sparse shell support, grouped by shell: by almost-orthogonality
-        # every lattice point lies in at most two shells, so all shells of
-        # a sample reduce in one pass.  Each stored mode is listed once, its
-        # power weighted by its multiplicity (set by its last-axis index).
-        flat = self.masks.reshape(len(js), -1)
-        rows, self.support = np.nonzero(flat)
-        self.weights = flat[rows, self.support]
-        self.multiplicity = grid.multiplicity.ravel()[self.support % xi_abs.shape[-1]]
-        counts = np.bincount(rows, minlength=len(js))
-        self.filled = counts > 0
-        self.sizes = counts[self.filled]
-        self.offsets = np.cumsum(self.sizes) - self.sizes
+        self._supports = {}
+
+    def support(self, coeffs: np.ndarray) -> SimpleNamespace:
+        """The shell support in the layout of coeffs, grouped by shell: by
+        almost-orthogonality every lattice point lies in at most two shells,
+        so all shells of a sample reduce in one pass.  Each stored mode is
+        listed once, its power weighted by its Grid.multiplicity."""
+        layout = self.grid.layout(coeffs)
+        if layout not in self._supports:
+            flat = self.grid.gather(self.masks, layout).reshape(len(self.masks), -1)
+            rows, index = np.nonzero(flat)
+            counts = np.bincount(rows, minlength=len(flat))
+            sizes = counts[counts > 0]
+            self._supports[layout] = SimpleNamespace(
+                size=flat.shape[1], index=index, weights=flat[rows, index],
+                filled=counts > 0, sizes=sizes, offsets=np.cumsum(sizes) - sizes,
+                multiplicity=self.grid.gather(self.grid.multiplicity, layout).ravel()[index])
+        return self._supports[layout]
 
     @property
     def js(self) -> list:
@@ -147,19 +153,17 @@ class DyadicPartition:
 
 
 @lru_cache(maxsize=32)
-def get_partition(grid: Grid, packed: bool = False) -> DyadicPartition:
-    return DyadicPartition(grid, packed)
+def get_partition(grid: Grid) -> DyadicPartition:
+    return DyadicPartition(grid)
 
 
-def dyadic_block(field: SpectralField, j: int, partition: DyadicPartition | None = None) -> SpectralField:
+def dyadic_block(field: SpectralField, j: int) -> SpectralField:
     """Frequency localization to shell j; zero field if j is out of range."""
-    part = partition or get_partition(field.grid)
-    return SpectralField(field.grid, field.coeffs * part.shell_mask(j))
+    return SpectralField(field.grid, field.coeffs * get_partition(field.grid).shell_mask(j))
 
 
-def low_pass(field: SpectralField, j: int, partition: DyadicPartition | None = None) -> SpectralField:
-    part = partition or get_partition(field.grid)
-    return SpectralField(field.grid, field.coeffs * part.low_mask(j))
+def low_pass(field: SpectralField, j: int) -> SpectralField:
+    return SpectralField(field.grid, field.coeffs * get_partition(field.grid).low_mask(j))
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +197,8 @@ def shell_series(coeffs: np.ndarray, p: float,
     """Frequency L^p norms ||phi_j f_hat||_{L^p} of every shell j, the
     values every other norm of this module is built from.
 
-    coeffs has shape lead + (ncomp,) + grid.spectral_shape, or the packed
-    band for a packed partition; the result has shape lead + (shells,).
+    coeffs has shape lead + (ncomp,) + grid.spectral_shape, or the band
+    shape (Grid.layout); the result has shape lead + (shells,).
     One pass reduces every field of the stack: the magnitudes on the shell
     support are gathered into a (support, fields) array whose shells are
     reduced down axis 0.  Each shell is divided by its largest value before
@@ -202,22 +206,22 @@ def shell_series(coeffs: np.ndarray, p: float,
     overflows.
     """
     _validate_lebesgue("p", p)
-    part = partition
-    grid = part.grid
+    grid = partition.grid
+    sup = partition.support(coeffs)
     lead = coeffs.shape[:coeffs.ndim - grid.dim - 1]
-    mag = _magnitude(coeffs, -grid.dim - 1).reshape(-1, part.masks[0].size)
-    vals = mag.T[part.support]
-    vals *= part.weights[:, None]
-    norms = np.maximum.reduceat(vals, part.offsets)
+    mag = _magnitude(coeffs, -grid.dim - 1).reshape(-1, sup.size)
+    vals = mag.T[sup.index]
+    vals *= sup.weights[:, None]
+    norms = np.maximum.reduceat(vals, sup.offsets)
     if p != INF:
         scale = np.where(norms > 0.0, norms, 1.0)
-        vals /= np.repeat(scale, part.sizes, axis=0)
+        vals /= np.repeat(scale, sup.sizes, axis=0)
         vals **= p
-        vals *= part.multiplicity[:, None]
-        sums = np.add.reduceat(vals, part.offsets)
+        vals *= sup.multiplicity[:, None]
+        sums = np.add.reduceat(vals, sup.offsets)
         norms = grid.dxi ** (grid.dim / p) * scale * sums ** (1.0 / p)
-    out = np.zeros(lead + (len(part.js),))
-    out[..., part.filled] = norms.T.reshape(lead + (-1,))
+    out = np.zeros(lead + (len(partition.js),))
+    out[..., sup.filled] = norms.T.reshape(lead + (-1,))
     return out
 
 
@@ -249,18 +253,16 @@ def fb_norm_of_series(series: np.ndarray, s: float, r: float,
     return lebesgue(series * 2.0 ** (s * np.array(partition.js)), r, axis=-1)
 
 
-def fb_norm(field: SpectralField, s: float, p: float, r: float,
-            partition: DyadicPartition | None = None) -> NormReport:
+def fb_norm(field: SpectralField, s: float, p: float, r: float) -> NormReport:
     """Fourier-Besov norm: l^r over shells of 2^(j s) ||phi_j f_hat||_{L^p}."""
     _validate_lebesgue("r", r)
-    part = partition or get_partition(field.grid)
+    part = get_partition(field.grid)
     return _report({"s": s, "p": p, "r": r},
                    shell_series(field.coeffs, p, part), s, r, part)
 
 
-def fb_norm_value(field: SpectralField, s: float, p: float, r: float,
-                  partition: DyadicPartition | None = None) -> float:
-    return fb_norm(field, s, p, r, partition).total
+def fb_norm_value(field: SpectralField, s: float, p: float, r: float) -> float:
+    return fb_norm(field, s, p, r).total
 
 
 def _report(params: dict, values: np.ndarray, s: float, r: float,
@@ -334,8 +336,7 @@ def dyadic_rescale(field: SpectralField, lam: float) -> SpectralField:
 # ---------------------------------------------------------------------------
 # paraproduct
 
-def bony_decompose(u: SpectralField, v: SpectralField, j: int,
-                   partition: DyadicPartition | None = None):
+def bony_decompose(u: SpectralField, v: SpectralField, j: int):
     """Split the shell-j localization of a pointwise product u v into
     (low u)(high v), (low v)(high u) and the diagonal remainder.
 
@@ -350,12 +351,11 @@ def bony_decompose(u: SpectralField, v: SpectralField, j: int,
         raise ValueError("fields live on different grids")
     if not (u.is_scalar and v.is_scalar):
         raise ValueError("paraproduct split expects scalar fields; apply componentwise")
-    part = partition or get_partition(u.grid)
     grid = u.grid
-    js = part.js
+    js = get_partition(grid).js
 
-    u_blocks = np.stack([inverse_transform(dyadic_block(u, k, part))[0] for k in js])
-    v_blocks = np.stack([inverse_transform(dyadic_block(v, k, part))[0] for k in js])
+    u_blocks = np.stack([inverse_transform(dyadic_block(u, k))[0] for k in js])
+    v_blocks = np.stack([inverse_transform(dyadic_block(v, k))[0] for k in js])
     u_low = np.cumsum(u_blocks, axis=0)  # low-pass partial sums, shell by shell
     v_low = np.cumsum(v_blocks, axis=0)
 
@@ -367,19 +367,16 @@ def bony_decompose(u: SpectralField, v: SpectralField, j: int,
         prod_rem += u_blocks[i] * v_blocks[max(i - 1, 0):i + 2].sum(axis=0)
 
     def localize(phys):
-        hat = forward_transform(phys, grid)
-        return dyadic_block(hat, j, part)
+        return dyadic_block(forward_transform(phys, grid), j)
 
     return localize(prod_one), localize(prod_two), localize(prod_rem)
 
 
-def shell_product(u: SpectralField, v: SpectralField, j: int,
-                  partition: DyadicPartition | None = None) -> SpectralField:
+def shell_product(u: SpectralField, v: SpectralField, j: int) -> SpectralField:
     """Shell-j localization of the plain pointwise product, for comparing
     against the paraproduct split."""
-    part = partition or get_partition(u.grid)
     phys = inverse_transform(u)[0] * inverse_transform(v)[0]
-    return dyadic_block(forward_transform(phys, u.grid), j, part)
+    return dyadic_block(forward_transform(phys, u.grid), j)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ input.  The xi = 0 amplitude is mapped to zero (zero-mean convention).
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -27,30 +27,39 @@ DIVFREE_TOL = 1e-10
 class Propagator:
     """The semigroup over one time step dt on a 3d grid, with the per-mode
     arrays of the multiplier m(dt) and of the local Duhamel integral
-    C + iS = integral_0^dt exp(-z s) ds computed once, z = |xi|^2 - i rho,
+    C + iS = integral_0^dt exp(-z s) ds, z = |xi|^2 - i rho,
     rho = Omega xi_3/|xi|.  Each is held as the arrays (a, b u_1, b u_2,
-    b u_3) of f -> a f + b R(xi) f with u = xi/|xi|, all zero at xi = 0.
-    With packed=True they, and the coefficients, are band-packed (Grid.pack).
+    b u_3) of f -> a f + b R(xi) f with u = xi/|xi|, all zero at xi = 0,
+    built in a layout (Grid.layout) when coefficients in it are first stepped.
     """
 
-    def __init__(self, grid: Grid, dt: float, omega: float, packed: bool = False):
+    def __init__(self, grid: Grid, dt: float, omega: float):
         if grid.dim != 3:
             raise ValueError("the rotating semigroup is three-dimensional")
-        origin = (0,) * 3
-        gather = grid.pack if packed else np.array  # np.array copies
-        safe = gather(grid.xi_abs)
-        safe[origin] = 1.0
-        unit = [gather(grid.xi_axis(ax)) / safe for ax in range(3)]
-        z = gather(grid.xi_sq) - 1j * float(omega) * unit[2]
-        decay = np.exp(-z * float(dt))  # exp(-|xi|^2 dt) (cos + i sin)(rho dt)
-        z[origin] = 1.0
+        for name, value in (("dt", dt), ("omega", omega)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        self.grid, self.dt, self.omega = grid, float(dt), float(omega)
+        self._layouts = {}  # layout -> (multiplier, local)
 
-        def arrays(c):  # those of f -> Re(c) f + Im(c) R(xi) f
-            c[origin] = 0.0
-            return c.real.copy(), [c.imag * u for u in unit]
+    def _arrays(self, coeffs: np.ndarray) -> tuple:
+        layout = self.grid.layout(coeffs)
+        if layout not in self._layouts:
+            gather, origin = partial(self.grid.gather, layout=layout), (0,) * 3
+            safe = gather(self.grid.xi_abs)
+            safe[origin] = 1.0
+            unit = [gather(self.grid.xi_axis(ax)) / safe for ax in range(3)]
+            z = gather(self.grid.xi_sq) - 1j * self.omega * unit[2]
+            decay = np.exp(-z * self.dt)  # exp(-|xi|^2 dt) (cos + i sin)(rho dt)
+            z[origin] = 1.0
 
-        self.local = arrays((1.0 - decay) / z)
-        self.multiplier = arrays(decay)
+            def arrays(c):  # those of f -> Re(c) f + Im(c) R(xi) f
+                c[origin] = 0.0
+                return c.real.copy(), [c.imag * u for u in unit]
+
+            local = arrays((1.0 - decay) / z)
+            self._layouts[layout] = arrays(decay), local
+        return self._layouts[layout]
 
     @staticmethod
     def _rotate(coeffs: np.ndarray, arrays: tuple) -> np.ndarray:
@@ -67,8 +76,8 @@ class Propagator:
         return out
 
     def apply(self, coeffs: np.ndarray) -> np.ndarray:
-        """m(dt) f for coefficients of shape (3,) + grid.spectral_shape."""
-        return self._rotate(coeffs, self.multiplier)
+        """m(dt) f for coefficients of shape (3,) + either layout of the grid."""
+        return self._rotate(coeffs, self._arrays(coeffs)[0])
 
     def step(self, y: np.ndarray, g_lo: np.ndarray, g_hi: np.ndarray) -> np.ndarray:
         """One interval of the Duhamel recursion y(t + dt) = m(dt) y(t) +
@@ -79,13 +88,13 @@ class Propagator:
         second order in dt, and its steps compose exactly across intervals
         through the semigroup law m(t) m(s) = m(t + s)."""
         out = self.apply(y)
-        out += self._rotate(0.5 * (g_lo + g_hi), self.local)
+        out += self._rotate(0.5 * (g_lo + g_hi), self._arrays(y)[1])
         return out
 
 
 @lru_cache(maxsize=8)
-def propagator(grid: Grid, dt: float, omega: float, packed: bool = False) -> Propagator:
-    return Propagator(grid, dt, omega, packed)
+def propagator(grid: Grid, dt: float, omega: float) -> Propagator:
+    return Propagator(grid, dt, omega)
 
 
 def duhamel_recursion(prop: Propagator, start: np.ndarray, n_steps: int, emit,
@@ -109,13 +118,12 @@ def sweep_samples(grid: Grid, times, omega: float, start: np.ndarray,
                   forcing: np.ndarray | None = None) -> np.ndarray:
     """duhamel_recursion over uniform sample times from start: T(t_k - t_0)
     start, plus the Duhamel integrals of the forcing samples when given, all
-    band-packed (Grid.pack)."""
+    in the layout of start (Grid.layout)."""
     out = np.empty((len(times),) + start.shape, dtype=np.complex128)
     out[0] = start
     if len(times) > 1:
         dt = float(times[1] - times[0])
-        duhamel_recursion(propagator(grid, dt, omega, packed=True),
-                          out[0], len(times) - 1, out.__setitem__,
+        duhamel_recursion(propagator(grid, dt, omega), out[0], len(times) - 1, out.__setitem__,
                           None if forcing is None else forcing.__getitem__)
     return out
 
@@ -147,8 +155,8 @@ def apply_semigroup(field: SpectralField, t: float, omega: float,
     silently projected; pass require_divergence_free=False for symbol-level
     experiments on arbitrary fields.
     """
-    if t < 0:
-        raise ValueError(f"time must be non-negative, got {t}")
+    if not 0 <= t < math.inf:
+        raise ValueError(f"time must be non-negative and finite, got {t}")
     if field.ncomp != 3 or field.grid.dim != 3:
         raise ValueError("semigroup expects a 3-component field on a 3d grid")
     if require_divergence_free:

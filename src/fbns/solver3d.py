@@ -82,9 +82,9 @@ class SolverConfig3D:
     def memory_bytes(self) -> int:
         """Rough peak of picard_solve: the band-packed trajectory, two shell series
         per sample, and scratch of about twelve half-spectrum vector fields."""
-        k, samples = self.grid.kcut, self.n_steps + 1
+        samples = self.n_steps + 1
         shells = len(lp.shell_range_for(self.grid.dxi, self.grid.band_max).indices)
-        return (samples * (48 * (2 * k + 1) ** 2 * (k + 1) + 16 * shells)
+        return (samples * (48 * math.prod(self.grid.band_shape) + 16 * shells)
                 + 12 * 48 * math.prod(self.grid.spectral_shape))
 
 
@@ -220,13 +220,13 @@ def picard_solve(u0: SpectralField, config: SolverConfig3D,
     check_divergence_free(u0, "initial data")
 
     u0 = dealias(u0)
-    part = lp.get_partition(grid, packed=True)
+    part = lp.get_partition(grid)
     p, r, times = config.p, config.r, config.times
     diag = IterationDiagnostics()
     diag.gate = smallness_gate(u0, p, r)
     if config.nonlinearity:
         advect_check(u0, config.dt)
-    prop = propagator(grid, config.dt, config.omega, packed=True)
+    prop = propagator(grid, config.dt, config.omega)
     u0 = grid.pack(u0.coeffs)
 
     # shell_series of each sample of the new iterate and of the increment
@@ -237,14 +237,14 @@ def picard_solve(u0: SpectralField, config: SolverConfig3D,
         series[1, k] = lp.shell_series(new - old, p, part)
 
     traj = Trajectory(grid, times, np.zeros((times.size,) + u0.shape, dtype=np.complex128))
-    _mild_map_sweep(traj.packed, u0, grid, prop, False, record)
+    _mild_map_sweep(traj.coeffs, u0, grid, prop, False, record)
     diag.linear_norm = lp.mild_norm(series[0], times, p, r, part)
     if not config.nonlinearity:
         traj.fb_norms = lp.fb_norm_of_series(series[0], lp.critical_index(p), r, part).tolist()
     if initial_iterate == "zero":
         series[0, 1:] = 0.0
         if config.nonlinearity:
-            traj.packed[1:] = 0.0
+            traj.coeffs[1:] = 0.0
     diag.iterate_norms.append(lp.mild_norm(series[0], times, p, r, part))
 
     if not config.nonlinearity:
@@ -255,7 +255,7 @@ def picard_solve(u0: SpectralField, config: SolverConfig3D,
         return traj, diag
 
     for m in range(1, config.max_iterations + 1):
-        _mild_map_sweep(traj.packed, u0, grid, prop, record=record)
+        _mild_map_sweep(traj.coeffs, u0, grid, prop, record=record)
         norm, diff = (lp.mild_norm(x, times, p, r, part) for x in series)
         diag.diff_norms.append(diff)
         diag.iterate_norms.append(norm)

@@ -8,7 +8,8 @@ real.  They are stored as complex coefficients c_k of the expansion
 with integer wavevectors k in FFT order.  The continuous wavenumber of
 index k is xi = k / L, so the frequency lattice has spacing 1/L per axis.
 As c_{-k} = conj(c_k), only the half spectrum of real transforms is stored
-(the scipy.fft.rfftn layout, last axis k = 0 ... n/2), known only to Grid.
+(the scipy.fft.rfftn layout, last axis k = 0 ... n/2) or only its dealiased
+band (Grid.pack); Grid alone knows both, and reads an array's from its shape.
 
 The torus with large period stands in for the whole space: norms carry the
 frequency quadrature weight (1/L)^(dim/p) so that lattice sums approximate
@@ -17,7 +18,6 @@ integrals over R^dim, and refining 1/L tightens the approximation.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -25,18 +25,6 @@ import numpy as np
 import scipy.fft
 
 TWO_PI = 2.0 * np.pi
-
-
-def fft_workers() -> int:
-    """Worker count for FFT calls: the FBNS_THREADS variable (default 1),
-    capped at the number of CPUs."""
-    try:
-        requested = int(os.environ.get("FBNS_THREADS", "1"))
-    except ValueError:
-        return 1
-    if requested <= 1:
-        return 1
-    return min(requested, os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -137,21 +125,39 @@ class Grid:
         full = np.r_[0:self.kcut + 1, self.n - self.kcut:self.n]
         return (Ellipsis,) + np.ix_(*[full] * (self.dim - 1)) + (slice(self.kcut + 1),)
 
-    def pack(self, arr: np.ndarray) -> np.ndarray:
-        """The band of a stored array, or of a symbol broadcasting against one,
-        as a new C-contiguous array whatever the leading axes."""
+    @property
+    def band_shape(self) -> tuple:
+        """The band-packed layout (pack): 2 kcut + 1 wavenumbers per full axis."""
+        return (2 * self.kcut + 1,) * (self.dim - 1) + (self.kcut + 1,)
+
+    def layout(self, coeffs: np.ndarray) -> str:
+        """'half' or 'band', as coeffs ends in spectral_shape or band_shape;
+        any other shape is refused."""
+        for name, shape in (("half", self.spectral_shape), ("band", self.band_shape)):
+            if coeffs.shape[-self.dim:] == shape:
+                return name
+        raise ValueError(f"coefficient shape {coeffs.shape} is in neither layout: "
+                         f"half spectrum {self.spectral_shape} or band {self.band_shape}")
+
+    def gather(self, arr: np.ndarray, layout: str) -> np.ndarray:
+        """A stored array, or a symbol broadcasting against one, as a new
+        C-contiguous array in the layout, whatever the leading axes."""
         full = np.broadcast_to(arr, np.broadcast_shapes(arr.shape, self.spectral_shape))
-        return np.ascontiguousarray(full[self.band])
+        return np.ascontiguousarray(full[self.band]) if layout == "band" else full.copy()
+
+    def pack(self, arr: np.ndarray) -> np.ndarray:
+        """The band of a stored array or symbol (gather to 'band')."""
+        return self.gather(arr, "band")
 
     @cached_property
     def band_symbols(self) -> tuple:
         """xi_1, ..., xi_dim and 1/|xi|^2, each gathered to the band (pack)."""
         return tuple(self.pack(s) for s in (*map(self.xi_axis, range(self.dim)), self.inv_xi_sq))
 
-    def unpack(self, packed: np.ndarray) -> np.ndarray:
+    def unpack(self, coeffs: np.ndarray) -> np.ndarray:
         """Band-packed coefficients in the half spectrum, zero outside the band."""
-        out = np.zeros(packed.shape[:-self.dim] + self.spectral_shape, dtype=np.complex128)
-        out[self.band] = packed
+        out = np.zeros(coeffs.shape[:-self.dim] + self.spectral_shape, dtype=np.complex128)
+        out[self.band] = coeffs
         return out
 
     @cached_property
@@ -267,7 +273,7 @@ def forward_transform(samples: np.ndarray, grid: Grid) -> SpectralField:
     if arr.shape[1:] != grid.shape:
         raise ValueError(f"sample shape {samples.shape} does not match grid {grid.shape}")
     axes = tuple(range(1, grid.dim + 1))
-    coeffs = scipy.fft.rfftn(arr, axes=axes, norm="forward", workers=fft_workers())
+    coeffs = scipy.fft.rfftn(arr, axes=axes, norm="forward")
     return SpectralField(grid, coeffs)
 
 
@@ -276,8 +282,7 @@ def inverse_transform(field: SpectralField) -> np.ndarray:
     forward_transform."""
     grid = field.grid
     axes = tuple(range(1, grid.dim + 1))
-    return scipy.fft.irfftn(field.coeffs, s=grid.shape, axes=axes, norm="forward",
-                            workers=fft_workers())
+    return scipy.fft.irfftn(field.coeffs, s=grid.shape, axes=axes, norm="forward")
 
 
 def dealias(field: SpectralField) -> SpectralField:

@@ -1,9 +1,9 @@
 """Full-layout references for the band-packed paths of fbns.
 
 fbns stores every trajectory on the dealiased band (Grid.pack).  The
-functions here compute the same samples on the whole half spectrum, on the
-same Duhamel recursion with the unpacked propagator, so that tests can
-compare the band paths against an independent layout.
+functions here compute the same samples on the whole half spectrum, by the
+same sweep_samples fed half-spectrum arrays, so that tests can compare the
+band paths against an independent layout.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fbns.semigroup import duhamel_recursion, propagator
+from fbns.semigroup import propagator, sweep_samples
 from fbns.solver3d import _mild_map_sweep, pair_forcing
 from fbns.spectral import Grid, SpectralField
 
@@ -38,32 +38,21 @@ class Samples:
 
 def unpacked(traj) -> Samples:
     """The samples of a band-packed fbns.trajectory.Trajectory."""
-    return Samples(traj.grid, traj.times, traj.grid.unpack(traj.packed))
-
-
-def sweep(grid: Grid, times, omega: float, start: np.ndarray,
-          forcing: np.ndarray | None = None) -> np.ndarray:
-    """semigroup.sweep_samples in the half spectrum: T(t_k - t_0) start plus
-    the Duhamel integrals of the forcing samples when given."""
-    out = np.empty((len(times),) + start.shape, dtype=np.complex128)
-    out[0] = start
-    duhamel_recursion(propagator(grid, float(times[1] - times[0]), omega), out[0],
-                      len(times) - 1, out.__setitem__,
-                      None if forcing is None else forcing.__getitem__)
-    return out
+    return Samples(traj.grid, traj.times, traj.grid.unpack(traj.coeffs))
 
 
 def linear_samples(u0: SpectralField, times, omega: float) -> Samples:
     """T(t_k) u0 at uniform sample times starting at t_0 = 0."""
     times = np.asarray(times, dtype=float)
-    return Samples(u0.grid, times, sweep(u0.grid, times, omega, u0.coeffs))
+    return Samples(u0.grid, times, sweep_samples(u0.grid, times, omega, u0.coeffs))
 
 
 def duhamel_samples(forcing: Samples, omega: float) -> Samples:
     """integral_0^t T(t - tau) g(tau) dtau at every sample time of g."""
     start = np.zeros_like(forcing.coeffs[0])
     return Samples(forcing.grid, forcing.times,
-                   sweep(forcing.grid, forcing.times, omega, start, forcing.coeffs))
+                   sweep_samples(forcing.grid, forcing.times, omega, start,
+                                 forcing.coeffs))
 
 
 def duhamel_bilinear(u: Samples, v: Samples, omega: float) -> Samples:
@@ -80,6 +69,5 @@ def picard_map(traj: Samples, u0: SpectralField, omega: float) -> Samples:
     grid = traj.grid
     out = grid.pack(traj.coeffs)
     dt = float(traj.times[1] - traj.times[0])
-    _mild_map_sweep(out, grid.pack(u0.coeffs), grid,
-                    propagator(grid, dt, omega, packed=True))
+    _mild_map_sweep(out, grid.pack(u0.coeffs), grid, propagator(grid, dt, omega))
     return Samples(grid, traj.times, grid.unpack(out))

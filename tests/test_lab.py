@@ -66,7 +66,7 @@ def test_duhamel_ratio_closed_form_single_mode():
     integral = sweep_samples(GRID, times, 0.0, np.zeros_like(g), forcing)
     s, p, r, q, a = 0.5, 2.0, 2.0, 1.0, 1.0
     rhs_index = s - 2.0 - 2.0 / q + 2.0 / a
-    part = get_partition(GRID, packed=True)
+    part = get_partition(GRID)
     lhs = chemin_lerner_norm(shell_series(integral, p, part), times,
                              s, r, q, part).total
     rhs = chemin_lerner_norm(shell_series(forcing, p, part), times,
@@ -151,9 +151,9 @@ def test_sweep_product_estimate():
 
 def test_product_y_norm_is_sum_of_parts():
     times = lab_times()
-    packed = lab._decaying(GRID, times, seed=2, index=0, scalar=True)
-    y = lab._y_norm(packed, times, 0.5, 2.0, 2.0, get_partition(GRID, packed=True))
-    traj = Samples(GRID, times, GRID.unpack(packed))
+    band = lab._decaying(GRID, times, seed=2, index=0, scalar=True)
+    y = lab._y_norm(band, times, 0.5, 2.0, 2.0, get_partition(GRID))
+    traj = Samples(GRID, times, GRID.unpack(band))
     parts = (cl_norm(traj, 0.5, 2.0, 2.0, INF).total
              + cl_norm(traj, 4.0 - 1.5, 2.0, 2.0, 1.0).total)
     assert math.isclose(y, parts, rel_tol=1e-14)
@@ -227,7 +227,7 @@ def test_packed_lab_matches_full_layout_reference(omega):
                        / (y_norm(u, 0.5) * y_norm(v, 0.5)))
         u0 = random_divfree_field(grid, seed=member_seed(seed, i))
         linear = linear_samples(u0, times, omega)
-        data = fb_norm_value(u0, s, p, r, part)
+        data = fb_norm_value(u0, s, p, r)
         sup.append(norm(linear, s, INF) / data)
         smoothing.append(norm(linear, s + 2.0, 1.0) / data)
 

@@ -11,8 +11,7 @@ from fbns.lp import (INF, SHELL_INNER, SHELL_OUTER, DyadicPartition,
                      lebesgue, low_pass, mild_norm, shell_product,
                      shell_profile, shell_range_for, shell_series,
                      smooth_cutoff)
-from fbns.spectral import (Grid, SpectralField, dealias, forward_transform,
-                           inverse_transform, random_divfree_field,
+from fbns.spectral import (Grid, SpectralField, dealias, random_divfree_field,
                            random_scalar_field, zero_mean)
 from full_layout import Samples, linear_samples
 
@@ -80,11 +79,11 @@ def test_partition_sums_to_one_on_band(dim, half_n, period_l):
 def test_block_reconstruction_and_low_pass():
     grid = Grid(dim=2, n=32, period_l=2.0)
     f = random_scalar_field(grid, seed=9)
-    part = get_partition(grid)
-    total = sum(dyadic_block(f, j, part).coeffs for j in part.js)
+    js = get_partition(grid).js
+    total = sum(dyadic_block(f, j).coeffs for j in js)
     assert np.max(np.abs(total - f.coeffs)) < 1e-14
-    assert np.max(np.abs(low_pass(f, part.js[-1], part).coeffs - f.coeffs)) < 1e-14
-    assert np.max(np.abs(dyadic_block(f, 99, part).coeffs)) == 0.0
+    assert np.max(np.abs(low_pass(f, js[-1]).coeffs - f.coeffs)) < 1e-14
+    assert np.max(np.abs(dyadic_block(f, 99).coeffs)) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -272,13 +271,13 @@ def test_lebesgue_non_increasing_in_p_at_unit_weight(values, p, q):
 @example(1, 32, 1024.0, 1.0, 1.0)
 @example(2, 48, INF, 1.0, 1.0)
 def test_packed_shell_series_matches_full_support(seed, n, p, period_l, scale):
-    # the packed support drops only modes outside the band, where a dealiased
+    # the band support drops only modes outside the band, where a dealiased
     # field is zero; reduceat then groups fewer zeros, so sums may round apart
     grid = Grid(dim=3, n=n, period_l=period_l)
     f = random_divfree_field(grid, seed=seed, cutoff=grid.band_max, amplitude=scale)
     full = shell_series(f.coeffs, p, get_partition(grid))
-    packed = shell_series(grid.pack(f.coeffs), p, get_partition(grid, packed=True))
-    assert np.all(np.abs(packed - full) <= 1e-15 * full)
+    band = shell_series(grid.pack(f.coeffs), p, get_partition(grid))
+    assert np.all(np.abs(band - full) <= 1e-15 * full)
 
 
 @settings(max_examples=30, deadline=None)
@@ -297,7 +296,7 @@ def test_stack_shell_series_matches_row_by_row(seed, lead, shape, packed, p):
     stack = np.reshape(fields, lead + fields[0].shape)
     if packed:
         stack = grid.pack(stack)
-    part = get_partition(grid, packed=packed)
+    part = get_partition(grid)
     series = shell_series(stack, p, part)
     assert series.shape == lead + (len(part.js),)
     for index in np.ndindex(*lead):
@@ -315,7 +314,7 @@ def test_one_sample_sup_time_norm_is_fb_norm(seed, shape, s, p, r):
     part = get_partition(grid)
     series = shell_series(f.coeffs[None], p, part)
     rep = chemin_lerner_norm(series, np.array([0.0]), s, r, INF, part)
-    assert rep.total == fb_norm(f, s, p, r, part).total
+    assert rep.total == fb_norm(f, s, p, r).total
 
 
 # ---------------------------------------------------------------------------
@@ -406,11 +405,10 @@ def test_bony_requires_scalars():
 def test_bernstein_ratio_bounded_for_matching_exponents():
     grid = Grid(dim=3, n=32, period_l=4.0)
     f = random_scalar_field(grid, seed=30)
-    part = get_partition(grid)
-    blk = dyadic_block(f, 0, part)
+    blk = dyadic_block(f, 0)
     ratio = bernstein_ratio(blk, 0, (1, 0, 0), 2.0, 2.0, support="annulus")
     assert 0.0 < ratio <= SHELL_OUTER + 1e-12
-    ratio_ball = bernstein_ratio(low_pass(f, 0, part), 0, (2, 0, 0), 2.0, 2.0)
+    ratio_ball = bernstein_ratio(low_pass(f, 0), 0, (2, 0, 0), 2.0, 2.0)
     assert 0.0 < ratio_ball <= SHELL_OUTER ** 2 + 1e-12
 
 
@@ -430,9 +428,8 @@ def test_bernstein_ratio_rejects_wrong_support():
     f = random_scalar_field(grid, seed=31)
     with pytest.raises(ValueError):
         bernstein_ratio(f, -2, (1, 0, 0), 2.0, 2.0)
-    part = get_partition(grid)
     with pytest.raises(ValueError):
-        bernstein_ratio(low_pass(f, 1, part), 1, (1, 0, 0), 2.0, 2.0,
+        bernstein_ratio(low_pass(f, 1), 1, (1, 0, 0), 2.0, 2.0,
                         support="annulus")
 
 

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fbns.lp import INF, fb_norm_value
+from fbns.lp import INF, fb_norm_value, get_partition, shell_series
 from fbns.semigroup import (apply_semigroup, propagator, semigroup_matrix,
                             sweep_samples)
 from fbns.spectral import (Grid, SpectralField, divergence_defect, gradient,
                            helmholtz_project, random_divfree_field,
                            random_scalar_field)
-from full_layout import sweep
 
 GRID = Grid(dim=3, n=16, period_l=1.0)
 
@@ -100,8 +99,9 @@ def test_norm_invariance_under_rotation_rate():
 
 def test_input_validation():
     u = random_divfree_field(GRID, seed=45)
-    with pytest.raises(ValueError, match="non-negative"):
-        apply_semigroup(u, -0.1, 0.0)
+    for t in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="non-negative and finite"):
+            apply_semigroup(u, t, 0.0)
     bad = SpectralField(GRID, u.coeffs.copy())
     bad.coeffs[0, 1, 0, 0] += 0.3  # break divergence
     with pytest.raises(ValueError, match="divergence-free"):
@@ -169,7 +169,7 @@ def test_linear_trajectory_matches_direct_application():
     u = random_divfree_field(GRID, seed=48)
     omega = 6.0
     times = np.array([0.2, 0.4, 0.6])
-    start = propagator(GRID, 0.2, omega, packed=True).apply(GRID.pack(u.coeffs))
+    start = propagator(GRID, 0.2, omega).apply(GRID.pack(u.coeffs))
     samples = sweep_samples(GRID, times, omega, start)
     for i, t in enumerate(times):
         direct = apply_semigroup(u, float(t), omega)
@@ -187,7 +187,38 @@ def test_band_sweep_matches_full_layout_sweep(n, omega, forced):
     if forced:
         g = random_divfree_field(grid, seed=50).coeffs
         forcing = np.cos(3.0 * times)[:, None, None, None, None] * g[None]
-    packed = sweep_samples(grid, times, omega, grid.pack(start),
-                           None if forcing is None else grid.pack(forcing))
-    want = grid.pack(sweep(grid, times, omega, start, forcing))
-    assert np.max(np.abs(packed - want)) <= 1e-14 * np.max(np.abs(want))
+    band = sweep_samples(grid, times, omega, grid.pack(start),
+                         None if forcing is None else grid.pack(forcing))
+    want = grid.pack(sweep_samples(grid, times, omega, start, forcing))
+    assert np.max(np.abs(band - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n", [8, 12])
+@pytest.mark.parametrize("omega", [0.0, 10.0])
+def test_propagator_band_equals_packed_half_spectrum(n, omega):
+    # one propagator serves both layouts, each entry bit for bit
+    grid = Grid(dim=3, n=n, period_l=2.0)
+    prop = propagator(grid, 0.1, omega)
+    f, g = (random_divfree_field(grid, seed=s).coeffs for s in (51, 52))
+    assert np.array_equal(prop.apply(grid.pack(f)), grid.pack(prop.apply(f)))
+    assert np.array_equal(prop.step(grid.pack(f), grid.pack(g), grid.pack(f)),
+                          grid.pack(prop.step(f, g, f)))
+
+
+def test_coefficients_in_neither_layout_are_refused():
+    other = Grid(dim=3, n=24, period_l=1.0)
+    foreign = other.pack(random_divfree_field(other, seed=53).coeffs)
+    times = np.linspace(0.0, 0.2, 3)
+    for call in (lambda: propagator(GRID, 0.1, 0.0).apply(foreign),
+                 lambda: sweep_samples(GRID, times, 0.0, foreign),
+                 lambda: shell_series(foreign, 2.0, get_partition(GRID))):
+        with pytest.raises(ValueError, match="neither layout.*half spectrum.*band"):
+            call()
+
+
+@pytest.mark.parametrize("name, dt, omega", [("dt", math.nan, 0.0), ("dt", math.inf, 0.0),
+                                             ("omega", 0.1, math.nan),
+                                             ("omega", 0.1, -math.inf)])
+def test_propagator_refuses_non_finite_values(name, dt, omega):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        propagator(GRID, dt, omega)

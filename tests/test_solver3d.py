@@ -258,7 +258,7 @@ def test_rotation_changes_trajectory_but_not_data_norm():
     t0, d0 = picard_solve(u0, solver_config(omega=0.0))
     t1, d1 = picard_solve(u0, solver_config(omega=20.0))
     assert d0.converged and d1.converged
-    assert np.max(np.abs(t0.packed[-1] - t1.packed[-1])) > 1e-12
+    assert np.max(np.abs(t0.coeffs[-1] - t1.coeffs[-1])) > 1e-12
     assert math.isclose(d0.gate.norm, d1.gate.norm, rel_tol=1e-13)
 
 
@@ -384,4 +384,4 @@ def test_divergent_data_aborts_early_without_overflow():
     assert diag.ratios[-2] > 1.0 and diag.ratios[-1] > 1.0
     assert "diverging" in diag.message
     assert f"{diag.ratios[-1]:.3g}" in diag.message
-    assert np.all(np.isfinite(traj.packed))
+    assert np.all(np.isfinite(traj.coeffs))

@@ -1,4 +1,3 @@
-import os
 import tracemalloc
 
 import numpy as np
@@ -7,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from fbns.spectral import (Grid, SpectralField, coriolis_matrix, curl,
                            dealias, derivative, divergence, divergence_defect,
-                           fft_workers, forward_transform, gradient,
+                           forward_transform, gradient,
                            helmholtz_project, inverse_transform, laplacian,
                            random_divfree_field, random_scalar_field,
                            taylor_green_2d, taylor_green_3d, zero_mean, zeros)
@@ -202,10 +201,21 @@ def test_pack_is_c_contiguous_band_of_any_stack(lead):
     shape = lead + grid.spectral_shape
     rng = np.random.default_rng(51)
     arr = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    packed = grid.pack(arr)
-    assert packed.flags.c_contiguous
-    assert np.array_equal(packed, arr[grid.band])
-    assert np.array_equal(grid.unpack(packed), arr * grid.dealias_mask)
+    band = grid.pack(arr)
+    assert band.flags.c_contiguous
+    assert band.shape == lead + grid.band_shape
+    assert np.array_equal(band, arr[grid.band])
+    assert np.array_equal(grid.unpack(band), arr * grid.dealias_mask)
+    assert (grid.layout(arr), grid.layout(band)) == ("half", "band")
+
+
+@pytest.mark.parametrize("shape", [(5, 5, 3), (16, 16, 16), (11, 6), (16, 16, 8)])
+def test_layout_refuses_other_shapes(shape):
+    # the band of the 8^3 grid, the lattice, the band of the 16^2 grid, a
+    # half spectrum one short
+    grid = Grid(dim=3, n=16, period_l=1.0)
+    with pytest.raises(ValueError, match="neither layout"):
+        grid.layout(np.zeros(shape))
 
 
 def test_taylor_green_fields():
@@ -230,14 +240,3 @@ def test_zeros_and_arithmetic():
     assert np.max(np.abs((f - f).coeffs)) == 0.0
     assert np.allclose((f + f).coeffs, (2.0 * f).coeffs)
     assert z.l2() == 0.0
-
-
-def test_fft_workers_capped_at_cpu_count(monkeypatch):
-    monkeypatch.setenv("FBNS_THREADS", "64")
-    assert fft_workers() == min(64, os.cpu_count() or 1)
-    monkeypatch.setenv("FBNS_THREADS", "0")
-    assert fft_workers() == 1
-    monkeypatch.setenv("FBNS_THREADS", "many")
-    assert fft_workers() == 1
-    monkeypatch.delenv("FBNS_THREADS")
-    assert fft_workers() == 1
