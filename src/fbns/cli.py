@@ -249,8 +249,7 @@ def _write_csv(path: str, header, rows):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
+    writer.writerows(rows)
     atomic_write_text(path, buf.getvalue())
 
 
@@ -335,9 +334,8 @@ def run_solve3d(cfg: dict, workdir: str) -> int:
     write_field(_resolve_path(workdir, f"{prefix}_final.fbns"),
                 traj.field(traj.n_samples - 1))
     if traj.fb_norms is not None:
-        rows = [(t, v) for t, v in zip(traj.times, traj.fb_norms)]
         _write_csv(_resolve_path(workdir, f"{prefix}_norms.csv"),
-                   ("t", "critical_fb_norm"), rows)
+                   ("t", "critical_fb_norm"), zip(traj.times, traj.fb_norms))
     if cfg["save_trajectory"]:
         for k in range(traj.n_samples):
             write_field(_resolve_path(workdir, f"{prefix}_t{k:04d}.fbns"),
@@ -352,8 +350,7 @@ def run_solve3d(cfg: dict, workdir: str) -> int:
 def _solve2d_initial(cfg: dict, grid: Grid) -> SpectralField:
     _check_amplitude(cfg)
     if cfg["initial"] == "taylor-green":
-        w0 = curl(taylor_green_2d(grid, amplitude=cfg["amplitude"]))
-        return w0
+        return curl(taylor_green_2d(grid, amplitude=cfg["amplitude"]))
     if cfg["initial"] == "gaussian":
         return gaussian_vortex(grid, width_sq=cfg["width_sq"],
                                amplitude=cfg["amplitude"])
@@ -490,10 +487,7 @@ def main(argv=None) -> int:
         os.makedirs(args.workdir, exist_ok=True)
         cfg = resolve_config(args.command, args)
         return RUNNERS[args.command](cfg, args.workdir)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, CheckpointError, FileNotFoundError) as exc:
+    except (UsageError, ValueError, CheckpointError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (OverflowError, FloatingPointError) as exc:

@@ -24,8 +24,7 @@ from .lp import (INF, chemin_lerner_norm, critical_index, fb_norm_of_series,
                  fb_norm_value, get_partition, shell_series)
 from .semigroup import sweep_samples
 from .solver3d import SolverConfig3D, picard_solve, smallness_gate
-from .spectral import (Grid, SpectralField, forward_transform,
-                       inverse_transform, random_divfree_field,
+from .spectral import (Grid, SpectralField, random_divfree_field,
                        random_scalar_field)
 
 STABILITY_LIMIT = 0.2
@@ -173,12 +172,13 @@ def _y_norm(samples: np.ndarray, times, s: float, p: float, r: float, part) -> f
 
 def _band_product(grid: Grid, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Sample-by-sample pointwise (dot) product of two samples x ncomp
-    band-packed stacks, restricted to the band (Grid.pack, the 2/3 rule):
-    one transform per factor, one back."""
-    phys = [inverse_transform(SpectralField(grid, grid.unpack(c).reshape(
-        (-1,) + grid.spectral_shape))).reshape(c.shape[:2] + grid.shape) for c in (u, v)]
-    prod = np.sum(phys[0] * phys[1], axis=1)
-    return grid.pack(forward_transform(prod, grid).coeffs)[:, np.newaxis]
+    band-packed stacks, on the band (the 2/3 rule), by band transforms of as
+    many scalar samples as stay below glibc's 128 KiB mmap threshold (three at
+    16^3): larger intermediates are zero-filled page by page on every call."""
+    step = max(1, (2**17 - 1) // (8 * grid.n ** grid.dim))
+    return np.concatenate([grid._to_band(np.sum(
+        grid._to_samples(u[k:k + step]) * grid._to_samples(v[k:k + step]), axis=1))
+        for k in range(0, len(u), step)])[:, np.newaxis]
 
 
 def verify_product_estimate(s: float = 0.5, p: float = 2.0, r: float = 2.0,

@@ -105,7 +105,6 @@ class DyadicPartition:
         self.grid = grid
         self.shell_range = shell_range_for(grid.dxi, grid.band_max)
         self.masks = np.stack([shell_profile(grid.xi_abs, j) for j in self.js])
-        self._low = np.cumsum(self.masks, axis=0)
         self._supports = {}
 
     def support(self, coeffs: np.ndarray) -> SimpleNamespace:
@@ -138,18 +137,16 @@ class DyadicPartition:
         return self.masks[self._offset(j)]
 
     def low_mask(self, j: int) -> np.ndarray:
-        """Sum of shell masks with index <= j (low-pass multiplier)."""
+        """Sum of shell masks with index <= j (low-pass multiplier), built on
+        use: the norms never need it."""
         if j < self.shell_range.j_min:
             return np.zeros(self.grid.spectral_shape)
-        j = min(j, self.shell_range.j_max)
-        return self._low[self._offset(j)]
+        return np.sum(self.masks[:self._offset(min(j, self.shell_range.j_max)) + 1], axis=0)
 
     def unity_defect(self) -> float:
         """max |sum_j phi_j - 1| over the dealiased band, excluding xi = 0."""
-        total = self.masks.sum(axis=0)
-        band = self.grid.dealias_mask.copy()
-        band[(0,) * self.grid.dim] = False
-        return float(np.max(np.abs(total[band] - 1.0)))
+        defect = np.abs(self.grid.pack(self.masks.sum(axis=0)) - 1.0)
+        return float(np.max(defect.ravel()[1:]))  # the band's first mode is xi = 0
 
 
 @lru_cache(maxsize=32)

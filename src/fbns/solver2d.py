@@ -62,13 +62,13 @@ def biot_savart(w: SpectralField) -> SpectralField:
 
 @lru_cache(maxsize=8)
 def _rhs_symbols(grid: Grid) -> tuple:
-    """Read-only RHS symbols (i xi_2, -i xi_1)/|xi|^2, i xi_1, i xi_2 and -dealias_mask."""
+    """Read-only RHS symbols (i xi_2, -i xi_1)/|xi|^2, i xi_1, i xi_2, and their pack."""
     xi1, xi2, inv = grid.xi_axis(0), grid.xi_axis(1), grid.inv_xi_sq
     symbols = np.stack(np.broadcast_arrays(1j * xi2 * inv, -1j * xi1 * inv, 1j * xi1, 1j * xi2))
-    neg_mask = -1.0 * grid.dealias_mask
-    for arr in (symbols, neg_mask):
+    band = grid.pack(symbols)
+    for arr in (symbols, band):
         arr.setflags(write=False)
-    return symbols, neg_mask
+    return symbols, band
 
 
 def frame_rotation(omega: float, t: float) -> np.ndarray:
@@ -85,8 +85,8 @@ def frame_rotation(omega: float, t: float) -> np.ndarray:
 def _if_rk4(w: np.ndarray, grid: Grid, dt: float, steps: int, rhs) -> np.ndarray:
     """Integrating-factor RK4 for dw/dt = lap(w) + rhs(w): diffusion
     propagated exactly, the rhs stage values taken at exponentially shifted
-    states.  w holds coefficients of shape (ncomp,) + grid.spectral_shape."""
-    e_half = np.exp(-grid.xi_sq * (dt / 2.0))
+    states.  w and rhs(w) are (ncomp,) + either layout of the grid (Grid.layout)."""
+    e_half = np.exp(-grid.gather(grid.xi_sq, grid.layout(w)) * (dt / 2.0))
     e_full = e_half * e_half
     for _ in range(steps):
         k1 = rhs(w)
@@ -99,25 +99,24 @@ def _if_rk4(w: np.ndarray, grid: Grid, dt: float, steps: int, rhs) -> np.ndarray
 
 def advance_vorticity(state: VorticityState, dt: float, steps: int,
                       check_cfl: bool = True) -> VorticityState:
-    """Integrating-factor RK4 of the vorticity equation."""
+    """Integrating-factor RK4 of the vorticity equation on the dealiased band."""
     if not 0 < dt < math.inf or steps < 0:
         raise ValueError(f"need finite dt > 0 and steps >= 0, got dt={dt}, "
                          f"steps={steps}")
     grid = state.w.grid
-    symbols, neg_mask = _rhs_symbols(grid)
+    symbols = _rhs_symbols(grid)[1]
     if check_cfl and steps > 0:
         advect_check(state.velocity, dt)
 
-    def rhs(w_hat):  # -dealias((v . grad w)_hat) from four scalar inverse transforms
-        v1, v2, g1, g2 = (inverse_transform(SpectralField(grid, s * w_hat)) for s in symbols)
+    def rhs(w_hat):  # -(v . grad w) on the band from four scalar band transforms
+        v1, v2, g1, g2 = (grid._to_samples(s * w_hat) for s in symbols)
         v1 *= g1  # v . grad w in place: fresh arrays this size page-fault per call
         v1 += np.multiply(v2, g2, out=v2)
-        out = forward_transform(v1, grid).coeffs
-        out *= neg_mask
-        return out
+        out = grid._to_band(v1)
+        return np.negative(out, out=out)
 
-    w = _if_rk4(state.w.coeffs * grid.dealias_mask, grid, dt, steps, rhs)
-    return VorticityState(SpectralField(grid, w), state.t + steps * dt)
+    w = _if_rk4(grid.pack(state.w.coeffs), grid, dt, steps, rhs)
+    return VorticityState(SpectralField(grid, grid.unpack(w)), state.t + steps * dt)
 
 
 def run_vorticity(w0: SpectralField, dt: float, n_steps: int,
@@ -149,8 +148,7 @@ def advance_velocity(u: SpectralField, dt: float, steps: int, omega: float = 0.0
     grid = u.grid
 
     def rhs(u_hat):  # -P div(u (x) u) - omega P(e3 x u)
-        field = SpectralField(grid, u_hat)
-        out = -pair_forcing(field, field).coeffs
+        out = -grid.unpack(pair_forcing(grid, u_hat, u_hat))
         if coriolis and omega != 0.0:
             turned = SpectralField(grid, np.stack([-u_hat[1], u_hat[0]]))
             out -= omega * helmholtz_project(turned).coeffs

@@ -20,8 +20,7 @@ import numpy as np
 
 from . import lp
 from .semigroup import check_divergence_free, duhamel_recursion, propagator
-from .spectral import (Grid, SpectralField, dealias, forward_transform,
-                       inverse_transform, leray)
+from .spectral import Grid, SpectralField, dealias, inverse_transform, leray
 from .trajectory import Trajectory
 
 INF = float("inf")
@@ -138,31 +137,28 @@ def smallness_gate(u0: SpectralField, p: float, r: float,
                       threshold=threshold, passed=passed)
 
 
-def pair_forcing(u: SpectralField, v: SpectralField) -> SpectralField:
-    """P div(u (x) v) for dim-component fields on a 2d or 3d grid: component
-    i is P applied to sum_j d_j (u_i v_j), computed pseudo-spectrally with
-    the 2/3-band product rule, the products gathered to the band (Grid.pack)
-    to form and project the divergence.  When v is u, u is transformed once
-    and each symmetric product u_i u_j formed once, feeding div_i and div_j."""
-    if u.grid != v.grid:
-        raise ValueError("fields live on different grids")
-    grid = u.grid
-    if u.ncomp != grid.dim or v.ncomp != grid.dim:
+def pair_forcing(grid: Grid, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """P div(u (x) v) on the band for dim-component coefficients in either
+    layout (Grid.layout; the half spectrum need not be dealiased): component
+    i is P applied to sum_j d_j (u_i v_j), each product taken pseudo-spectrally
+    straight to the band (Grid._to_band, the 2/3 rule).  When v is u, u is
+    transformed once and each symmetric product u_i u_j formed once."""
+    if len(u) != grid.dim or len(v) != grid.dim:
         raise ValueError(f"pair forcing expects {grid.dim}-component fields "
                          f"on a {grid.dim}d grid")
-    up = inverse_transform(u)
+    up = grid._to_samples(u)
     symmetric = v is u
-    vp = up if symmetric else inverse_transform(v)
+    vp = up if symmetric else grid._to_samples(v)
     *xi, inv_xi_sq = grid.band_symbols
     div = np.zeros((grid.dim,) + xi[0].shape, dtype=np.complex128)
     for jax in range(grid.dim):
         for iax in range(jax + 1 if symmetric else grid.dim):
-            prod_hat = grid.pack(forward_transform(up[iax] * vp[jax], grid).coeffs[0])
+            prod_hat = grid._to_band(up[iax] * vp[jax])
             div[iax] += 1j * xi[jax] * prod_hat
             if symmetric and iax < jax:
                 div[jax] += 1j * xi[iax] * prod_hat
     del up, vp  # free the samples before projecting
-    return SpectralField(grid, grid.unpack(leray(div, xi, inv_xi_sq)))
+    return leray(div, xi, inv_xi_sq)
 
 
 def advect_check(u: SpectralField, dt: float):
@@ -182,8 +178,9 @@ def _mild_map_sweep(buffer: np.ndarray, u0: np.ndarray, grid: Grid, prop,
     forcing = None
     if nonlinearity:
         def forcing(k):  # -P div(u (x) u), the forcing of the mild map
-            u = SpectralField(grid, grid.unpack(buffer[k]))
-            return np.negative(grid.pack(pair_forcing(u, u).coeffs))
+            u = buffer[k]
+            out = pair_forcing(grid, u, u)
+            return np.negative(out, out=out)
 
     def write(k, new):
         if record is not None:

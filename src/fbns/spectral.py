@@ -160,11 +160,36 @@ class Grid:
         out[self.band] = coeffs
         return out
 
+    def _rows(self, axis: int) -> list:  # the band's rows 0...kcut, -kcut...-1 of an axis
+        tail = (slice(None),) * (-1 - axis)
+        return [(Ellipsis, rows) + tail for rows in (slice(self.kcut + 1), slice(-self.kcut, None))]
+
+    def _to_samples(self, coeffs: np.ndarray) -> np.ndarray:
+        """Real samples of coefficients in either layout, any leading axes: irfftn
+        of the half spectrum, or the pruned FFT of the band, one 1d pass per axis
+        in irfftn's order fed only the band's rows, equal to irfftn of unpack."""
+        if self.layout(coeffs) == "half":
+            return scipy.fft.irfftn(coeffs, s=self.shape, norm="forward")
+        for axis in range(-self.dim, -1):
+            full = np.zeros(coeffs.shape[:axis] + (self.n,) + coeffs.shape[axis + 1:], np.complex128)
+            for rows in self._rows(axis):
+                full[rows] = coeffs[rows]
+            coeffs = scipy.fft.ifft(full, axis=axis, norm="forward", overwrite_x=True)
+        return scipy.fft.irfft(coeffs, n=self.n, axis=-1, norm="forward")
+
+    def _to_band(self, samples: np.ndarray) -> np.ndarray:
+        """The band of real samples, C-contiguous, by the pruned FFT: keeping
+        only the band's rows after each pass is the dealiasing.  Equal to pack
+        of rfftn when n is a power of two, to rounding otherwise."""
+        coeffs = scipy.fft.rfft(samples, axis=-1, norm="forward")[..., :self.kcut + 1]
+        for axis in range(-self.dim, -1):
+            full = scipy.fft.fft(coeffs, axis=axis, norm="forward")
+            coeffs = np.concatenate([full[rows] for rows in self._rows(axis)], axis=axis)
+        return coeffs
+
     @cached_property
     def dealias_mask(self) -> np.ndarray:
-        mask = np.zeros(self.spectral_shape, dtype=bool)
-        mask[self.band] = True
-        return mask
+        return self.unpack(np.ones(self.band_shape)) != 0
 
     @cached_property
     def band_max(self) -> float:
@@ -280,9 +305,7 @@ def forward_transform(samples: np.ndarray, grid: Grid) -> SpectralField:
 def inverse_transform(field: SpectralField) -> np.ndarray:
     """Coefficients -> real physical samples, exact inverse of
     forward_transform."""
-    grid = field.grid
-    axes = tuple(range(1, grid.dim + 1))
-    return scipy.fft.irfftn(field.coeffs, s=grid.shape, axes=axes, norm="forward")
+    return field.grid._to_samples(field.coeffs)
 
 
 def dealias(field: SpectralField) -> SpectralField:

@@ -57,8 +57,8 @@ def duhamel_samples(forcing: Samples, omega: float) -> Samples:
 
 def duhamel_bilinear(u: Samples, v: Samples, omega: float) -> Samples:
     """B(u, v)(t) = integral_0^t T(t - tau) P div(u (x) v)(tau) dtau."""
-    forcing = np.stack([pair_forcing(u.field(k), v.field(k)).coeffs
-                        for k in range(u.n_samples)])
+    forcing = u.grid.unpack(np.stack([pair_forcing(u.grid, u.coeffs[k], v.coeffs[k])
+                                      for k in range(u.n_samples)]))
     return duhamel_samples(Samples(u.grid, u.times, forcing), omega)
 
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from fbns.solver2d import (SupportError, VorticityState, _if_rk4, _rhs_symbols,
                            advance_velocity, advance_vorticity, biot_savart,
@@ -14,6 +15,7 @@ from fbns.spectral import (Grid, SpectralField, curl, dealias, derivative,
                            divergence_defect, forward_transform, gradient,
                            inverse_transform, random_divfree_field,
                            random_scalar_field, taylor_green_2d)
+from test_solver3d import count_calls
 
 GRID = Grid(dim=2, n=32, period_l=1.0)
 
@@ -142,11 +144,24 @@ def test_rhs_symbol_cache_is_keyed_by_the_whole_grid():
     for k in (0, 1, 2, 1, 0, 2):
         assert np.array_equal(run(grids[k]), alone[k])
     assert _rhs_symbols(Grid(2, 16, 4.0)) is _rhs_symbols(grids[1])
-    symbols, neg_mask = _rhs_symbols(grids[0])
-    with pytest.raises(ValueError):
-        symbols[0, 1, 1] = 0.0
-    with pytest.raises(ValueError):
-        neg_mask[1, 1] = 0.0
+    symbols, band = _rhs_symbols(grids[0])
+    assert np.array_equal(band, grids[0].pack(symbols))
+    for arr in (symbols, band):
+        with pytest.raises(ValueError):
+            arr[0, 1, 1] = 0.0
+
+
+def test_vorticity_steps_stay_on_the_band(monkeypatch):
+    # one pack in, one unpack out, and per RK4 stage four band inverse and one
+    # band forward transform: no half-spectrum transform in the steps
+    grid = Grid(2, 16, 1.0)
+    state = VorticityState(dealias(random_scalar_field(grid, 9, amplitude=2.0)))
+    advance_vorticity(state, 1e-3, 1)  # builds the per-grid symbols
+    calls = count_calls(monkeypatch, (Grid, "pack"), (Grid, "unpack"), (scipy.fft, "irfftn"),
+                        (scipy.fft, "rfftn"), (Grid, "_to_samples"), (Grid, "_to_band"))
+    advance_vorticity(state, 1e-3, 3, check_cfl=False)
+    assert calls == {"pack": 1, "unpack": 1, "irfftn": 0, "rfftn": 0,
+                     "_to_samples": 3 * 4 * 4, "_to_band": 3 * 4}
 
 
 def test_coriolis_term_is_invisible_after_projection():

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from fbns import lp, solver3d
 from fbns.semigroup import apply_semigroup
@@ -45,6 +46,12 @@ def component_mode(grid, comp, k, amplitude=1.0):
 # ---------------------------------------------------------------------------
 # quadratic forcing
 
+def forcing(u, v):
+    # pair_forcing of two fields in the half spectrum; u is passed twice
+    # when v is u, so the symmetric path runs
+    return pair_forcing(u.grid, u.coeffs, u.coeffs if v is u else v.coeffs)
+
+
 def pair_forcing_on_stored_modes(u, v):
     # the divergence accumulated on every stored mode, then masked to the
     # band and projected: the formula before the band gather
@@ -65,8 +72,12 @@ def test_pair_forcing_on_the_band_equals_stored_mode_formula(grid):
     u = random_divfree_field(grid, seed=71, cutoff=grid.band_max)
     v = random_divfree_field(grid, seed=72, cutoff=grid.band_max)
     for a, b in ((u, v), (u, u)):
-        expected = pair_forcing_on_stored_modes(a, b).coeffs
-        assert np.array_equal(pair_forcing(a, b).coeffs, expected)
+        expected = grid.pack(pair_forcing_on_stored_modes(a, b).coeffs)
+        assert np.array_equal(forcing(a, b), expected)
+        # band input goes through the pruned transform, to the same bits
+        a_band = grid.pack(a.coeffs)
+        b_band = a_band if b is a else grid.pack(b.coeffs)
+        assert np.array_equal(pair_forcing(grid, a_band, b_band), expected)
 
 
 def test_pair_forcing_hand_oracle():
@@ -76,7 +87,7 @@ def test_pair_forcing_hand_oracle():
     grid = Grid(dim=3, n=16, period_l=1.0)
     u = component_mode(grid, 1, (1, 0, 0))
     v = component_mode(grid, 0, (0, 1, 0))
-    out = pair_forcing(u, v)
+    out = SpectralField(grid, grid.unpack(forcing(u, v)))
     expected = np.array([-0.125j, 0.125j, 0.0])
     assert np.max(np.abs(out.coeffs[:, 1, 1, 0] - expected)) < 1e-14
     assert np.max(np.abs(out.coeffs[:, -1, -1, 0] - expected.conj())) < 1e-14
@@ -123,10 +134,10 @@ def test_pair_forcing_matches_direct_convolution():
     for grid in (Grid(dim=3, n=8, period_l=2.0), Grid(dim=2, n=16, period_l=2.0)):
         u = random_divfree_field(grid, seed=50)
         v = random_divfree_field(grid, seed=51)
-        got = pair_forcing(u, v)
+        got = grid.unpack(forcing(u, v))
         expected = direct_forcing(u, v)
         scale = np.max(np.abs(expected))
-        assert np.max(np.abs(got.coeffs - expected)) < 1e-13 * scale
+        assert np.max(np.abs(got - expected)) < 1e-13 * scale
 
 
 def test_pair_forcing_bilinear_and_projected():
@@ -134,41 +145,69 @@ def test_pair_forcing_bilinear_and_projected():
         u = random_divfree_field(grid, seed=52)
         v = random_divfree_field(grid, seed=53)
         w = random_divfree_field(grid, seed=54)
-        assert divergence_defect(pair_forcing(u, v)) < 1e-12
-        left = pair_forcing(u + w, v).coeffs
-        right = pair_forcing(u, v).coeffs + pair_forcing(w, v).coeffs
+        assert divergence_defect(SpectralField(grid, grid.unpack(forcing(u, v)))) < 1e-12
+        left = forcing(u + w, v)
+        right = forcing(u, v) + forcing(w, v)
         assert np.max(np.abs(left - right)) < 1e-13
-        scaled = pair_forcing(u * 2.5, v).coeffs
-        assert np.max(np.abs(scaled - 2.5 * pair_forcing(u, v).coeffs)) < 1e-13
+        scaled = forcing(u * 2.5, v)
+        assert np.max(np.abs(scaled - 2.5 * forcing(u, v))) < 1e-13
+
+
+def count_calls(monkeypatch, *targets):
+    """Count calls of each (owner, name) target, keyed by name."""
+    calls = {}
+    for owner, name in targets:
+        def counting(*args, _name=name, _original=getattr(owner, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        calls[name] = 0
+        monkeypatch.setattr(owner, name, counting)
+    return calls
 
 
 def test_nonlinear_term_transforms_its_field_once(monkeypatch):
-    calls = {"inverse_transform": 0, "forward_transform": 0}
-    for name in calls:
-        def counting(*args, _name=name, _original=getattr(solver3d, name)):
-            calls[_name] += 1
-            return _original(*args)
-        monkeypatch.setattr(solver3d, name, counting)
-    # u (x) u is symmetric: dim (dim + 1) / 2 products instead of dim^2
+    calls = count_calls(monkeypatch, (Grid, "_to_samples"), (scipy.fft, "irfftn"),
+                        (Grid, "_to_band"))
+    # u (x) u is symmetric: dim (dim + 1) / 2 products instead of dim^2; half
+    # input is inverted by irfftn, band input by the pruned transform
     for grid, products, full in ((GRID, 6, 9), (Grid(dim=2, n=16, period_l=1.0), 3, 4)):
-        u = random_divfree_field(grid, seed=55)
-        calls.update(inverse_transform=0, forward_transform=0)
-        expected = pair_forcing(u, u.copy()).coeffs
-        assert calls == {"inverse_transform": 2, "forward_transform": full}
-        calls.update(inverse_transform=0, forward_transform=0)
-        got = pair_forcing(u, u).coeffs
-        assert calls == {"inverse_transform": 1, "forward_transform": products}
-        assert np.array_equal(got, expected)
+        u = random_divfree_field(grid, seed=55).coeffs
+        band = grid.pack(u)
+        runs = (((u, u.copy()), (2, 2, full)), ((u, u), (1, 1, products)),
+                ((band, band.copy()), (2, 0, full)), ((band, band), (1, 0, products)))
+        results = []
+        for args, counts in runs:
+            calls.update(dict.fromkeys(calls, 0))
+            results.append(pair_forcing(grid, *args))
+            assert tuple(calls.values()) == counts
+        for got in results[1:]:
+            assert np.array_equal(got, results[0])
+
+
+def test_picard_sweep_stays_on_the_band(monkeypatch):
+    # every forcing sample goes straight between the band and the samples:
+    # no scatter to the half spectrum, no gather back, no n-d transform (a
+    # first sweep builds the per-grid symbols, which gather once)
+    grid = Grid(dim=3, n=8, period_l=1.0)
+    u0 = grid.pack(small_data(grid, seed=56).coeffs)
+    buffer = np.repeat(u0[np.newaxis], 5, axis=0)
+    prop = solver3d.propagator(grid, 0.05, 3.0)
+    solver3d._mild_map_sweep(buffer, u0, grid, prop)
+    calls = count_calls(monkeypatch, (Grid, "unpack"), (Grid, "pack"), (Grid, "gather"),
+                        (scipy.fft, "irfftn"), (scipy.fft, "rfftn"), (Grid, "_to_band"))
+    solver3d._mild_map_sweep(buffer, u0, grid, prop)
+    assert calls == {"unpack": 0, "pack": 0, "gather": 0, "irfftn": 0, "rfftn": 0,
+                     "_to_band": 5 * 6}
 
 
 def test_nonlinear_term_validation():
     grid2 = Grid(dim=2, n=8, period_l=1.0)
-    f2 = SpectralField(grid2, np.zeros((3,) + grid2.spectral_shape, dtype=np.complex128))
+    f2 = np.zeros((3,) + grid2.spectral_shape, dtype=np.complex128)
     with pytest.raises(ValueError, match="2-component fields"):
-        pair_forcing(f2, f2)
+        pair_forcing(grid2, f2, f2)
     other = random_divfree_field(Grid(dim=3, n=8, period_l=1.0), seed=1)
-    with pytest.raises(ValueError, match="different grids"):
-        pair_forcing(random_divfree_field(GRID, seed=2), other)
+    with pytest.raises(ValueError, match="neither layout"):
+        pair_forcing(GRID, random_divfree_field(GRID, seed=2).coeffs, other.coeffs)
 
 
 # ---------------------------------------------------------------------------
