@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import lambertw
 
 from .lp import lebesgue
 from .solver3d import advect_check, pair_forcing
@@ -356,6 +355,21 @@ def czero_constant(p: float) -> float:
     return p * p / (p - 1.0)
 
 
+def _lambert_w0(x: float) -> float:
+    """The principal branch W0 on [0, inf): the w >= 0 with w e^w = x, by
+    Halley's iteration on w - x e^-w (no overflow) started at log1p(x)."""
+    if not 0 <= x < math.inf:
+        raise ValueError(f"W0 is taken of finite x >= 0, got {x}")
+    w = math.log1p(x)
+    for _ in range(20):  # Halley converges cubically: six steps at most on [0, float max]
+        r = x * math.exp(-w)
+        step = 2 * (w - r) * (1 + r) / (2 * (1 + r) ** 2 + (w - r) * r)
+        w -= step
+        if abs(step) <= 4e-16 * w:
+            return w
+    raise ArithmeticError(f"W0({x}) did not converge")
+
+
 @dataclass
 class GronwallRow:
     t: float
@@ -404,7 +418,13 @@ def gronwall_diagnostic(times, states, p_values, t1_index: int = 0) -> dict:
             if target <= 0 or v1 <= 0:
                 continue
             a, b = tau * w1, target / v1
-            c_needed = max(c_needed, b if a == 0 else float(lambertw(a * b).real) / a)
+            if a == 0:
+                c = b
+            elif a * b < math.inf:
+                c = _lambert_w0(a * b) / a
+            else:
+                c = a * b
+            c_needed = max(c_needed, c)
 
         vort_margin = math.inf
         cz_margin = math.inf

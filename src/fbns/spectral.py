@@ -8,7 +8,7 @@ real.  They are stored as complex coefficients c_k of the expansion
 with integer wavevectors k in FFT order.  The continuous wavenumber of
 index k is xi = k / L, so the frequency lattice has spacing 1/L per axis.
 As c_{-k} = conj(c_k), only the half spectrum of real transforms is stored
-(the scipy.fft.rfftn layout, last axis k = 0 ... n/2) or only its dealiased
+(the numpy.fft.rfftn layout, last axis k = 0 ... n/2) or only its dealiased
 band (Grid.pack); Grid alone knows both, and reads an array's from its shape.
 
 The torus with large period stands in for the whole space: norms carry the
@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.fft
 
 TWO_PI = 2.0 * np.pi
 
@@ -160,32 +159,58 @@ class Grid:
         out[self.band] = coeffs
         return out
 
-    def _rows(self, axis: int) -> list:  # the band's rows 0...kcut, -kcut...-1 of an axis
-        tail = (slice(None),) * (-1 - axis)
-        return [(Ellipsis, rows) + tail for rows in (slice(self.kcut + 1), slice(-self.kcut, None))]
+    @cached_property
+    def _rows(self) -> dict:
+        """Index tuples of the band's rows of each axis: 0...kcut of the last;
+        0...kcut and -kcut...-1 of a full axis, then the rows between them."""
+        k = self.kcut
+        rows = {-1: ((Ellipsis, slice(k + 1)),)}
+        for axis in range(-self.dim, -1):
+            tail = (slice(None),) * (-1 - axis)
+            rows[axis] = tuple((Ellipsis, r) + tail for r in (slice(k + 1), slice(-k, None), slice(k + 1, -k)))
+        return rows
+
+    def _outermost(self, shape: tuple, axis: int, dtype=np.complex128) -> np.ndarray:
+        """An empty array of this shape stored with `axis` outermost of the grid
+        axes.  numpy.fft builds its plan afresh for every run of lines it
+        cannot merge, so a pass along a middle axis pays once per outer index;
+        along this axis it pays once per leading index."""
+        stored = list(shape)
+        stored[axis], stored[-self.dim] = stored[-self.dim], stored[axis]
+        return np.empty(stored, dtype).swapaxes(axis, -self.dim)
 
     def _to_samples(self, coeffs: np.ndarray) -> np.ndarray:
         """Real samples of coefficients in either layout, any leading axes: irfftn
         of the half spectrum, or the pruned FFT of the band, one 1d pass per axis
-        in irfftn's order fed only the band's rows, equal to irfftn of unpack."""
+        in irfftn's order fed only the band's rows, equal to irfftn of unpack.
+        Samples of the band are stored as the last complex pass left them
+        (Grid._outermost): in 3d the first two grid axes are swapped in memory."""
         if self.layout(coeffs) == "half":
-            return scipy.fft.irfftn(coeffs, s=self.shape, norm="forward")
+            return np.fft.irfftn(coeffs, s=self.shape, axes=range(-self.dim, 0), norm="forward")
         for axis in range(-self.dim, -1):
-            full = np.zeros(coeffs.shape[:axis] + (self.n,) + coeffs.shape[axis + 1:], np.complex128)
-            for rows in self._rows(axis):
-                full[rows] = coeffs[rows]
-            coeffs = scipy.fft.ifft(full, axis=axis, norm="forward", overwrite_x=True)
-        return scipy.fft.irfft(coeffs, n=self.n, axis=-1, norm="forward")
+            full = self._outermost(coeffs.shape[:axis] + (self.n,) + coeffs.shape[axis + 1:], axis)
+            low, high, gap = self._rows[axis]
+            full[low], full[high], full[gap] = coeffs[low], coeffs[high], 0
+            coeffs = np.fft.ifft(full, axis=axis, norm="forward", out=full)
+        out = self._outermost(coeffs.shape[:-1] + (self.n,), -2, np.float64)
+        return np.fft.irfft(coeffs, n=self.n, axis=-1, norm="forward", out=out)
 
     def _to_band(self, samples: np.ndarray) -> np.ndarray:
         """The band of real samples, C-contiguous, by the pruned FFT: keeping
-        only the band's rows after each pass is the dealiasing.  Equal to pack
-        of rfftn when n is a power of two, to rounding otherwise."""
-        coeffs = scipy.fft.rfft(samples, axis=-1, norm="forward")[..., :self.kcut + 1]
-        for axis in range(-self.dim, -1):
-            full = scipy.fft.fft(coeffs, axis=axis, norm="forward")
-            coeffs = np.concatenate([full[rows] for rows in self._rows(axis)], axis=axis)
-        return coeffs
+        only the band's rows after each pass is the dealiasing.  One 1d pass
+        per axis in rfftn's order, innermost full axis first, so equal to pack
+        of rfftn; each complex pass runs in place on a copy stored with its
+        axis outermost (Grid._outermost)."""
+        shape = samples.shape[:-1] + (self.n // 2 + 1,)  # rfft's output, stored as the samples
+        coeffs = np.fft.rfft(samples, axis=-1, norm="forward", out=np.empty_like(samples, np.complex128, shape=shape))
+        shape, kept = shape[:-1] + (self.kcut + 1,), self._rows[-1]
+        for axis in range(-2, -self.dim - 1, -1):
+            full = self._outermost(shape, axis)
+            for rows in kept:
+                full[rows] = coeffs[rows]
+            coeffs = np.fft.fft(full, axis=axis, norm="forward", out=full)
+            shape, kept = shape[:axis] + (2 * self.kcut + 1,) + shape[axis + 1:], self._rows[axis][:2]
+        return np.concatenate([coeffs[rows] for rows in kept], axis=axis)
 
     @cached_property
     def dealias_mask(self) -> np.ndarray:
@@ -298,7 +323,7 @@ def forward_transform(samples: np.ndarray, grid: Grid) -> SpectralField:
     if arr.shape[1:] != grid.shape:
         raise ValueError(f"sample shape {samples.shape} does not match grid {grid.shape}")
     axes = tuple(range(1, grid.dim + 1))
-    coeffs = scipy.fft.rfftn(arr, axes=axes, norm="forward")
+    coeffs = np.fft.rfftn(arr, axes=axes, norm="forward")
     return SpectralField(grid, coeffs)
 
 

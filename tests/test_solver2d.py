@@ -2,9 +2,9 @@ import math
 
 import numpy as np
 import pytest
-import scipy.fft
+from hypothesis import example, given, strategies as st
 
-from fbns.solver2d import (SupportError, VorticityState, _if_rk4, _rhs_symbols,
+from fbns.solver2d import (SupportError, VorticityState, _if_rk4, _lambert_w0, _rhs_symbols,
                            advance_velocity, advance_vorticity, biot_savart,
                            coriolis_projection_identity,
                            czero_constant, frame_rotation, gaussian_vortex,
@@ -157,8 +157,8 @@ def test_vorticity_steps_stay_on_the_band(monkeypatch):
     grid = Grid(2, 16, 1.0)
     state = VorticityState(dealias(random_scalar_field(grid, 9, amplitude=2.0)))
     advance_vorticity(state, 1e-3, 1)  # builds the per-grid symbols
-    calls = count_calls(monkeypatch, (Grid, "pack"), (Grid, "unpack"), (scipy.fft, "irfftn"),
-                        (scipy.fft, "rfftn"), (Grid, "_to_samples"), (Grid, "_to_band"))
+    calls = count_calls(monkeypatch, (Grid, "pack"), (Grid, "unpack"), (np.fft, "irfftn"),
+                        (np.fft, "rfftn"), (Grid, "_to_samples"), (Grid, "_to_band"))
     advance_vorticity(state, 1e-3, 3, check_cfl=False)
     assert calls == {"pack": 1, "unpack": 1, "irfftn": 0, "rfftn": 0,
                      "_to_samples": 3 * 4 * 4, "_to_band": 3 * 4}
@@ -351,6 +351,38 @@ def test_czero_constant_values_and_range():
     for bad in (1.5, float("inf")):
         with pytest.raises(ValueError):
             czero_constant(bad)
+
+
+# W0(x) as scipy.special.lambertw(x).real gave it (scipy 1.17.1)
+SCIPY_W0 = {1e-12: 9.99999999999e-13, 0.0123: 0.012151441693936662,
+            1.0: 0.5671432904097838, math.e: 1.0, 3.7: 1.159953178612022,
+            1e3: 5.249602852401596, 1e6: 11.383358086140053, 1e8: 15.668996715450962}
+
+
+@given(st.floats(1e-12, 1e8))
+@example(1e-12)
+@example(0.0123)
+@example(1.0)
+@example(math.e)
+@example(3.7)
+@example(1e3)
+@example(1e6)
+@example(1e8)
+def test_lambert_w0_solves_w_exp_w(x):
+    # w e^w = x to 1e-15 relative in w: a residual r moves w by r / (e^w (1 + w)),
+    # so the bound on r scales with 1 + w (a rounded w alone leaves r/x up to
+    # 1.2e-15 at x = 1e8, for lambertw too)
+    w = _lambert_w0(x)
+    assert abs(w * math.exp(w) - x) <= 1e-15 * x * (1 + w)
+    if x in SCIPY_W0:
+        assert abs(w - SCIPY_W0[x]) <= 1e-15 * SCIPY_W0[x]
+
+
+def test_lambert_w0_refuses_negative_and_non_finite_x():
+    assert _lambert_w0(0.0) == 0.0
+    for bad in (-1e-300, -1.0, math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite x >= 0"):
+            _lambert_w0(bad)
 
 
 def test_gronwall_on_taylor_green():
