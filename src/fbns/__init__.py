@@ -31,8 +31,7 @@ from .spectral import (Grid, SpectralField, curl, dealias, derivative,
                        divergence, divergence_defect, forward_transform,
                        gradient, helmholtz_project, inverse_transform,
                        laplacian, random_divfree_field,
-                       random_scalar_field, taylor_green_2d, taylor_green_3d,
-                       zeros)
+                       random_scalar_field, taylor_green_2d, taylor_green_3d)
 from .trajectory import Trajectory
 
 __version__ = "0.1.0"

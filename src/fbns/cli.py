@@ -363,6 +363,13 @@ def _solve2d_initial(cfg: dict, grid: Grid) -> SpectralField:
 def run_solve2d(cfg: dict, workdir: str) -> int:
     grid = Grid(dim=2, n=cfg["n"], period_l=cfg["period_l"])
     w0 = _solve2d_initial(cfg, grid)
+    # refuse sample counts the diagnostics cannot use before any stepping
+    samples = 1 + max(0, -(-cfg["n_steps"] // max(cfg["sample_every"], 1)))
+    if cfg["residual"] and samples < 3:
+        raise UsageError(f"residual check needs at least three samples, got {samples}")
+    if not 0 <= cfg["t1_index"] <= samples - 2:
+        raise UsageError("t1_index must name a sample before the last of the run's "
+                         f"{samples} samples, got {cfg['t1_index']}")
     times, states = run_vorticity(w0, cfg["dt"], cfg["n_steps"],
                                   cfg["sample_every"])
     report = gronwall_diagnostic(times, states, cfg["p_values"],
@@ -387,8 +394,6 @@ def run_solve2d(cfg: dict, workdir: str) -> int:
         "gronwall_csv": f"{prefix}_gronwall.csv",
     }
     if cfg["residual"]:
-        if len(states) < 3:
-            raise ValueError("residual check needs at least three samples")
         tail = slice(len(states) - 3, len(states))
         try:
             res = rotating_frame_residual(times[tail],

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .lp import (INF, chemin_lerner_norm, critical_index, fb_norm_of_series,
-                 fb_norm_value, get_partition, shell_series)
+                 get_partition, shell_series)
 from .semigroup import sweep_samples
 from .solver3d import SolverConfig3D, picard_solve, smallness_gate
 from .spectral import (Grid, SpectralField, random_divfree_field,
@@ -29,6 +29,7 @@ from .spectral import (Grid, SpectralField, random_divfree_field,
 
 STABILITY_LIMIT = 0.2
 _TINY_RHS = 1e-300
+LAB_GRID = Grid(3, 16, 4.0)  # the default grid of every verifier
 
 
 @dataclass
@@ -80,10 +81,6 @@ def _finalize(name: str, params: dict, ensemble: int, ratios: list,
                           details or {})
 
 
-def default_lab_grid(dim: int = 3, n: int = 16, period_l: float = 4.0) -> Grid:
-    return Grid(dim=dim, n=n, period_l=period_l)
-
-
 def lab_times(horizon: float = 1.0, n_samples: int = 17) -> np.ndarray:
     if n_samples < 2 or not 0 < horizon < math.inf:
         raise ValueError(f"need 0 < horizon={horizon} < inf and n_samples={n_samples} >= 2")
@@ -126,7 +123,7 @@ def _decaying(grid: Grid, times: np.ndarray, seed, index: int,
 def verify_duhamel_smoothing(s: float = None, p: float = 2.0, r: float = 2.0,
                              q: float = 1.0, a: float = 1.0,
                              omega: float = 0.0, ensemble: int = 20,
-                             grid: Grid | None = None, horizon: float = 1.0,
+                             grid: Grid = LAB_GRID, horizon: float = 1.0,
                              n_samples: int = 17, seed: int = 0) -> EstimateReport:
     """Smoothing of the Duhamel integral: the time-q Chemin-Lerner norm at
     regularity s is controlled by the time-a norm of the forcing at
@@ -137,8 +134,6 @@ def verify_duhamel_smoothing(s: float = None, p: float = 2.0, r: float = 2.0,
         raise ValueError(
             f"need a <= q (got a={a}, q={q}) so the Young exponent "
             "1 + 1/q = 1/q~ + 1/a stays admissible")
-    if grid is None:
-        grid = default_lab_grid()
     if s is None:
         s = critical_index(p)
     rhs_index = s - 2.0 - (0.0 if q == INF else 2.0 / q) \
@@ -150,9 +145,9 @@ def verify_duhamel_smoothing(s: float = None, p: float = 2.0, r: float = 2.0,
         f = _decaying(grid, times, seed, i, oscillation=(i % 2 == 1))
         integral = sweep_samples(grid, times, omega, np.zeros_like(f[0]), f)
         lhs = chemin_lerner_norm(shell_series(integral, p, part),
-                                 times, s, r, q, part).total
+                                 times, s, r, q, part)
         rhs = chemin_lerner_norm(shell_series(f, p, part),
-                                 times, rhs_index, r, a, part).total
+                                 times, rhs_index, r, a, part)
         ratios.append(lhs / rhs if rhs > _TINY_RHS else math.nan)
     params = {"s": s, "p": p, "r": r, "q": q, "a": a, "omega": omega,
               "rhs_index": rhs_index, "horizon": horizon,
@@ -166,7 +161,7 @@ def _y_norm(samples: np.ndarray, times, s: float, p: float, r: float, part) -> f
     estimate: sup-in-time at regularity s plus time-integrated at 4 - 3/p,
     both read from one shell series of the band-packed samples."""
     series = shell_series(samples, p, part)
-    return sum(chemin_lerner_norm(series, times, sigma, r, q, part).total
+    return sum(chemin_lerner_norm(series, times, sigma, r, q, part)
                for sigma, q in ((s, INF), (4.0 - 3.0 / p, 1.0)))
 
 
@@ -182,7 +177,7 @@ def _band_product(grid: Grid, u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def verify_product_estimate(s: float = 0.5, p: float = 2.0, r: float = 2.0,
-                            ensemble: int = 20, grid: Grid | None = None,
+                            ensemble: int = 20, grid: Grid = LAB_GRID,
                             horizon: float = 1.0, n_samples: int = 17,
                             seed: int = 0) -> EstimateReport:
     """Bilinear product estimate: the time-integrated norm of uv at
@@ -195,8 +190,6 @@ def verify_product_estimate(s: float = 0.5, p: float = 2.0, r: float = 2.0,
         raise ValueError(
             f"regularity s={s} outside the admissible open interval "
             f"(-1, {upper}); the paraproduct sums diverge at the endpoints")
-    if grid is None:
-        grid = default_lab_grid()
     times = lab_times(horizon, n_samples)
     part = get_partition(grid)
     ratios = []
@@ -206,7 +199,7 @@ def verify_product_estimate(s: float = 0.5, p: float = 2.0, r: float = 2.0,
         v = _decaying(grid, times, (seed, 1), i, scalar=True)
         w = _band_product(grid, u, v)
         lhs = chemin_lerner_norm(shell_series(w, p, part),
-                                 times, s + 1.0, r, 1.0, part).total
+                                 times, s + 1.0, r, 1.0, part)
         rhs = _y_norm(u, times, s, p, r, part) * _y_norm(v, times, s, p, r, part)
         ratios.append(lhs / rhs if rhs > _TINY_RHS else math.nan)
     params = {"s": s, "p": p, "r": r, "horizon": horizon,
@@ -216,7 +209,7 @@ def verify_product_estimate(s: float = 0.5, p: float = 2.0, r: float = 2.0,
 
 
 def verify_semigroup_bounds(p: float = 2.0, r: float = 2.0, omega: float = 0.0,
-                            ensemble: int = 20, grid: Grid | None = None,
+                            ensemble: int = 20, grid: Grid = LAB_GRID,
                             horizon: float = 1.0, n_samples: int = 17,
                             seed: int = 0) -> EstimateReport:
     """Linear semigroup bounds at the critical regularity s = 2 - 3/p: the
@@ -224,8 +217,6 @@ def verify_semigroup_bounds(p: float = 2.0, r: float = 2.0, omega: float = 0.0,
     profiles decay from their initial values), and the time-integrated norm
     two derivatives up (smoothing), reported in details.  All three norms of
     a member are read from one shell series; its first sample is u0."""
-    if grid is None:
-        grid = default_lab_grid()
     s = critical_index(p)
     times = lab_times(horizon, n_samples)
     part = get_partition(grid)
@@ -240,9 +231,9 @@ def verify_semigroup_bounds(p: float = 2.0, r: float = 2.0, omega: float = 0.0,
             smoothing_ratios.append(math.nan)
             continue
         sup_ratios.append(
-            chemin_lerner_norm(series, times, s, r, INF, part).total / data_norm)
+            chemin_lerner_norm(series, times, s, r, INF, part) / data_norm)
         smoothing_ratios.append(
-            chemin_lerner_norm(series, times, s + 2.0, r, 1.0, part).total / data_norm)
+            chemin_lerner_norm(series, times, s + 2.0, r, 1.0, part) / data_norm)
     params = {"s": s, "p": p, "r": r, "omega": omega, "horizon": horizon,
               "n_samples": n_samples, "seed": seed, "grid_n": grid.n,
               "grid_l": grid.period_l}
@@ -261,11 +252,9 @@ def verify_semigroup_bounds(p: float = 2.0, r: float = 2.0, omega: float = 0.0,
 
 def _contraction_constant(grid: Grid, omega: float, seed: int) -> dict:
     # late Picard contraction ratio for data at half the gate threshold
-    s = critical_index(2.0)
     u0 = random_divfree_field(grid, seed=member_seed(seed, 0))
-    gate = smallness_gate(u0, 2.0, 2.0)
-    norm0 = fb_norm_value(u0, s, 2.0, 2.0)
-    u0 = SpectralField(grid, u0.coeffs * (0.5 * gate.threshold / norm0))
+    gate = smallness_gate(u0, 2.0, 2.0)  # gate.norm is the critical norm of u0
+    u0 = SpectralField(grid, u0.coeffs * (0.5 * gate.threshold / gate.norm))
     config = SolverConfig3D(grid=grid, omega=omega, horizon=0.5, dt=1.0 / 16.0)
     traj, diag = picard_solve(u0, config)
     late = diag.ratios[1:] if len(diag.ratios) > 1 else diag.ratios
@@ -279,7 +268,7 @@ def _contraction_constant(grid: Grid, omega: float, seed: int) -> dict:
     }
 
 
-def omega_independence_scan(experiment: str, omegas, grid: Grid | None = None,
+def omega_independence_scan(experiment: str, omegas, grid: Grid = LAB_GRID,
                             seed: int = 0, **kwargs) -> dict:
     """Tabulate an empirical constant against the rotation rate.
 
@@ -299,8 +288,6 @@ def omega_independence_scan(experiment: str, omegas, grid: Grid | None = None,
     if "ensemble" in kwargs:
         _members(kwargs["ensemble"])
     omegas = [float(w) for w in omegas]
-    if grid is None:
-        grid = default_lab_grid()
     constants = []
     per_omega = []
     for w in omegas:

@@ -17,7 +17,7 @@ agree with Plancherel and makes rotation multipliers isometries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from functools import lru_cache
 from types import SimpleNamespace
 
@@ -166,9 +166,9 @@ def low_pass(field: SpectralField, j: int) -> SpectralField:
 # ---------------------------------------------------------------------------
 # norms
 
-def _validate_lebesgue(name: str, value: float, minimum: float = 1.0):
-    if not (value >= minimum):
-        raise ValueError(f"{name} must satisfy {name} >= {minimum}, got {value}")
+def _validate_lebesgue(name: str, value: float):
+    if not value >= 1.0:
+        raise ValueError(f"{name} must satisfy {name} >= 1.0, got {value}")
 
 
 def _magnitude(coeffs: np.ndarray, axis: int = 0) -> np.ndarray:
@@ -229,19 +229,15 @@ class NormReport:
     params: dict
     shells: list
     total: float
-    truncation_flags: list = dataclass_field(default_factory=list)
-    tail_bound: float | None = None
+    truncation_flags: list
 
     def as_dict(self) -> dict:
-        out = {
+        return {
             "params": self.params,
             "shells": [[int(j), float(v)] for j, v in self.shells],
             "total": float(self.total),
             "truncation_flags": [int(j) for j in self.truncation_flags],
         }
-        if self.tail_bound is not None:
-            out["tail_bound"] = float(self.tail_bound)
-        return out
 
 
 def fb_norm_of_series(series: np.ndarray, s: float, r: float,
@@ -254,47 +250,36 @@ def fb_norm(field: SpectralField, s: float, p: float, r: float) -> NormReport:
     """Fourier-Besov norm: l^r over shells of 2^(j s) ||phi_j f_hat||_{L^p}."""
     _validate_lebesgue("r", r)
     part = get_partition(field.grid)
-    return _report({"s": s, "p": p, "r": r},
-                   shell_series(field.coeffs, p, part), s, r, part)
+    values = shell_series(field.coeffs, p, part) * 2.0 ** (s * np.array(part.js))
+    return NormReport({"s": s, "p": p, "r": r}, list(zip(part.js, values.tolist())),
+                      float(lebesgue(values, r, axis=-1)),
+                      list(part.shell_range.partial))
 
 
 def fb_norm_value(field: SpectralField, s: float, p: float, r: float) -> float:
     return fb_norm(field, s, p, r).total
 
 
-def _report(params: dict, values: np.ndarray, s: float, r: float,
-            part: DyadicPartition, tail: float | None = None) -> NormReport:
-    values = values * 2.0 ** (s * np.array(part.js))
-    return NormReport(params, list(zip(part.js, values.tolist())),
-                      float(lebesgue(values, r, axis=-1)),
-                      list(part.shell_range.partial), tail)
-
-
 def chemin_lerner_norm(series: np.ndarray, times, s: float, r: float, q: float,
-                       partition: DyadicPartition) -> NormReport:
+                       partition: DyadicPartition) -> float:
     """Time-inside-shell norm from the shell_series of every sample
     (samples x shells): l^r over shells of
     2^(j s) || ||phi_j u_hat(t)||_{L^p} ||_{L^q([0, T])}.
 
     q = inf takes the max over samples; finite q uses composite trapezoid
-    quadrature on the uniform sample grid.  For finite q a tail bound for
-    the truncated [T, inf) part is reported, assuming decay no slower than
-    the slowest resolved heat mode exp(-dxi^2 t) past the horizon.
+    quadrature on the uniform sample grid.
     """
     _validate_lebesgue("r", r)
     _validate_lebesgue("q", q)
-    params = {"s": s, "r": r, "q": q,
-              "horizon": float(times[-1] - times[0])}
     if q == INF:
-        return _report(params, np.max(series, axis=0), s, r, partition)
-    if len(times) < 2:
+        values = np.max(series, axis=0)
+    elif len(times) < 2:
         raise ValueError("time quadrature needs at least two samples")
-    last = float(fb_norm_of_series(series[-1], s, r, partition))
-    tail = last * (1.0 / (q * partition.grid.dxi ** 2)) ** (1.0 / q)
-    half = 0.5 * np.diff(times)  # composite trapezoid weights
-    weight = np.append(half, 0.0) + np.append(0.0, half)
-    return _report(params, lebesgue(series, q, weight[:, None], axis=0),
-                   s, r, partition, tail)
+    else:
+        half = 0.5 * np.diff(times)  # composite trapezoid weights
+        weight = np.append(half, 0.0) + np.append(0.0, half)
+        values = lebesgue(series, q, weight[:, None], axis=0)
+    return float(fb_norm_of_series(values, s, r, partition))
 
 
 def critical_index(p: float) -> float:
@@ -308,8 +293,8 @@ def mild_norm(series: np.ndarray, times, p: float, r: float,
     of every sample: the sup-in-time critical norm plus the time-integrated
     smoothing norm (regularity gain 2)."""
     s = critical_index(p)
-    return (chemin_lerner_norm(series, times, s, r, INF, partition).total
-            + chemin_lerner_norm(series, times, s + 2.0, r, 1.0, partition).total)
+    return (chemin_lerner_norm(series, times, s, r, INF, partition)
+            + chemin_lerner_norm(series, times, s + 2.0, r, 1.0, partition))
 
 
 # ---------------------------------------------------------------------------

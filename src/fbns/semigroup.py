@@ -147,18 +147,16 @@ def check_divergence_free(field: SpectralField, what: str):
                          f"(defect {defect:.3e} > {DIVFREE_TOL:g})")
 
 
-def apply_semigroup(field: SpectralField, t: float, omega: float,
-                    require_divergence_free: bool = True) -> SpectralField:
+def apply_semigroup(field: SpectralField, t: float, omega: float) -> SpectralField:
     """Propagate a divergence-free field by time t.
 
     Input that is measurably not divergence-free is rejected rather than
-    silently projected; pass require_divergence_free=False for symbol-level
-    experiments on arbitrary fields.
+    silently projected; symbol-level experiments on arbitrary fields call
+    propagator(grid, t, omega).apply(coeffs) directly.
     """
     if not 0 <= t < math.inf:
         raise ValueError(f"time must be non-negative and finite, got {t}")
     if field.ncomp != 3 or field.grid.dim != 3:
         raise ValueError("semigroup expects a 3-component field on a 3d grid")
-    if require_divergence_free:
-        check_divergence_free(field, "input")
+    check_divergence_free(field, "input")
     return SpectralField(field.grid, propagator(field.grid, t, omega).apply(field.coeffs))

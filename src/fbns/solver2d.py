@@ -137,18 +137,18 @@ def run_vorticity(w0: SpectralField, dt: float, n_steps: int,
     return np.array(times), states
 
 
-def advance_velocity(u: SpectralField, dt: float, steps: int, omega: float = 0.0,
-                     coriolis: bool = True) -> SpectralField:
-    """Projected 2d momentum equation with optional rotation term; because
-    the Coriolis term is a gradient on divergence-free fields, trajectories
-    with and without it agree to rounding."""
+def advance_velocity(u: SpectralField, dt: float, steps: int,
+                     omega: float = 0.0) -> SpectralField:
+    """Projected 2d momentum equation with the rotation term of rate omega
+    (none at omega = 0); because the Coriolis term is a gradient on
+    divergence-free fields, trajectories at any two rates agree to rounding."""
     if u.ncomp != 2 or u.grid.dim != 2:
         raise ValueError("velocity stepping expects a 2-component field on a 2d grid")
     grid = u.grid
 
     def rhs(u_hat):  # -P div(u (x) u) - omega P(e3 x u)
-        out = -grid.unpack(pair_forcing(grid, u_hat, u_hat))
-        if coriolis and omega != 0.0:
+        out = -grid.unpack(pair_forcing(grid, u_hat))
+        if omega != 0.0:
             turned = SpectralField(grid, np.stack([-u_hat[1], u_hat[0]]))
             out -= omega * helmholtz_project(turned).coeffs
         return out
@@ -181,8 +181,7 @@ def _lattice_points(grid: Grid) -> np.ndarray:
 
 
 def rotating_frame_transform(field: SpectralField, t: float, omega: float,
-                             center=None, rotate_components: bool | None = None,
-                             points: np.ndarray | None = None) -> np.ndarray:
+                             center=None, points: np.ndarray | None = None) -> np.ndarray:
     """Evaluate a field at the rotated points c + exp(tM)(x - c) by direct
     Fourier summation (spectrally accurate interpolation at arbitrary
     positions).
@@ -197,8 +196,6 @@ def rotating_frame_transform(field: SpectralField, t: float, omega: float,
     if grid.dim != 2:
         raise ValueError("rotating-frame transforms are two-dimensional")
     c = _domain_center(grid) if center is None else np.asarray(center, dtype=float)
-    if rotate_components is None:
-        rotate_components = field.ncomp == 2
     on_lattice = points is None
     pts = _lattice_points(grid) if on_lattice else np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
@@ -225,7 +222,7 @@ def rotating_frame_transform(field: SpectralField, t: float, omega: float,
         for comp in range(field.ncomp):
             partial = e2 @ weighted[comp].T  # [point, k1] after summing k2
             values[comp, lo:hi] = np.sum(e1 * partial, axis=1).real
-    if rotate_components and field.ncomp == 2:
+    if field.ncomp == 2:
         back = frame_rotation(omega, -t)  # exp(-tM)
         values = np.stack([back[0, 0] * values[0] + back[0, 1] * values[1],
                            back[1, 0] * values[0] + back[1, 1] * values[1]])
@@ -296,9 +293,9 @@ def rotating_frame_residual(times, w_fields, omega: float, mask_radius: float,
         lap_t = rotating_frame_transform(laplacian(w_hat), t, omega, c,
                                          points=mask_pts)
         grad_t = rotating_frame_transform(gradient(w_hat), t, omega, c,
-                                          rotate_components=True, points=mask_pts)
+                                          points=mask_pts)
         v_t = rotating_frame_transform(biot_savart(w_hat), t, omega, c,
-                                       rotate_components=True, points=mask_pts)
+                                       points=mask_pts)
         dwdt = (w_tilde[k + 1] - w_tilde[k - 1]) / (2.0 * h)
         residual = (dwdt - lap_t
                     + v_t[0] * grad_t[0] + v_t[1] * grad_t[1]
@@ -357,9 +354,12 @@ def czero_constant(p: float) -> float:
 
 def _lambert_w0(x: float) -> float:
     """The principal branch W0 on [0, inf): the w >= 0 with w e^w = x, by
-    Halley's iteration on w - x e^-w (no overflow) started at log1p(x)."""
-    if not 0 <= x < math.inf:
-        raise ValueError(f"W0 is taken of finite x >= 0, got {x}")
+    Halley's iteration on w - x e^-w (no overflow) started at log1p(x).
+    Like scipy.special.lambertw, W0(inf) = inf and W0(nan) = nan."""
+    if x < 0:
+        raise ValueError(f"W0 is taken of x >= 0, got {x}")
+    if not x < math.inf:
+        return x
     w = math.log1p(x)
     for _ in range(20):  # Halley converges cubically: six steps at most on [0, float max]
         r = x * math.exp(-w)
@@ -418,12 +418,7 @@ def gronwall_diagnostic(times, states, p_values, t1_index: int = 0) -> dict:
             if target <= 0 or v1 <= 0:
                 continue
             a, b = tau * w1, target / v1
-            if a == 0:
-                c = b
-            elif a * b < math.inf:
-                c = _lambert_w0(a * b) / a
-            else:
-                c = a * b
+            c = b if a == 0 else _lambert_w0(a * b) / a
             c_needed = max(c_needed, c)
 
         vort_margin = math.inf

@@ -120,15 +120,13 @@ class IterationDiagnostics:
         return asdict(self)
 
 
-def smallness_gate(u0: SpectralField, p: float, r: float,
-                   constant: float | None = None) -> GateReport:
+def smallness_gate(u0: SpectralField, p: float, r: float) -> GateReport:
     """Advisory check that the critical norm of the data is small enough for
-    the contraction argument: with empirical constant C the iteration
-    contracts once eps <= 1/(8C) and ||u0|| <= eps/C, so the threshold on
-    the data norm is 1/(8 C^2).  Boundary values pass (<= convention)."""
-    c = DEFAULT_GATE_CONSTANT if constant is None else float(constant)
-    if not c > 0:
-        raise ValueError("gate constant must be positive")
+    the contraction argument: with the empirical constant C =
+    DEFAULT_GATE_CONSTANT the iteration contracts once eps <= 1/(8C) and
+    ||u0|| <= eps/C, so the threshold on the data norm is 1/(8 C^2).
+    Boundary values pass (<= convention)."""
+    c = DEFAULT_GATE_CONSTANT
     norm = lp.fb_norm_value(u0, lp.critical_index(p), p, r)
     epsilon = 1.0 / (8.0 * c)
     threshold = epsilon / c
@@ -137,27 +135,25 @@ def smallness_gate(u0: SpectralField, p: float, r: float,
                       threshold=threshold, passed=passed)
 
 
-def pair_forcing(grid: Grid, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """P div(u (x) v) on the band for dim-component coefficients in either
+def pair_forcing(grid: Grid, u: np.ndarray) -> np.ndarray:
+    """P div(u (x) u) on the band for dim-component coefficients in either
     layout (Grid.layout; the half spectrum need not be dealiased): component
-    i is P applied to sum_j d_j (u_i v_j), each product taken pseudo-spectrally
-    straight to the band (Grid._to_band, the 2/3 rule).  When v is u, u is
-    transformed once and each symmetric product u_i u_j formed once."""
-    if len(u) != grid.dim or len(v) != grid.dim:
+    i is P applied to sum_j d_j (u_i u_j), each product taken pseudo-spectrally
+    straight to the band (Grid._to_band, the 2/3 rule).  u is transformed
+    once and each symmetric product u_i u_j formed once."""
+    if len(u) != grid.dim:
         raise ValueError(f"pair forcing expects {grid.dim}-component fields "
                          f"on a {grid.dim}d grid")
     up = grid._to_samples(u)
-    symmetric = v is u
-    vp = up if symmetric else grid._to_samples(v)
     *xi, inv_xi_sq = grid.band_symbols
     div = np.zeros((grid.dim,) + xi[0].shape, dtype=np.complex128)
     for jax in range(grid.dim):
-        for iax in range(jax + 1 if symmetric else grid.dim):
-            prod_hat = grid._to_band(up[iax] * vp[jax])
+        for iax in range(jax + 1):
+            prod_hat = grid._to_band(up[iax] * up[jax])
             div[iax] += 1j * xi[jax] * prod_hat
-            if symmetric and iax < jax:
+            if iax < jax:
                 div[jax] += 1j * xi[iax] * prod_hat
-    del up, vp  # free the samples before projecting
+    del up  # free the samples before projecting
     return leray(div, xi, inv_xi_sq)
 
 
@@ -178,8 +174,7 @@ def _mild_map_sweep(buffer: np.ndarray, u0: np.ndarray, grid: Grid, prop,
     forcing = None
     if nonlinearity:
         def forcing(k):  # -P div(u (x) u), the forcing of the mild map
-            u = buffer[k]
-            out = pair_forcing(grid, u, u)
+            out = pair_forcing(grid, buffer[k])
             return np.negative(out, out=out)
 
     def write(k, new):
@@ -191,16 +186,15 @@ def _mild_map_sweep(buffer: np.ndarray, u0: np.ndarray, grid: Grid, prop,
     write(0, u0)
 
 
-def picard_solve(u0: SpectralField, config: SolverConfig3D,
-                 initial_iterate: str = "linear"):
+def picard_solve(u0: SpectralField, config: SolverConfig3D):
     """Iterate the mild map to its fixed point.
 
     The iterate lives in one buffer on the dealiased band, which every
     Picard step overwrites in place, sample by sample, while it records the
     per-shell L^p values of the new iterate and of the increment; the
     contraction metric is computed from those, so no second trajectory is
-    ever stored.  The linear trajectory T(t) u0 is measured in the same way
-    and kept only as the linear starting iterate.
+    ever stored.  The linear trajectory T(t) u0, measured in the same way,
+    is the starting iterate.
 
     Returns (Trajectory, diagnostics).  A non-finite mild norm, or a
     contraction ratio above 1 on two consecutive iterations (divergence;
@@ -212,8 +206,6 @@ def picard_solve(u0: SpectralField, config: SolverConfig3D,
         raise ValueError("initial data grid does not match solver config")
     if u0.ncomp != 3:
         raise ValueError("initial data must have 3 components")
-    if initial_iterate not in ("linear", "zero"):
-        raise ValueError(f"unknown initial iterate {initial_iterate!r}")
     check_divergence_free(u0, "initial data")
 
     u0 = dealias(u0)
@@ -236,15 +228,10 @@ def picard_solve(u0: SpectralField, config: SolverConfig3D,
     traj = Trajectory(grid, times, np.zeros((times.size,) + u0.shape, dtype=np.complex128))
     _mild_map_sweep(traj.coeffs, u0, grid, prop, False, record)
     diag.linear_norm = lp.mild_norm(series[0], times, p, r, part)
-    if not config.nonlinearity:
-        traj.fb_norms = lp.fb_norm_of_series(series[0], lp.critical_index(p), r, part).tolist()
-    if initial_iterate == "zero":
-        series[0, 1:] = 0.0
-        if config.nonlinearity:
-            traj.coeffs[1:] = 0.0
-    diag.iterate_norms.append(lp.mild_norm(series[0], times, p, r, part))
+    diag.iterate_norms.append(diag.linear_norm)
 
     if not config.nonlinearity:
+        traj.fb_norms = lp.fb_norm_of_series(series[0], lp.critical_index(p), r, part).tolist()
         diag.converged = True
         diag.iterations = 0
         diag.residual_estimate = 0.0

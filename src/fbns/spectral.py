@@ -277,9 +277,6 @@ class SpectralField:
     def is_scalar(self) -> bool:
         return self.ncomp == 1
 
-    def copy(self) -> "SpectralField":
-        return SpectralField(self.grid, self.coeffs.copy())
-
     def l2(self) -> float:
         """Full-spectrum 2-norm (physical L2 up to the fixed volume factor)."""
         c = self.coeffs
@@ -298,19 +295,12 @@ class SpectralField:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "SpectralField":
-        return SpectralField(self.grid, -self.coeffs)
-
 
 def _check_same_layout(a: SpectralField, b: SpectralField):
     if a.grid != b.grid:
         raise ValueError("fields live on different grids")
     if a.ncomp != b.ncomp:
         raise ValueError(f"component mismatch: {a.ncomp} vs {b.ncomp}")
-
-
-def zeros(grid: Grid, ncomp: int = 1) -> SpectralField:
-    return SpectralField(grid, np.zeros((ncomp,) + grid.spectral_shape, dtype=np.complex128))
 
 
 def forward_transform(samples: np.ndarray, grid: Grid) -> SpectralField:

@@ -55,9 +55,9 @@ def duhamel_samples(forcing: Samples, omega: float) -> Samples:
                                  forcing.coeffs))
 
 
-def duhamel_bilinear(u: Samples, v: Samples, omega: float) -> Samples:
-    """B(u, v)(t) = integral_0^t T(t - tau) P div(u (x) v)(tau) dtau."""
-    forcing = u.grid.unpack(np.stack([pair_forcing(u.grid, u.coeffs[k], v.coeffs[k])
+def duhamel_bilinear(u: Samples, omega: float) -> Samples:
+    """B(u, u)(t) = integral_0^t T(t - tau) P div(u (x) u)(tau) dtau."""
+    forcing = u.grid.unpack(np.stack([pair_forcing(u.grid, u.coeffs[k])
                                       for k in range(u.n_samples)]))
     return duhamel_samples(Samples(u.grid, u.times, forcing), omega)
 

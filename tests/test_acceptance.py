@@ -242,10 +242,8 @@ def test_c09_planar_rotation_is_pressure():
     rot, plain = u, u
     agree = 0.0
     for _ in range(2):  # compare at t = 0.25 and t = 0.5
-        rot = advance_velocity(rot, dt=1e-3, steps=250, omega=25.0,
-                               coriolis=True)
-        plain = advance_velocity(plain, dt=1e-3, steps=250, omega=0.0,
-                                 coriolis=False)
+        rot = advance_velocity(rot, dt=1e-3, steps=250, omega=25.0)
+        plain = advance_velocity(plain, dt=1e-3, steps=250, omega=0.0)
         agree = max(agree, rel_sup(rot.coeffs, plain.coeffs))
     criterion(9, "planar rotation projects away "
               f"(residual {worst:.2e}, trajectory gap {agree:.2e})",

@@ -15,6 +15,7 @@ from fbns.checkpoint import read_field, write_field
 from fbns.cli import main
 from fbns.lp import fb_norm_value
 from fbns.semigroup import apply_semigroup
+from fbns.solver2d import run_vorticity
 from fbns.solver3d import SolverConfig3D
 from fbns.spectral import Grid, random_divfree_field
 
@@ -380,6 +381,40 @@ def test_solve2d_support_at_boundary_exits_numerical(tmp_path, capsys):
     assert code == 1
     assert "at least three samples" in capsys.readouterr().err
     assert not (tmp_path / "short" / "solve2d_manifest.json").exists()
+
+
+def calls_of_run_vorticity(monkeypatch):
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return run_vorticity(*args, **kwargs)
+    monkeypatch.setattr(fbns.cli, "run_vorticity", recording)
+    return calls
+
+
+def test_solve2d_residual_with_two_samples_fails_before_stepping(tmp_path, capsys,
+                                                                 monkeypatch):
+    # 100 steps sampled every 100 give two samples: the residual needs three
+    calls = calls_of_run_vorticity(monkeypatch)
+    code = run_cli("solve2d", "--workdir", str(tmp_path), "--set", "n=32",
+                   "--set", "residual=true", "--set", "n_steps=100",
+                   "--set", "sample_every=100")
+    assert code == 1
+    assert calls == [] and list(tmp_path.iterdir()) == []
+    assert "at least three samples, got 2" in capsys.readouterr().err
+
+
+def test_solve2d_t1_index_out_of_range_fails_before_stepping(tmp_path, capsys,
+                                                             monkeypatch):
+    # 20 steps sampled every 2 give 11 samples, so t1_index lies in [0, 9]
+    calls = calls_of_run_vorticity(monkeypatch)
+    code = run_cli("solve2d", "--workdir", str(tmp_path), "--set", "n=16",
+                   "--set", "n_steps=20", "--set", "sample_every=2",
+                   "--set", "t1_index=10")
+    assert code == 1
+    assert calls == [] and list(tmp_path.iterdir()) == []
+    assert "before the last of the run's 11 samples, got 10" in capsys.readouterr().err
 
 
 def test_solve2d_gronwall_bound_overflow_is_inf(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fbns import lab, lp
-from fbns.lab import (STABILITY_LIMIT, default_lab_grid, lab_times,
+from fbns.lab import (LAB_GRID, STABILITY_LIMIT, lab_times,
                       member_seed, omega_independence_scan,
                       verify_duhamel_smoothing, verify_product_estimate,
                       verify_semigroup_bounds)
@@ -16,7 +16,7 @@ from fbns.spectral import (Grid, SpectralField, dealias, forward_transform,
                            random_scalar_field)
 from full_layout import Samples, duhamel_samples, linear_samples
 
-GRID = default_lab_grid()  # 16^3, period 4
+GRID = LAB_GRID  # 16^3, period 4
 
 
 def cl_norm(traj, s, p, r, q):
@@ -68,9 +68,9 @@ def test_duhamel_ratio_closed_form_single_mode():
     rhs_index = s - 2.0 - 2.0 / q + 2.0 / a
     part = get_partition(GRID)
     lhs = chemin_lerner_norm(shell_series(integral, p, part), times,
-                             s, r, q, part).total
+                             s, r, q, part)
     rhs = chemin_lerner_norm(shell_series(forcing, p, part), times,
-                             rhs_index, r, a, part).total
+                             rhs_index, r, a, part)
 
     def weight(sigma):
         vals = [2.0 ** (j * sigma) * shell_profile(np.array([1.0]), j)[0]
@@ -154,8 +154,8 @@ def test_product_y_norm_is_sum_of_parts():
     band = lab._decaying(GRID, times, seed=2, index=0, scalar=True)
     y = lab._y_norm(band, times, 0.5, 2.0, 2.0, get_partition(GRID))
     traj = Samples(GRID, times, GRID.unpack(band))
-    parts = (cl_norm(traj, 0.5, 2.0, 2.0, INF).total
-             + cl_norm(traj, 4.0 - 1.5, 2.0, 2.0, 1.0).total)
+    parts = (cl_norm(traj, 0.5, 2.0, 2.0, INF)
+             + cl_norm(traj, 4.0 - 1.5, 2.0, 2.0, 1.0))
     assert math.isclose(y, parts, rel_tol=1e-14)
 
 
@@ -211,7 +211,7 @@ def test_packed_lab_matches_full_layout_reference(omega):
 
     def norm(traj, sigma, q):
         return chemin_lerner_norm(shell_series(traj.coeffs, p, part), times,
-                                  sigma, r, q, part).total
+                                  sigma, r, q, part)
 
     def y_norm(traj, sigma):
         return norm(traj, sigma, INF) + norm(traj, 4.0 - 3.0 / p, 1.0)

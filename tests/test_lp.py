@@ -160,11 +160,11 @@ def test_large_p_norm_approaches_sup_without_underflow():
     # the l^r sum over shells and the L^q time quadrature, likewise
     shell_sup = fb_norm_value(f, 0.0, 2.0, INF)
     traj = linear_samples(f, np.linspace(0.0, 1.0, 17), 0.0)
-    time_sup = cl_norm(traj, 0.0, 2.0, 2.0, INF).total
+    time_sup = cl_norm(traj, 0.0, 2.0, 2.0, INF)
     for big in (512.0, 1024.0):
         value = fb_norm_value(f, 0.0, 2.0, big)
         assert value > 0 and abs(value / shell_sup - 1.0) < 0.02
-        value = cl_norm(traj, 0.0, 2.0, 2.0, big).total
+        value = cl_norm(traj, 0.0, 2.0, 2.0, big)
         assert value > 0 and abs(value / time_sup - 1.0) < 0.02
 
 
@@ -177,15 +177,15 @@ def test_norms_exactly_homogeneous_at_small_amplitude():
     for p in (2.0, 256.0, 1024.0, INF):
         assert math.isclose(fb_norm_value(f * 1e-3, 0.5, p, 2.0),
                             1e-3 * fb_norm_value(f, 0.5, p, 2.0), rel_tol=1e-12)
-        assert math.isclose(cl_norm(small, 0.5, p, 2.0, 1.0).total,
-                            1e-3 * cl_norm(traj, 0.5, p, 2.0, 1.0).total,
+        assert math.isclose(cl_norm(small, 0.5, p, 2.0, 1.0),
+                            1e-3 * cl_norm(traj, 0.5, p, 2.0, 1.0),
                             rel_tol=1e-12)
     for big in (512.0, 1024.0):
         value = fb_norm_value(f, 0.5, 2.0, big)
         assert value > 0 and math.isclose(fb_norm_value(f * 1e-3, 0.5, 2.0, big),
                                           1e-3 * value, rel_tol=1e-12)
-        value = cl_norm(traj, 0.5, 2.0, 2.0, big).total
-        scaled = cl_norm(small, 0.5, 2.0, 2.0, big).total
+        value = cl_norm(traj, 0.5, 2.0, 2.0, big)
+        scaled = cl_norm(small, 0.5, 2.0, 2.0, big)
         assert value > 0 and math.isclose(scaled, 1e-3 * value, rel_tol=1e-12)
 
 
@@ -203,26 +203,20 @@ def test_chemin_lerner_sup_and_integral_closed_forms():
     traj = make_decay_trajectory(grid, k, kappa, times)
     base = fb_norm_value(traj.field(0), 0.5, 2.0, 2.0)
 
-    sup_rep = cl_norm(traj, 0.5, 2.0, 2.0, INF)
-    assert abs(sup_rep.total - base) < 1e-13
+    assert abs(cl_norm(traj, 0.5, 2.0, 2.0, INF) - base) < 1e-13
 
-    int_rep = cl_norm(traj, 0.5, 2.0, 2.0, 1.0)
     exact = base * (1.0 - math.exp(-kappa * 2.0)) / kappa
-    assert abs(int_rep.total - exact) < 1e-5 * exact  # trapezoid error
+    assert abs(cl_norm(traj, 0.5, 2.0, 2.0, 1.0) - exact) < 1e-5 * exact  # trapezoid error
 
-    sq_rep = cl_norm(traj, 0.5, 2.0, 2.0, 2.0)
     exact_sq = base * math.sqrt((1.0 - math.exp(-2.0 * kappa * 2.0)) / (2.0 * kappa))
-    assert abs(sq_rep.total - exact_sq) < 1e-5 * exact_sq
-
-    assert int_rep.tail_bound is not None and int_rep.tail_bound > 0
-    assert sup_rep.tail_bound is None
+    assert abs(cl_norm(traj, 0.5, 2.0, 2.0, 2.0) - exact_sq) < 1e-5 * exact_sq
 
 
 def test_chemin_lerner_single_sample_needs_sup():
     grid = Grid(dim=3, n=8, period_l=1.0)
     traj = Samples(grid, np.array([0.0]),
                    single_mode(grid, (1, 0, 0)).coeffs[None])
-    assert cl_norm(traj, 0.0, 2.0, 2.0, INF).total > 0
+    assert cl_norm(traj, 0.0, 2.0, 2.0, INF) > 0
     with pytest.raises(ValueError):
         cl_norm(traj, 0.0, 2.0, 2.0, 1.0)
 
@@ -234,12 +228,9 @@ def test_mild_norm_is_sum_of_reports():
     part = get_partition(grid)
     series = shell_series(traj.coeffs, 2.0, part)
     s = critical_index(2.0)
-    sup_rep = chemin_lerner_norm(series, times, s, 2.0, INF, part)
-    smooth_rep = chemin_lerner_norm(series, times, s + 2.0, 2.0, 1.0, part)
-    assert sup_rep.params == {"s": s, "r": 2.0, "q": INF, "horizon": 1.0}
-    assert smooth_rep.params["s"] == s + 2.0
-    assert np.isclose(mild_norm(series, times, 2.0, 2.0, part),
-                      sup_rep.total + smooth_rep.total, rtol=1e-14)
+    sup = chemin_lerner_norm(series, times, s, 2.0, INF, part)
+    smooth = chemin_lerner_norm(series, times, s + 2.0, 2.0, 1.0, part)
+    assert np.isclose(mild_norm(series, times, 2.0, 2.0, part), sup + smooth, rtol=1e-14)
 
 
 EXPONENTS = st.one_of(st.floats(1.0, 64.0), st.just(INF))
@@ -313,8 +304,8 @@ def test_one_sample_sup_time_norm_is_fb_norm(seed, shape, s, p, r):
     f = random_divfree_field(grid, seed=seed)
     part = get_partition(grid)
     series = shell_series(f.coeffs[None], p, part)
-    rep = chemin_lerner_norm(series, np.array([0.0]), s, r, INF, part)
-    assert rep.total == fb_norm(f, s, p, r).total
+    sup = chemin_lerner_norm(series, np.array([0.0]), s, r, INF, part)
+    assert sup == fb_norm(f, s, p, r).total
 
 
 # ---------------------------------------------------------------------------
