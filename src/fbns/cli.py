@@ -362,14 +362,23 @@ def _solve2d_initial(cfg: dict, grid: Grid) -> SpectralField:
 
 def run_solve2d(cfg: dict, workdir: str) -> int:
     grid = Grid(dim=2, n=cfg["n"], period_l=cfg["period_l"])
-    w0 = _solve2d_initial(cfg, grid)
-    # refuse sample counts the diagnostics cannot use before any stepping
+    # refuse values the run or its diagnostics cannot use before any stepping
     samples = 1 + max(0, -(-cfg["n_steps"] // max(cfg["sample_every"], 1)))
     if cfg["residual"] and samples < 3:
         raise UsageError(f"residual check needs at least three samples, got {samples}")
     if not 0 <= cfg["t1_index"] <= samples - 2:
         raise UsageError("t1_index must name a sample before the last of the run's "
                          f"{samples} samples, got {cfg['t1_index']}")
+    if not math.isfinite(cfg["omega"]):
+        raise UsageError(f"omega must be finite, got {cfg['omega']}")
+    if cfg["initial"] == "gaussian" and not 0 < cfg["width_sq"] < math.inf:
+        raise UsageError(f"width_sq must be positive and finite, got {cfg['width_sq']}")
+    if cfg["residual"] and not 0 < cfg["mask_radius"] < math.inf:
+        raise UsageError(f"mask_radius must be positive and finite, got {cfg['mask_radius']}")
+    bad_p = [p for p in cfg["p_values"] if not p >= 1]
+    if bad_p:
+        raise UsageError(f"p_values must all be >= 1, got {bad_p}")
+    w0 = _solve2d_initial(cfg, grid)
     times, states = run_vorticity(w0, cfg["dt"], cfg["n_steps"],
                                   cfg["sample_every"])
     report = gronwall_diagnostic(times, states, cfg["p_values"],

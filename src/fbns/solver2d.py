@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .lp import lebesgue
 from .solver3d import advect_check, pair_forcing
 from .spectral import (Grid, SpectralField, dealias, forward_transform,
                        gradient, helmholtz_project, inverse_transform,
-                       laplacian, zero_mean)
+                       laplacian, leray, zero_mean)
 
 BOUNDARY_FRAC = 0.9  # of pi L: the annulus rotating_frame_residual checks
 SUPPORT_TOL = 1e-4   # largest relative variation allowed in that annulus
@@ -61,9 +61,11 @@ def biot_savart(w: SpectralField) -> SpectralField:
 
 @lru_cache(maxsize=8)
 def _rhs_symbols(grid: Grid) -> tuple:
-    """Read-only RHS symbols (i xi_2, -i xi_1)/|xi|^2, i xi_1, i xi_2, and their pack."""
+    """Read-only RHS symbols (i xi_2, -i xi_1)/|xi|^2, xi_1^2 - xi_2^2, xi_1 xi_2,
+    and their pack."""
     xi1, xi2, inv = grid.xi_axis(0), grid.xi_axis(1), grid.inv_xi_sq
-    symbols = np.stack(np.broadcast_arrays(1j * xi2 * inv, -1j * xi1 * inv, 1j * xi1, 1j * xi2))
+    symbols = np.stack(np.broadcast_arrays(1j * xi2 * inv, -1j * xi1 * inv,
+                                           xi1 * xi1 - xi2 * xi2, xi1 * xi2))
     band = grid.pack(symbols)
     for arr in (symbols, band):
         arr.setflags(write=False)
@@ -84,8 +86,8 @@ def frame_rotation(omega: float, t: float) -> np.ndarray:
 def _if_rk4(w: np.ndarray, grid: Grid, dt: float, steps: int, rhs) -> np.ndarray:
     """Integrating-factor RK4 for dw/dt = lap(w) + rhs(w): diffusion
     propagated exactly, the rhs stage values taken at exponentially shifted
-    states.  w and rhs(w) are (ncomp,) + either layout of the grid (Grid.layout)."""
-    e_half = np.exp(-grid.gather(grid.xi_sq, grid.layout(w)) * (dt / 2.0))
+    states.  w and rhs(w) are (ncomp,) + the grid's band (Grid.pack)."""
+    e_half = np.exp(-sum(xi * xi for xi in grid.band_symbols[:grid.dim]) * (dt / 2.0))
     e_full = e_half * e_half
     for _ in range(steps):
         k1 = rhs(w)
@@ -96,6 +98,22 @@ def _if_rk4(w: np.ndarray, grid: Grid, dt: float, steps: int, rhs) -> np.ndarray
     return w
 
 
+def _vorticity_rhs(grid: Grid, w_hat: np.ndarray) -> np.ndarray:
+    """-(v . grad w) on the band for band vorticity w, in the trace-free form
+    -(v . grad w) = -(d_1^2 - d_2^2)(v_1 v_2) - d_1 d_2 (v_2^2 - v_1^2) of a
+    divergence-free v (Basdevant 1983), whose symbols are xi_1^2 - xi_2^2 and
+    xi_1 xi_2: two band inverses for v, two products, two band forwards."""
+    bs1, bs2, sym_p, sym_q = _rhs_symbols(grid)[1]
+    v1, v2 = grid._to_samples(bs1 * w_hat), grid._to_samples(bs2 * w_hat)
+    p = v1 * v2
+    v2 *= v2
+    v2 -= np.multiply(v1, v1, out=v1)
+    out = grid._to_band(p)
+    out *= sym_p
+    out += sym_q * grid._to_band(v2)
+    return out
+
+
 def advance_vorticity(state: VorticityState, dt: float, steps: int,
                       check_cfl: bool = True) -> VorticityState:
     """Integrating-factor RK4 of the vorticity equation on the dealiased band."""
@@ -103,18 +121,9 @@ def advance_vorticity(state: VorticityState, dt: float, steps: int,
         raise ValueError(f"need finite dt > 0 and steps >= 0, got dt={dt}, "
                          f"steps={steps}")
     grid = state.w.grid
-    symbols = _rhs_symbols(grid)[1]
     if check_cfl and steps > 0:
         advect_check(state.velocity, dt)
-
-    def rhs(w_hat):  # -(v . grad w) on the band from four scalar band transforms
-        v1, v2, g1, g2 = (grid._to_samples(s * w_hat) for s in symbols)
-        v1 *= g1  # v . grad w in place: fresh arrays this size page-fault per call
-        v1 += np.multiply(v2, g2, out=v2)
-        out = grid._to_band(v1)
-        return np.negative(out, out=out)
-
-    w = _if_rk4(grid.pack(state.w.coeffs), grid, dt, steps, rhs)
+    w = _if_rk4(grid.pack(state.w.coeffs), grid, dt, steps, partial(_vorticity_rhs, grid))
     return VorticityState(SpectralField(grid, grid.unpack(w)), state.t + steps * dt)
 
 
@@ -145,16 +154,17 @@ def advance_velocity(u: SpectralField, dt: float, steps: int,
     if u.ncomp != 2 or u.grid.dim != 2:
         raise ValueError("velocity stepping expects a 2-component field on a 2d grid")
     grid = u.grid
+    *xi, inv_xi_sq = grid.band_symbols
 
-    def rhs(u_hat):  # -P div(u (x) u) - omega P(e3 x u)
-        out = -grid.unpack(pair_forcing(grid, u_hat))
+    def rhs(u_hat):  # -P div(u (x) u) - omega P(e3 x u) on the band
+        out = pair_forcing(grid, u_hat)
+        np.negative(out, out=out)
         if omega != 0.0:
-            turned = SpectralField(grid, np.stack([-u_hat[1], u_hat[0]]))
-            out -= omega * helmholtz_project(turned).coeffs
+            out -= omega * leray(np.stack([-u_hat[1], u_hat[0]]), xi, inv_xi_sq)
         return out
 
-    cur = dealias(helmholtz_project(u)).coeffs
-    return SpectralField(grid, _if_rk4(cur, grid, dt, steps, rhs))
+    cur = grid.pack(helmholtz_project(u).coeffs)
+    return SpectralField(grid, grid.unpack(_if_rk4(cur, grid, dt, steps, rhs)))
 
 
 def coriolis_projection_identity(u: SpectralField) -> float:

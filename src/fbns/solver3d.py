@@ -136,11 +136,10 @@ def smallness_gate(u0: SpectralField, p: float, r: float) -> GateReport:
 
 
 def pair_forcing(grid: Grid, u: np.ndarray) -> np.ndarray:
-    """P div(u (x) u) on the band for dim-component coefficients in either
-    layout (Grid.layout; the half spectrum need not be dealiased): component
-    i is P applied to sum_j d_j (u_i u_j), each product taken pseudo-spectrally
-    straight to the band (Grid._to_band, the 2/3 rule).  u is transformed
-    once and each symmetric product u_i u_j formed once."""
+    """P div(u (x) u) on the band for dim-component band coefficients
+    (Grid.pack): component i is P applied to sum_j d_j (u_i u_j), each product
+    taken pseudo-spectrally straight to the band (Grid._to_band, the 2/3
+    rule).  u is transformed once and each symmetric product u_i u_j formed once."""
     if len(u) != grid.dim:
         raise ValueError(f"pair forcing expects {grid.dim}-component fields "
                          f"on a {grid.dim}d grid")

@@ -57,9 +57,10 @@ def duhamel_samples(forcing: Samples, omega: float) -> Samples:
 
 def duhamel_bilinear(u: Samples, omega: float) -> Samples:
     """B(u, u)(t) = integral_0^t T(t - tau) P div(u (x) u)(tau) dtau."""
-    forcing = u.grid.unpack(np.stack([pair_forcing(u.grid, u.coeffs[k])
-                                      for k in range(u.n_samples)]))
-    return duhamel_samples(Samples(u.grid, u.times, forcing), omega)
+    grid = u.grid
+    forcing = grid.unpack(np.stack([pair_forcing(grid, grid.pack(u.coeffs[k]))
+                                    for k in range(u.n_samples)]))
+    return duhamel_samples(Samples(grid, u.times, forcing), omega)
 
 
 def picard_map(traj: Samples, u0: SpectralField, omega: float) -> Samples:

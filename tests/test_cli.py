@@ -417,6 +417,27 @@ def test_solve2d_t1_index_out_of_range_fails_before_stepping(tmp_path, capsys,
     assert "before the last of the run's 11 samples, got 10" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("settings, message", [
+    (("residual=true", "omega=nan"), "omega must be finite, got nan"),
+    (("residual=true", "omega=inf"), "omega must be finite, got inf"),
+    (("initial=gaussian", "width_sq=0"), "width_sq must be positive and finite, got 0.0"),
+    (("initial=gaussian", "width_sq=nan"), "width_sq must be positive and finite, got nan"),
+    (("residual=true", "mask_radius=nan"), "mask_radius must be positive and finite, got nan"),
+    (("p_values=2,nan",), "p_values must all be >= 1, got [nan]"),
+    (("p_values=0.5",), "p_values must all be >= 1, got [0.5]"),
+], ids=["omega-nan", "omega-inf", "width_sq-0", "width_sq-nan", "mask_radius-nan",
+        "p_values-nan", "p_values-0.5"])
+def test_solve2d_bad_input_fails_before_stepping(tmp_path, capsys, monkeypatch,
+                                                 settings, message):
+    calls = calls_of_run_vorticity(monkeypatch)
+    overrides = [arg for setting in settings for arg in ("--set", setting)]
+    code = run_cli("solve2d", "--workdir", str(tmp_path), "--set", "n=16",
+                   "--set", "n_steps=4", "--set", "sample_every=1", *overrides)
+    assert code == 1
+    assert calls == [] and list(tmp_path.iterdir()) == []
+    assert message in capsys.readouterr().err
+
+
 def test_solve2d_gronwall_bound_overflow_is_inf(tmp_path):
     code = run_cli("solve2d", "--workdir", str(tmp_path), "--set", "n=16",
                    "--set", "initial=random", "--set", "amplitude=300",
