@@ -19,6 +19,7 @@ atomic rename, so readers never observe a half-written checkpoint.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import tempfile
@@ -57,8 +58,23 @@ def atomic_write_text(path, text: str):
     _atomic_write(Path(path), text.encode("utf-8"))
 
 
+def json_text(payload) -> str:
+    """payload as strict JSON, indented with sorted keys; each non-finite
+    float in its dicts, lists and tuples is written as the string "inf",
+    "-inf" or "nan"."""
+    def finite(obj):
+        if isinstance(obj, float) and not math.isfinite(obj):
+            return repr(float(obj))  # numpy's repr would name its type
+        if isinstance(obj, dict):
+            return {key: finite(val) for key, val in obj.items()}
+        if isinstance(obj, (list, tuple)):
+            return [finite(val) for val in obj]
+        return obj
+    return json.dumps(finite(payload), indent=2, sort_keys=True, allow_nan=False)
+
+
 def atomic_write_json(path, payload: dict):
-    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    atomic_write_text(path, json_text(payload) + "\n")
 
 
 def field_to_bytes(field: SpectralField) -> bytes:

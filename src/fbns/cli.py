@@ -17,15 +17,14 @@ import argparse
 import configparser
 import csv
 import io
-import json
 import math
 import os
 import sys
 
 from . import lab as lab_mod
 from .checkpoint import (CheckpointError, atomic_write_json,
-                         atomic_write_text, read_field, roundtrip_report,
-                         write_field)
+                         atomic_write_text, json_text, read_field,
+                         roundtrip_report, write_field)
 from .lp import critical_index, fb_norm, fb_norm_value
 from .semigroup import apply_semigroup
 from .solver2d import (SupportError, gaussian_vortex, gronwall_diagnostic,
@@ -227,20 +226,6 @@ def resolve_config(name: str, args) -> dict:
     return values
 
 
-def _config_echo(cfg: dict) -> dict:
-    """JSON-safe copy of the resolved config for manifest embedding."""
-    out = {}
-    for key, val in cfg.items():
-        if isinstance(val, float) and not math.isfinite(val):
-            out[key] = repr(val)
-        elif isinstance(val, list):
-            out[key] = [repr(v) if isinstance(v, float) and not math.isfinite(v)
-                        else v for v in val]
-        else:
-            out[key] = val
-    return out
-
-
 def _resolve_path(workdir: str, path: str) -> str:
     return path if os.path.isabs(path) else os.path.join(workdir, path)
 
@@ -254,7 +239,7 @@ def _write_csv(path: str, header, rows):
 
 
 def _print_json(obj):
-    print(json.dumps(obj, indent=2, sort_keys=True))
+    print(json_text(obj))
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +248,7 @@ def _print_json(obj):
 def run_fbnorm(cfg: dict, workdir: str) -> int:
     field = read_field(_resolve_path(workdir, cfg["input"]))
     report = fb_norm(field, cfg["s"], cfg["p"], cfg["r"])
-    _print_json({"norm_report": report.as_dict(), "config": _config_echo(cfg)})
+    _print_json({"norm_report": report.as_dict(), "config": cfg})
     return EXIT_OK
 
 
@@ -279,7 +264,7 @@ def run_semigroup(cfg: dict, workdir: str) -> int:
     out_path = _resolve_path(workdir, cfg["output"])
     write_field(out_path, out)
     manifest = {
-        "config": _config_echo(cfg),
+        "config": cfg,
         "input_l2": field.l2(),
         "output_l2": out.l2(),
         "output_divergence_defect": divergence_defect(out),
@@ -325,7 +310,7 @@ def run_solve3d(cfg: dict, workdir: str) -> int:
     prefix = cfg["output_prefix"]
     ok = diag.converged and not diag.aborted
     manifest = {
-        "config": _config_echo(cfg),
+        "config": cfg,
         "diagnostics": diag.as_dict(),
         "final_field": f"{prefix}_final.fbns",
         "exit_code": EXIT_OK if ok else EXIT_NUMERICAL,
@@ -371,8 +356,6 @@ def run_solve2d(cfg: dict, workdir: str) -> int:
                          f"{samples} samples, got {cfg['t1_index']}")
     if not math.isfinite(cfg["omega"]):
         raise UsageError(f"omega must be finite, got {cfg['omega']}")
-    if cfg["initial"] == "gaussian" and not 0 < cfg["width_sq"] < math.inf:
-        raise UsageError(f"width_sq must be positive and finite, got {cfg['width_sq']}")
     if cfg["residual"] and not 0 < cfg["mask_radius"] < math.inf:
         raise UsageError(f"mask_radius must be positive and finite, got {cfg['mask_radius']}")
     bad_p = [p for p in cfg["p_values"] if not p >= 1]
@@ -395,10 +378,8 @@ def run_solve2d(cfg: dict, workdir: str) -> int:
                  for row in report["rows"])
     code = EXIT_OK if finite else EXIT_NUMERICAL
     manifest = {
-        "config": _config_echo(cfg),
-        "summary": {str(p): {k: (v if math.isfinite(v) else repr(v))
-                             for k, v in stats.items()}
-                    for p, stats in report["summary"].items()},
+        "config": cfg,
+        "summary": {str(p): stats for p, stats in report["summary"].items()},
         "final_field": f"{prefix}_final.fbns",
         "gronwall_csv": f"{prefix}_gronwall.csv",
     }
@@ -461,7 +442,7 @@ def run_lab(cfg: dict, workdir: str) -> int:
         payload = report.as_dict()
         failed = not math.isfinite(report.max_ratio)
 
-    out = {"config": _config_echo(cfg), "report": payload}
+    out = {"config": cfg, "report": payload}
     atomic_write_json(_resolve_path(workdir, cfg["output"]), out)
     if cfg["csv"] and csv_rows is not None:
         header = ("omega", "constant") if inequality == "omega-scan" \

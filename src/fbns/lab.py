@@ -16,7 +16,7 @@ band-packed layout of the Picard solver (Grid.pack).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import asdict, dataclass, field as dataclass_field
 
 import numpy as np
 
@@ -47,13 +47,7 @@ class EstimateReport:
     details: dict = dataclass_field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        out = {key: _clean(value) for key, value in vars(self).items()}
-        out["ratios"] = [_clean(float(r)) for r in self.ratios]
-        return out
-
-
-def _clean(x):
-    return None if isinstance(x, float) and not math.isfinite(x) else x
+        return asdict(self)
 
 
 def _excess(value: float, base: float) -> float:
@@ -76,7 +70,7 @@ def _finalize(name: str, params: dict, ensemble: int, ratios: list,
     stability = _excess(max_all, prefix_max)
     passed = bool(math.isfinite(max_all) and stability < STABILITY_LIMIT
                   and extra_ok)
-    return EstimateReport(name, params, ensemble, list(arr), max_all, median,
+    return EstimateReport(name, params, ensemble, arr.tolist(), max_all, median,
                           prefix_max, stability, int((~valid).sum()), passed,
                           details or {})
 

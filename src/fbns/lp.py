@@ -1,5 +1,5 @@
 """Dyadic frequency decomposition, Fourier-Besov and Chemin-Lerner norms,
-paraproduct splitting, and Bernstein-inequality checks.
+paraproduct splitting, and Bernstein-scaling slopes.
 
 The dyadic partition is built from a smooth radial cutoff chi with
 chi(xi) = 1 for |xi| <= 3/4 and chi(xi) = 0 for |xi| >= 4/3; the shell
@@ -136,13 +136,6 @@ class DyadicPartition:
             return np.zeros(self.grid.spectral_shape)
         return self.masks[self._offset(j)]
 
-    def low_mask(self, j: int) -> np.ndarray:
-        """Sum of shell masks with index <= j (low-pass multiplier), built on
-        use: the norms never need it."""
-        if j < self.shell_range.j_min:
-            return np.zeros(self.grid.spectral_shape)
-        return np.sum(self.masks[:self._offset(min(j, self.shell_range.j_max)) + 1], axis=0)
-
     def unity_defect(self) -> float:
         """max |sum_j phi_j - 1| over the dealiased band, excluding xi = 0."""
         defect = np.abs(self.grid.pack(self.masks.sum(axis=0)) - 1.0)
@@ -157,10 +150,6 @@ def get_partition(grid: Grid) -> DyadicPartition:
 def dyadic_block(field: SpectralField, j: int) -> SpectralField:
     """Frequency localization to shell j; zero field if j is out of range."""
     return SpectralField(field.grid, field.coeffs * get_partition(field.grid).shell_mask(j))
-
-
-def low_pass(field: SpectralField, j: int) -> SpectralField:
-    return SpectralField(field.grid, field.coeffs * get_partition(field.grid).low_mask(j))
 
 
 # ---------------------------------------------------------------------------
@@ -363,46 +352,6 @@ def shell_product(u: SpectralField, v: SpectralField, j: int) -> SpectralField:
 
 # ---------------------------------------------------------------------------
 # Bernstein inequalities
-
-def _monomial(grid: Grid, gamma) -> np.ndarray:
-    out = np.ones(grid.spectral_shape)
-    for ax, g in enumerate(gamma):
-        if g:
-            out = out * grid.xi_axis(ax) ** g
-    return out
-
-
-def bernstein_ratio(field: SpectralField, j: int, gamma, p: float, q: float,
-                    support: str = "ball") -> float:
-    """Ratio of ||(i xi)^gamma f_hat||_{L^q} to the dyadic bound
-    2^(j |gamma| + dim j (1/q - 1/p)) ||f_hat||_{L^p}.
-
-    support = "ball" expects the spectrum inside |xi| <= (8/3) 2^j,
-    "annulus" inside (3/4) 2^j <= |xi| <= (8/3) 2^j.
-    """
-    grid = field.grid
-    gamma = tuple(int(g) for g in gamma)
-    if len(gamma) != grid.dim or any(g < 0 for g in gamma):
-        raise ValueError("gamma must be a tuple of dim non-negative integers")
-    _validate_lebesgue("p", p)
-    _validate_lebesgue("q", q)
-    mag = _magnitude(field.coeffs)
-    top = np.max(mag)
-    if top == 0.0:
-        return 0.0
-    outer = SHELL_OUTER * 2.0 ** j
-    outside = grid.xi_abs > outer * (1.0 + 1e-12)
-    if support == "annulus":
-        outside |= grid.xi_abs < SHELL_INNER * 2.0 ** j * (1.0 - 1e-12)
-    if np.max(mag[outside], initial=0.0) > 1e-13 * top:
-        raise ValueError("spectrum is not supported at the stated dyadic scale")
-    order = sum(gamma)
-    weight = grid.dxi ** grid.dim * grid.multiplicity
-    lhs = lebesgue(np.abs(_monomial(grid, gamma)) * mag, q, weight)
-    rhs = lebesgue(mag, p, weight)
-    scale = 2.0 ** (j * order + grid.dim * j * (1.0 / q - 1.0 / p))
-    return float(lhs / (scale * rhs))
-
 
 def bernstein_slope(gamma, p: float, q: float, js, dim: int = 3,
                     dxi: float = 1.0) -> dict:

@@ -19,7 +19,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .spectral import Grid, SpectralField, coriolis_matrix, divergence_defect
+from .spectral import Grid, SpectralField, divergence_defect
 
 DIVFREE_TOL = 1e-10
 
@@ -126,17 +126,6 @@ def sweep_samples(grid: Grid, times, omega: float, start: np.ndarray,
         duhamel_recursion(propagator(grid, dt, omega), out[0], len(times) - 1, out.__setitem__,
                           None if forcing is None else forcing.__getitem__)
     return out
-
-
-def semigroup_matrix(xi, t: float, omega: float) -> np.ndarray:
-    """Dense 3x3 multiplier at a single wavevector, for oracle comparisons."""
-    v = np.asarray(xi, dtype=float)
-    norm = np.linalg.norm(v)
-    if norm == 0.0:
-        return np.zeros((3, 3))
-    theta = omega * (v[2] / norm) * t
-    decay = math.exp(-norm**2 * t)
-    return decay * (math.cos(theta) * np.eye(3) + math.sin(theta) * coriolis_matrix(v))
 
 
 def check_divergence_free(field: SpectralField, what: str):

@@ -324,6 +324,8 @@ def gaussian_vortex(grid: Grid, width_sq: float = 0.1, center=None,
     """exp(-|x - c|^2 / width_sq) with the lattice mean removed (the torus
     Biot-Savart needs zero total circulation; the constant shift does not
     change any term of the vorticity equation)."""
+    if not 0 < width_sq < math.inf:
+        raise ValueError(f"width_sq must be positive and finite, got {width_sq}")
     c = _domain_center(grid) if center is None else np.asarray(center, dtype=float)
     d_sq = np.sum((_lattice_points(grid) - c) ** 2, axis=1).reshape(grid.shape)
     return zero_mean(forward_transform(amplitude * np.exp(-d_sq / width_sq), grid))
@@ -342,17 +344,6 @@ def _lebesgue(mag: np.ndarray, p: float, grid: Grid) -> float:
     if not p >= 1:
         raise ValueError(f"p must be >= 1, got {p}")
     return float(lebesgue(mag, p, grid.dx ** grid.dim))
-
-
-def lp_physical(field: SpectralField, p: float) -> float:
-    """Physical-space L^p norm (pointwise Euclidean magnitude for vectors)."""
-    return _lebesgue(_magnitude(field), p, field.grid)
-
-
-def gradient_lp(v: SpectralField, p: float) -> float:
-    """L^p norm of the velocity gradient in the Frobenius pointwise norm,
-    so the p = 2 value matches the vorticity L^2 norm exactly."""
-    return _lebesgue(_magnitude(gradient(v)), p, v.grid)
 
 
 def czero_constant(p: float) -> float:

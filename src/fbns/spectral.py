@@ -336,12 +336,6 @@ def zero_mean(field: SpectralField) -> SpectralField:
 # ---------------------------------------------------------------------------
 # differential operators (exact Fourier symbols)
 
-def derivative(field: SpectralField, axis: int) -> SpectralField:
-    if not 0 <= axis < field.grid.dim:
-        raise ValueError(f"axis {axis} out of range for dim {field.grid.dim}")
-    return SpectralField(field.grid, 1j * field.grid.xi_axis(axis) * field.coeffs)
-
-
 def gradient(field: SpectralField) -> SpectralField:
     """Every first derivative d_j f_i, axis by axis: d_1 f, ..., d_dim f for
     a scalar f."""
@@ -409,26 +403,6 @@ def leray(coeffs: np.ndarray, xi: list, inv_xi_sq: np.ndarray) -> np.ndarray:
         np.subtract(coeffs[ax], np.multiply(x, dot, out=out[ax]), out=out[ax])
     out[(slice(None),) + (0,) * len(xi)] = 0.0
     return out
-
-
-def coriolis_matrix(xi) -> np.ndarray:
-    """Skew matrix R(xi) with R(xi) a = (a x xi)/|xi|.
-
-    Rows: [0, xi3, -xi2; -xi3, 0, xi1; xi2, -xi1, 0] / |xi|.  On the plane
-    orthogonal to xi it is a rotation by a quarter turn (R^2 = -Id there).
-    """
-    v = np.asarray(xi, dtype=float)
-    if v.shape != (3,):
-        raise ValueError("coriolis_matrix expects a single 3-vector")
-    norm = np.linalg.norm(v)
-    if norm == 0.0:
-        raise ValueError("coriolis_matrix is undefined at xi = 0")
-    x1, x2, x3 = v / norm
-    return np.array([
-        [0.0, x3, -x2],
-        [-x3, 0.0, x1],
-        [x2, -x1, 0.0],
-    ])
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import json
 import struct
 import tracemalloc
 
@@ -9,6 +10,7 @@ from fbns.checkpoint import (MAGIC, VERSION, CheckpointError, _HEADER,
                              atomic_write_json, field_from_bytes,
                              field_to_bytes, read_field, roundtrip_report,
                              write_field)
+from fbns.solver3d import IterationDiagnostics
 from fbns.spectral import (Grid, forward_transform, random_divfree_field,
                            random_scalar_field)
 
@@ -126,6 +128,28 @@ def test_atomic_json_is_deterministic(tmp_path):
     atomic_write_json(p2, dict(reversed(list(payload.items()))))
     assert p1.read_bytes() == p2.read_bytes()
     assert p1.read_bytes().endswith(b"\n")
+
+
+def strict_json(text: str):
+    """json.loads that refuses the non-standard NaN and Infinity tokens."""
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_atomic_json_of_nan_defaults_is_strict(tmp_path):
+    path = tmp_path / "diagnostics.json"
+    atomic_write_json(path, IterationDiagnostics().as_dict())
+    diag = strict_json(path.read_text())
+    assert diag["residual_estimate"] == diag["linear_norm"] == "nan"
+    assert diag["error_estimate"] is None  # absent, not non-finite
+
+
+def test_atomic_json_names_numpy_non_finite_values(tmp_path):
+    path = tmp_path / "values.json"
+    values = (np.float64("nan"), np.float64("inf"), -np.float64("inf"), np.float64(0.5))
+    atomic_write_json(path, {"values": values})
+    assert strict_json(path.read_text()) == {"values": ["nan", "inf", "-inf", 0.5]}
 
 
 def test_roundtrip_report_fields(tmp_path):

@@ -18,6 +18,7 @@ from fbns.semigroup import apply_semigroup
 from fbns.solver2d import run_vorticity
 from fbns.solver3d import SolverConfig3D
 from fbns.spectral import Grid, random_divfree_field
+from test_checkpoint import strict_json
 
 
 def run_cli(*argv):
@@ -116,6 +117,26 @@ def test_fbnorm_infinite_p_echoes_as_string(tmp_path, field_file, capsys):
     assert payload["config"]["p"] == "inf"
     assert payload["norm_report"]["total"] == pytest.approx(
         fb_norm_value(field, 0.0, math.inf, 2.0), rel=1e-14)
+
+
+def test_fbnorm_infinite_r_prints_strict_json(tmp_path, field_file, capsys):
+    path, _ = field_file
+    code = run_cli("fbnorm", "--workdir", str(tmp_path), "--input", str(path),
+                   "--set", "s=0", "--set", "r=inf")
+    assert code == 0
+    payload = strict_json(capsys.readouterr().out)
+    assert payload["config"]["r"] == payload["norm_report"]["params"]["r"] == "inf"
+
+
+def test_solve3d_overflow_manifest_is_strict_json(tmp_path):
+    # in a subprocess, because the overflow raises RuntimeWarnings on the way
+    done = subprocess.run(
+        [sys.executable, "-m", "fbns.cli", "solve3d", "--workdir", str(tmp_path),
+         "--set", "n=8", "--set", "amplitude=1e200", "--set", "horizon=0.25",
+         "--set", "dt=0.0625"], env=fresh_env(), capture_output=True, text=True)
+    assert done.returncode == 2
+    diag = strict_json((tmp_path / "solve3d_manifest.json").read_text())["diagnostics"]
+    assert diag["aborted"] and diag["iterate_norms"] == ["nan", "nan"]
 
 
 def test_checkpoint_roundtrip_and_corruption(tmp_path, field_file, capsys):
@@ -493,14 +514,18 @@ print(json.dumps([code, sorted(name for name in sys.modules if name.split(".")[0
 """
 
 
+def fresh_env() -> dict:
+    """The environment of a fresh interpreter that imports this fbns."""
+    src = str(Path(fbns.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
 def test_solve2d_process_loads_no_scipy(tmp_path):
     # a fresh interpreter runs a whole solve2d, Gronwall diagnostic included,
     # on numpy alone: loading scipy.fft would double the start-up time
-    src = str(Path(fbns.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))))
     done = subprocess.run([sys.executable, "-c", FRESH_SOLVE2D, str(tmp_path)],
-                          env=env, capture_output=True, text=True, check=True)
+                          env=fresh_env(), capture_output=True, text=True, check=True)
     assert json.loads(done.stdout.splitlines()[-1]) == [0, []]
     assert (tmp_path / "solve2d_gronwall.csv").is_file()
 
@@ -519,6 +544,14 @@ def test_lab_semigroup_report(tmp_path, capsys):
     assert report["report"]["name"] == "semigroup_bounds"
     assert report["report"]["passed"] is True
     assert report["config"]["ensemble"] == 2
+
+
+def test_lab_infinite_p_report_is_strict_json(tmp_path):
+    code = run_cli("lab", "--workdir", str(tmp_path), "--set", "p=inf",
+                   "--set", "ensemble=1")
+    assert code == 0
+    out = strict_json((tmp_path / "lab_report.json").read_text())
+    assert out["config"]["p"] == out["report"]["params"]["p"] == "inf"
 
 
 def test_lab_product_sweep_csv(tmp_path):

@@ -37,3 +37,41 @@ def test_module_uses_every_import(path):
 def test_unused_import_is_reported():
     source = "import math\nfrom os import path, sep as separator\nprint(path)\n"
     assert unused_imports(source) == ["math (line 1)", "separator (line 2)"]
+
+
+def uncalled_definitions(sources: dict, exempt: set) -> list:
+    """Module-level functions and classes of sources (module name -> source)
+    whose name no source uses as a Name or an Attribute, less exempt."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return sorted(f"{module}.{node.name}" for module, tree in trees.items()
+                  for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and node.name not in used | exempt)
+
+
+def acceptance_imports() -> set:
+    """Names tests/test_acceptance.py imports from fbns."""
+    tree = ast.parse(Path(__file__).with_name("test_acceptance.py").read_text())
+    return {alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module.startswith("fbns")
+            for alias in node.names}
+
+
+def test_every_definition_has_a_caller():
+    # library code that only unit tests call belongs in the tests
+    sources = {path.stem: path.read_text() for path in MODULES}
+    assert uncalled_definitions(sources, acceptance_imports()) == []
+
+
+def test_uncalled_definition_is_reported():
+    sources = {"a": "def f():\n    return g()\nclass C:\n    pass\n",
+               "b": "import a\ndef g():\n    return a.h()\ndef h():\n    pass\n"}
+    assert uncalled_definitions(sources, set()) == ["a.C", "a.f"]
+    assert uncalled_definitions(sources, {"f"}) == ["a.C"]

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fbns.lp import INF, fb_norm_value, get_partition, shell_series
-from fbns.semigroup import (apply_semigroup, propagator, semigroup_matrix,
-                            sweep_samples)
+from fbns.semigroup import apply_semigroup, propagator, sweep_samples
 from fbns.spectral import (Grid, SpectralField, divergence_defect, gradient,
                            helmholtz_project, random_divfree_field,
                            random_scalar_field)
@@ -15,6 +14,38 @@ GRID = Grid(dim=3, n=16, period_l=1.0)
 
 SEEDS = st.integers(0, 2**16)
 RATES = st.floats(-50.0, 50.0)
+
+
+def coriolis_matrix(xi) -> np.ndarray:
+    """Skew matrix R(xi) with R(xi) a = (a x xi)/|xi|.
+
+    Rows: [0, xi3, -xi2; -xi3, 0, xi1; xi2, -xi1, 0] / |xi|.  On the plane
+    orthogonal to xi it is a rotation by a quarter turn (R^2 = -Id there).
+    """
+    v = np.asarray(xi, dtype=float)
+    if v.shape != (3,):
+        raise ValueError("coriolis_matrix expects a single 3-vector")
+    norm = np.linalg.norm(v)
+    if norm == 0.0:
+        raise ValueError("coriolis_matrix is undefined at xi = 0")
+    x1, x2, x3 = v / norm
+    return np.array([
+        [0.0, x3, -x2],
+        [-x3, 0.0, x1],
+        [x2, -x1, 0.0],
+    ])
+
+
+def semigroup_matrix(xi, t: float, omega: float) -> np.ndarray:
+    """Dense 3x3 multiplier at a single wavevector, the oracle of the
+    lattice multiplier."""
+    v = np.asarray(xi, dtype=float)
+    norm = np.linalg.norm(v)
+    if norm == 0.0:
+        return np.zeros((3, 3))
+    theta = omega * (v[2] / norm) * t
+    decay = math.exp(-norm**2 * t)
+    return decay * (math.cos(theta) * np.eye(3) + math.sin(theta) * coriolis_matrix(v))
 
 
 def transverse_mode(grid, k=(0, 0, 1), a=(1.0, 0.0, 0.0)):
@@ -56,6 +87,21 @@ def test_single_mode_hand_oracle():
     got = out.coeffs[:, 0, 0, 1]
     assert np.max(np.abs(got - expected)) < 1e-13
     # the mirror mode -k is its conjugate and is not stored
+
+
+def test_coriolis_matrix_vertical_mode():
+    # R((0,0,1)) maps a -> (a2, -a1, 0)
+    mat = coriolis_matrix(np.array([0.0, 0.0, 1.0]))
+    want = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    assert np.allclose(mat, want, atol=1e-15)
+    # skew symmetric, and R^2 = -Id on the div-free plane
+    xi = np.array([0.3, -0.2, 0.9])
+    r = coriolis_matrix(xi)
+    assert np.allclose(r + r.T, 0.0, atol=1e-15)
+    a = np.array([0.9, 0.3, -(0.3 * 0.9 + (-0.2) * 0.3) / 0.9])
+    assert np.allclose(r @ (r @ a), -a, atol=1e-13)
+    with pytest.raises(ValueError):
+        coriolis_matrix(np.zeros(3))
 
 
 def test_matrix_oracle_matches_lattice_multiplier():

@@ -9,10 +9,9 @@ from fbns.solver2d import (SupportError, VorticityState, _if_rk4, _lambert_w0, _
                            advance_velocity, advance_vorticity, biot_savart,
                            coriolis_projection_identity,
                            czero_constant, frame_rotation, gaussian_vortex,
-                           gradient_lp, gronwall_diagnostic, lp_physical,
-                           rotating_frame_residual, rotating_frame_transform,
-                           run_vorticity)
-from fbns.spectral import (Grid, SpectralField, curl, dealias, derivative,
+                           gronwall_diagnostic, rotating_frame_residual,
+                           rotating_frame_transform, run_vorticity)
+from fbns.spectral import (Grid, SpectralField, curl, dealias,
                            divergence_defect, forward_transform, gradient,
                            inverse_transform, random_divfree_field,
                            random_scalar_field, taylor_green_2d)
@@ -103,14 +102,13 @@ def test_velocity_and_vorticity_steppers_agree_on_taylor_green():
 def _reference_rhs(grid):
     """The vorticity RHS as first written: -dealias(forward(v . grad w)),
     v from the Biot-Savart formula (i xi_2, -i xi_1) w_hat / |xi|^2 taken
-    in that order of products, grad w from derivative."""
+    in that order of products, grad w from gradient."""
     def rhs(w_hat):
         field = SpectralField(grid, w_hat)
         wc, inv = field.coeffs[0], grid.inv_xi_sq
         v = inverse_transform(SpectralField(grid, np.stack(
             [1j * grid.xi_axis(1) * wc * inv, -1j * grid.xi_axis(0) * wc * inv])))
-        gx = inverse_transform(derivative(field, 0))[0]
-        gy = inverse_transform(derivative(field, 1))[0]
+        gx, gy = inverse_transform(gradient(field))
         return -dealias(forward_transform(v[0] * gx + v[1] * gy, grid)).coeffs
     return rhs
 
@@ -331,36 +329,47 @@ def test_rotating_residual_validation():
         rotating_frame_residual(np.array([0.0, 1e-3, 2e-3]), [wide] * 3, 1.0, 1.5)
 
 
+def test_gaussian_vortex_refuses_bad_width():
+    for width_sq in (math.nan, -1.0, 0.0):
+        with pytest.raises(ValueError, match="width_sq must be positive and finite"):
+            gaussian_vortex(GRID, width_sq=width_sq)
+
+
 # ---------------------------------------------------------------------------
 # Lebesgue diagnostics
 
+def lebesgue_row(w, p):
+    """The gronwall_diagnostic row of w at p: the L^p norms of v =
+    biot_savart(w), of w and of grad v (Frobenius pointwise norm)."""
+    state = VorticityState(w)
+    return gronwall_diagnostic([0.0, 1.0], [state, state], [p])["rows"][0]
+
+
 def test_lp_physical_hand_values():
-    w = scalar_mode_cos_x1(GRID)  # cos x1 on the 2 pi square
-    assert abs(lp_physical(w, 2.0) - math.pi * math.sqrt(2.0)) < 1e-13
-    assert abs(lp_physical(w, float("inf")) - 1.0) < 1e-14
-    v = biot_savart(w)  # (0, sin x1)
-    assert abs(lp_physical(v, 2.0) - math.pi * math.sqrt(2.0)) < 1e-13
+    w = scalar_mode_cos_x1(GRID)  # cos x1 on the 2 pi square, v = (0, sin x1)
+    row = lebesgue_row(w, 2.0)
+    assert abs(row.w_lp - math.pi * math.sqrt(2.0)) < 1e-13
+    assert abs(lebesgue_row(w, float("inf")).w_lp - 1.0) < 1e-14
+    assert abs(row.v_lp - math.pi * math.sqrt(2.0)) < 1e-13
     with pytest.raises(ValueError):
-        lp_physical(w, 0.5)
+        lebesgue_row(w, 0.5)
 
 
 def test_large_p_lebesgue_norms_finite_and_homogeneous():
     w = random_scalar_field(GRID, seed=1)
-    v = biot_savart(w)
     for p in (256.0, 1024.0):
-        w_norm, g_norm = lp_physical(w, p), gradient_lp(v, p)
-        assert 0.0 < w_norm < math.inf and 0.0 < g_norm < math.inf
+        row = lebesgue_row(w, p)
+        assert 0.0 < row.w_lp < math.inf and 0.0 < row.gradv_lp < math.inf
         for amplitude in (1e-3, 10.0):
-            assert math.isclose(lp_physical(w * amplitude, p), amplitude * w_norm,
-                                rel_tol=1e-12)
-            assert math.isclose(gradient_lp(v * amplitude, p), amplitude * g_norm,
+            scaled = lebesgue_row(w * amplitude, p)
+            assert math.isclose(scaled.w_lp, amplitude * row.w_lp, rel_tol=1e-12)
+            assert math.isclose(scaled.gradv_lp, amplitude * row.gradv_lp,
                                 rel_tol=1e-12)
 
 
 def test_gradient_l2_equals_vorticity_l2():
-    w = random_scalar_field(GRID, seed=73)
-    v = biot_savart(w)
-    assert abs(gradient_lp(v, 2.0) - lp_physical(w, 2.0)) < 1e-12
+    row = lebesgue_row(random_scalar_field(GRID, seed=73), 2.0)
+    assert abs(row.gradv_lp - row.w_lp) < 1e-12
 
 
 def test_czero_constant_values_and_range():

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fbns.spectral import (Grid, SpectralField, coriolis_matrix, curl,
-                           dealias, derivative, divergence, divergence_defect,
-                           forward_transform, gradient,
+from fbns.spectral import (Grid, SpectralField, curl, dealias, divergence,
+                           divergence_defect, forward_transform, gradient,
                            helmholtz_project, inverse_transform, laplacian,
                            random_divfree_field, random_scalar_field,
                            taylor_green_2d, taylor_green_3d, zero_mean)
@@ -83,7 +82,7 @@ def test_derivative_of_plane_wave():
     x1, x2 = grid.x_axis(0), grid.x_axis(1)
     f = np.broadcast_to(np.sin(x1 / 2.0 + 0 * x2), grid.shape).copy()
     hat = forward_transform(f, grid)
-    dx = inverse_transform(derivative(hat, 0))[0]
+    dx = inverse_transform(gradient(hat))[0]
     want = 0.5 * np.cos(x1 / 2.0) + 0 * x2
     assert np.max(np.abs(dx - want)) < 1e-13
 
@@ -152,21 +151,6 @@ def test_helmholtz_projection_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 1.75 * f.coeffs.nbytes
-
-
-def test_coriolis_matrix_vertical_mode():
-    # R((0,0,1)) maps a -> (a2, -a1, 0)
-    mat = coriolis_matrix(np.array([0.0, 0.0, 1.0]))
-    want = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    assert np.allclose(mat, want, atol=1e-15)
-    # skew symmetric, and R^2 = -Id on the div-free plane
-    xi = np.array([0.3, -0.2, 0.9])
-    r = coriolis_matrix(xi)
-    assert np.allclose(r + r.T, 0.0, atol=1e-15)
-    a = np.array([0.9, 0.3, -(0.3 * 0.9 + (-0.2) * 0.3) / 0.9])
-    assert np.allclose(r @ (r @ a), -a, atol=1e-13)
-    with pytest.raises(ValueError):
-        coriolis_matrix(np.zeros(3))
 
 
 def test_random_fields_deterministic_and_normalized():
