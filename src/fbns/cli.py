@@ -61,88 +61,103 @@ def _to_floats(raw: str) -> list:
     return [float(part) for part in text.split(",")]
 
 
-_CONVERTERS = {
-    "str": str,
-    "int": int,
-    "float": float,
-    "bool": _to_bool,
-    "floats": _to_floats,
-}
+# A domain is (description, test): resolve_config refuses, before any runner
+# starts, a value whose test fails or cannot read it.
+ANY = ("any value", lambda v: True)
+FINITE = ("finite", math.isfinite)
+POSITIVE = ("positive", lambda v: v > 0)
+POSITIVE_FINITE = ("positive and finite", lambda v: 0 < v < math.inf)
+NON_NEGATIVE = ("non-negative", lambda v: v >= 0)
+NON_NEGATIVE_FINITE = ("non-negative and finite", lambda v: 0 <= v < math.inf)
+AT_LEAST_ONE = (">= 1", lambda v: v >= 1)
+AT_LEAST_TWO = (">= 2", lambda v: v >= 2)
+ABOVE_ONE = ("> 1", lambda v: v > 1)
+GRID_N = ("even and >= 8", lambda v: v >= 8 and v % 2 == 0)
+LEBESGUE_LIST = ("non-empty, with every element >= 1", lambda v: v and all(x >= 1 for x in v))
+FINITE_LIST = ("non-empty, with every element finite", lambda v: v and all(map(math.isfinite, v)))
+FINITE_VALUES = ("a list of finite values", lambda v: all(map(math.isfinite, v)))
+AUTO_OR_FINITE = ("auto or finite", lambda v: v == "auto" or math.isfinite(float(v)))
 
-# key -> (kind, default); _REQUIRED means the key must be supplied
+
+def _one_of(*choices) -> tuple:
+    return ("one of " + ", ".join(choices), lambda v: v in choices)
+
+
+# key -> (converter, default, domain); _REQUIRED means the key must be supplied
 SCHEMAS = {
     "fbnorm": {
-        "input": ("str", _REQUIRED),
-        "s": ("float", _REQUIRED),
-        "p": ("float", 2.0),
-        "r": ("float", 2.0),
+        "input": (str, _REQUIRED, ANY),
+        "s": (float, _REQUIRED, FINITE),
+        "p": (float, 2.0, AT_LEAST_ONE),
+        "r": (float, 2.0, AT_LEAST_ONE),
     },
     "semigroup": {
-        "input": ("str", ""),
-        "seed": ("int", 0),
-        "n": ("int", 16),
-        "period_l": ("float", 4.0),
-        "t": ("float", 0.1),
-        "omega": ("float", 0.0),
-        "output": ("str", "semigroup_out.fbns"),
-        "manifest": ("str", "semigroup_manifest.json"),
+        "input": (str, "", ANY),
+        "seed": (int, 0, NON_NEGATIVE),
+        "n": (int, 16, GRID_N),
+        "period_l": (float, 4.0, POSITIVE_FINITE),
+        "t": (float, 0.1, NON_NEGATIVE_FINITE),
+        "omega": (float, 0.0, FINITE),
+        "output": (str, "semigroup_out.fbns", ANY),
+        "manifest": (str, "semigroup_manifest.json", ANY),
     },
     "solve3d": {
-        "n": ("int", 32),
-        "period_l": ("float", 4.0),
-        "omega": ("float", 0.0),
-        "p": ("float", 2.0),
-        "r": ("float", 2.0),
-        "horizon": ("float", 1.0),
-        "dt": ("float", 1.0 / 64.0),
-        "max_iterations": ("int", 25),
-        "tolerance": ("float", 1e-9),
-        "nonlinearity": ("bool", True),
-        "initial": ("str", "random"),
-        "seed": ("int", 0),
-        "amplitude": ("float", 0.05),
-        "save_trajectory": ("bool", False),
-        "output_prefix": ("str", "solve3d"),
+        "n": (int, 32, GRID_N),
+        "period_l": (float, 4.0, POSITIVE_FINITE),
+        "omega": (float, 0.0, FINITE),
+        "p": (float, 2.0, ABOVE_ONE),
+        "r": (float, 2.0, AT_LEAST_ONE),
+        "horizon": (float, 1.0, POSITIVE_FINITE),
+        "dt": (float, 1.0 / 64.0, POSITIVE_FINITE),
+        "max_iterations": (int, 25, AT_LEAST_ONE),
+        "tolerance": (float, 1e-9, POSITIVE),
+        "nonlinearity": (_to_bool, True, ANY),
+        "initial": (str, "random", _one_of("taylor-green", "random")),
+        "seed": (int, 0, NON_NEGATIVE),
+        "amplitude": (float, 0.05, FINITE),
+        "save_trajectory": (_to_bool, False, ANY),
+        "output_prefix": (str, "solve3d", ANY),
     },
     "solve2d": {
-        "n": ("int", 64),
-        "period_l": ("float", 1.0),
-        "dt": ("float", 1e-3),
-        "n_steps": ("int", 500),
-        "sample_every": ("int", 100),
-        "initial": ("str", "taylor-green"),
-        "amplitude": ("float", 1.0),
-        "width_sq": ("float", 0.1),
-        "seed": ("int", 0),
-        "omega": ("float", 0.0),
-        "p_values": ("floats", [2.0, 4.0]),
-        "t1_index": ("int", 0),
-        "residual": ("bool", False),
-        "mask_radius": ("float", 1.5),
-        "output_prefix": ("str", "solve2d"),
+        "n": (int, 64, GRID_N),
+        "period_l": (float, 1.0, POSITIVE_FINITE),
+        "dt": (float, 1e-3, POSITIVE_FINITE),
+        "n_steps": (int, 500, NON_NEGATIVE),
+        "sample_every": (int, 100, AT_LEAST_ONE),
+        "initial": (str, "taylor-green", _one_of("taylor-green", "gaussian", "random")),
+        "amplitude": (float, 1.0, FINITE),
+        "width_sq": (float, 0.1, POSITIVE_FINITE),
+        "seed": (int, 0, NON_NEGATIVE),
+        "omega": (float, 0.0, FINITE),
+        "p_values": (_to_floats, [2.0, 4.0], LEBESGUE_LIST),
+        "t1_index": (int, 0, ANY),  # its range depends on the sample count
+        "residual": (_to_bool, False, ANY),
+        "mask_radius": (float, 1.5, POSITIVE_FINITE),
+        "output_prefix": (str, "solve2d", ANY),
     },
     "lab": {
-        "inequality": ("str", "semigroup"),
-        "s": ("str", "auto"),
-        "p": ("float", 2.0),
-        "r": ("float", 2.0),
-        "q": ("float", 1.0),
-        "a": ("float", 1.0),
-        "omega": ("float", 0.0),
-        "ensemble": ("int", 20),
-        "seed": ("int", 0),
-        "n": ("int", 16),
-        "period_l": ("float", 4.0),
-        "horizon": ("float", 1.0),
-        "n_samples": ("int", 17),
-        "s_values": ("floats", []),
-        "omegas": ("floats", [0.0, 10.0, 100.0]),
-        "experiment": ("str", "linear"),
-        "output": ("str", "lab_report.json"),
-        "csv": ("str", ""),
+        "inequality": (str, "semigroup",
+                       _one_of("duhamel", "product", "semigroup", "omega-scan")),
+        "s": (str, "auto", AUTO_OR_FINITE),
+        "p": (float, 2.0, AT_LEAST_ONE),
+        "r": (float, 2.0, AT_LEAST_ONE),
+        "q": (float, 1.0, AT_LEAST_ONE),
+        "a": (float, 1.0, AT_LEAST_ONE),
+        "omega": (float, 0.0, FINITE),
+        "ensemble": (int, 20, AT_LEAST_ONE),
+        "seed": (int, 0, NON_NEGATIVE),
+        "n": (int, 16, GRID_N),
+        "period_l": (float, 4.0, POSITIVE_FINITE),
+        "horizon": (float, 1.0, POSITIVE_FINITE),
+        "n_samples": (int, 17, AT_LEAST_TWO),
+        "s_values": (_to_floats, [], FINITE_VALUES),
+        "omegas": (_to_floats, [0.0, 10.0, 100.0], FINITE_LIST),
+        "experiment": (str, "linear", _one_of("linear", "contraction")),
+        "output": (str, "lab_report.json", ANY),
+        "csv": (str, "", ANY),
     },
     "checkpoint": {
-        "input": ("str", _REQUIRED),
+        "input": (str, _REQUIRED, ANY),
     },
 }
 
@@ -175,16 +190,16 @@ def build_parser() -> _Parser:
 
 
 def _convert(name: str, key: str, raw):
-    kind, _ = SCHEMAS[name][key]
+    converter, _, _ = SCHEMAS[name][key]
     try:
-        return _CONVERTERS[kind](raw)
+        return converter(raw)
     except ValueError as exc:
         raise UsageError(f"bad value for {name}.{key}: {exc}")
 
 
 def resolve_config(name: str, args) -> dict:
     schema = SCHEMAS[name]
-    values = {key: default for key, (_, default) in schema.items()}
+    values = {key: default for key, (_, default, _) in schema.items()}
 
     if args.config is not None:
         path = os.path.join(args.workdir, args.config) \
@@ -223,6 +238,13 @@ def resolve_config(name: str, args) -> dict:
     if missing:
         raise UsageError(f"missing required config key(s) for {name}: "
                          + ", ".join(sorted(missing)))
+    for key, (_, _, (description, test)) in schema.items():
+        try:
+            valid = test(values[key])
+        except ValueError:
+            valid = False
+        if not valid:
+            raise UsageError(f"{key} must be {description}, got {values[key]}")
     return values
 
 
@@ -275,22 +297,14 @@ def run_semigroup(cfg: dict, workdir: str) -> int:
     return EXIT_OK
 
 
-def _check_amplitude(cfg: dict):
-    if not math.isfinite(cfg["amplitude"]):
-        raise UsageError(f"amplitude must be finite, got {cfg['amplitude']}")
-
-
 def _solve3d_initial(cfg: dict, grid: Grid) -> SpectralField:
-    _check_amplitude(cfg)
     if cfg["initial"] == "taylor-green":
         return taylor_green_3d(grid, amplitude=cfg["amplitude"])
-    if cfg["initial"] == "random":
-        u0 = random_divfree_field(grid, seed=(cfg["seed"],))
-        norm = fb_norm_value(u0, critical_index(cfg["p"]), cfg["p"], cfg["r"])
-        if norm <= 0:
-            raise ValueError("degenerate random initial field")
-        return SpectralField(grid, u0.coeffs * (cfg["amplitude"] / norm))
-    raise UsageError(f"unknown initial condition {cfg['initial']!r}")
+    u0 = random_divfree_field(grid, seed=(cfg["seed"],))
+    norm = fb_norm_value(u0, critical_index(cfg["p"]), cfg["p"], cfg["r"])
+    if norm <= 0:
+        raise ValueError("degenerate random initial field")
+    return SpectralField(grid, u0.coeffs * (cfg["amplitude"] / norm))
 
 
 def run_solve3d(cfg: dict, workdir: str) -> int:
@@ -333,34 +347,24 @@ def run_solve3d(cfg: dict, workdir: str) -> int:
 
 
 def _solve2d_initial(cfg: dict, grid: Grid) -> SpectralField:
-    _check_amplitude(cfg)
     if cfg["initial"] == "taylor-green":
         return curl(taylor_green_2d(grid, amplitude=cfg["amplitude"]))
     if cfg["initial"] == "gaussian":
         return gaussian_vortex(grid, width_sq=cfg["width_sq"],
                                amplitude=cfg["amplitude"])
-    if cfg["initial"] == "random":
-        return random_scalar_field(grid, seed=(cfg["seed"],),
-                                   amplitude=cfg["amplitude"])
-    raise UsageError(f"unknown initial condition {cfg['initial']!r}")
+    return random_scalar_field(grid, seed=(cfg["seed"],),
+                               amplitude=cfg["amplitude"])
 
 
 def run_solve2d(cfg: dict, workdir: str) -> int:
     grid = Grid(dim=2, n=cfg["n"], period_l=cfg["period_l"])
-    # refuse values the run or its diagnostics cannot use before any stepping
-    samples = 1 + max(0, -(-cfg["n_steps"] // max(cfg["sample_every"], 1)))
+    # refuse key combinations the run's diagnostics cannot use before any stepping
+    samples = 1 + -(-cfg["n_steps"] // cfg["sample_every"])
     if cfg["residual"] and samples < 3:
         raise UsageError(f"residual check needs at least three samples, got {samples}")
     if not 0 <= cfg["t1_index"] <= samples - 2:
         raise UsageError("t1_index must name a sample before the last of the run's "
                          f"{samples} samples, got {cfg['t1_index']}")
-    if not math.isfinite(cfg["omega"]):
-        raise UsageError(f"omega must be finite, got {cfg['omega']}")
-    if cfg["residual"] and not 0 < cfg["mask_radius"] < math.inf:
-        raise UsageError(f"mask_radius must be positive and finite, got {cfg['mask_radius']}")
-    bad_p = [p for p in cfg["p_values"] if not p >= 1]
-    if bad_p:
-        raise UsageError(f"p_values must all be >= 1, got {bad_p}")
     w0 = _solve2d_initial(cfg, grid)
     times, states = run_vorticity(w0, cfg["dt"], cfg["n_steps"],
                                   cfg["sample_every"])
@@ -426,7 +430,7 @@ def run_lab(cfg: dict, workdir: str) -> int:
             s=0.5 if s_value is None else s_value, **common)
     elif inequality == "semigroup":
         report = lab_mod.verify_semigroup_bounds(omega=cfg["omega"], **common)
-    elif inequality == "omega-scan":
+    else:  # omega-scan
         kwargs = {}
         if cfg["experiment"] == "linear":
             kwargs = dict(p=cfg["p"], r=cfg["r"], ensemble=cfg["ensemble"],
@@ -436,8 +440,6 @@ def run_lab(cfg: dict, workdir: str) -> int:
             **kwargs)
         failed = any(not math.isfinite(c) for c in payload["constants"])
         csv_rows = list(zip(payload["omegas"], payload["constants"]))
-    else:
-        raise UsageError(f"unknown inequality {inequality!r}")
     if report is not None:
         payload = report.as_dict()
         failed = not math.isfinite(report.max_ratio)

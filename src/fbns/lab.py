@@ -60,11 +60,13 @@ def _excess(value: float, base: float) -> float:
 def _finalize(name: str, params: dict, ensemble: int, ratios: list,
               details: dict | None = None,
               extra_ok: bool = True) -> EstimateReport:
-    # ratios are quotients of norms, so a max starting from 0 is their max
     arr = np.asarray(ratios, dtype=float)
     valid = np.isfinite(arr)
-    max_all = float(np.max(arr[valid], initial=0.0))
-    median = float(np.median(arr[valid])) if valid.any() else 0.0
+    if valid.any():
+        max_all, median = float(np.max(arr[valid])), float(np.median(arr[valid]))
+    else:  # every member discarded: there is no ratio, and the report fails
+        max_all = median = math.nan
+    # ratios are quotients of norms, so a max starting from 0 is their max
     head = arr[:ensemble]
     prefix_max = float(np.max(head[np.isfinite(head)], initial=0.0))
     stability = _excess(max_all, prefix_max)

@@ -238,6 +238,8 @@ def fb_norm_of_series(series: np.ndarray, s: float, r: float,
 def fb_norm(field: SpectralField, s: float, p: float, r: float) -> NormReport:
     """Fourier-Besov norm: l^r over shells of 2^(j s) ||phi_j f_hat||_{L^p}."""
     _validate_lebesgue("r", r)
+    if not math.isfinite(s):
+        raise ValueError(f"regularity s must be finite, got {s}")
     part = get_partition(field.grid)
     values = shell_series(field.coeffs, p, part) * 2.0 ** (s * np.array(part.js))
     return NormReport({"s": s, "p": p, "r": r}, list(zip(part.js, values.tolist())),

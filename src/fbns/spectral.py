@@ -355,22 +355,13 @@ def divergence(field: SpectralField) -> SpectralField:
 
 
 def curl(field: SpectralField) -> SpectralField:
-    """3d vector -> 3d vector; 2d vector -> scalar rotation d1 f2 - d2 f1."""
+    """2d vector -> scalar rotation d1 f2 - d2 f1."""
     grid = field.grid
-    if field.ncomp != grid.dim:
-        raise ValueError(f"curl expects {grid.dim} components, got {field.ncomp}")
+    if grid.dim != 2 or field.ncomp != 2:
+        raise ValueError("curl expects a 2-component field on a 2d grid")
     c = field.coeffs
-    if grid.dim == 2:
-        xi1, xi2 = grid.xi_axis(0), grid.xi_axis(1)
-        rot = 1j * xi1 * c[1] - 1j * xi2 * c[0]
-        return SpectralField(grid, rot[np.newaxis])
-    xi = [grid.xi_axis(ax) for ax in range(3)]
-    out = np.stack([
-        1j * xi[1] * c[2] - 1j * xi[2] * c[1],
-        1j * xi[2] * c[0] - 1j * xi[0] * c[2],
-        1j * xi[0] * c[1] - 1j * xi[1] * c[0],
-    ])
-    return SpectralField(grid, out)
+    rot = 1j * grid.xi_axis(0) * c[1] - 1j * grid.xi_axis(1) * c[0]
+    return SpectralField(grid, rot[np.newaxis])
 
 
 def laplacian(field: SpectralField) -> SpectralField:

@@ -94,6 +94,70 @@ def test_config_file_rejects_unknown_sections_and_keys(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
+# schema domains
+
+REQUIRED = {"fbnorm": ("--set", "input=field.fbns", "--set", "s=0"),
+            "checkpoint": ("--set", "input=field.fbns")}
+# one value outside each domain, by description; choice sets get "bogus"
+OUTSIDE = {"finite": "nan", "positive": "0", "positive and finite": "inf",
+           "non-negative": "-1", "non-negative and finite": "-1", ">= 1": "0",
+           ">= 2": "1", "> 1": "1", "even and >= 8": "6",
+           "non-empty, with every element >= 1": "2,0.5",
+           "non-empty, with every element finite": "0,nan",
+           "a list of finite values": "0,inf", "auto or finite": "-inf"}
+DOMAIN_CASES = [(command, key, domain[0])
+                for command, schema in fbns.cli.SCHEMAS.items()
+                for key, (_, _, domain) in schema.items() if domain is not fbns.cli.ANY]
+
+
+def calls_of_runner(monkeypatch, command):
+    calls = []
+    monkeypatch.setitem(fbns.cli.RUNNERS, command,
+                        lambda cfg, workdir: calls.append(cfg) or 0)
+    return calls
+
+
+@pytest.mark.parametrize("command", sorted(fbns.cli.SCHEMAS))
+def test_defaults_lie_in_their_domains(tmp_path, monkeypatch, command):
+    calls = calls_of_runner(monkeypatch, command)
+    assert run_cli(command, "--workdir", str(tmp_path), *REQUIRED.get(command, ())) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command, key, description", DOMAIN_CASES,
+                         ids=[f"{command}-{key}" for command, key, _ in DOMAIN_CASES])
+def test_value_outside_its_domain_is_refused_before_the_runner(
+        tmp_path, capsys, monkeypatch, command, key, description):
+    value = "bogus" if description.startswith("one of ") else OUTSIDE[description]
+    calls = calls_of_runner(monkeypatch, command)
+    code = run_cli(command, "--workdir", str(tmp_path), *REQUIRED.get(command, ()),
+                   "--set", f"{key}={value}")
+    assert code == 1
+    assert calls == [] and list(tmp_path.iterdir()) == []
+    assert f"error: {key} must be {description}, got " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("fbnorm", "--input", "field.fbns", "--s", "nan"), "s must be finite, got nan"),
+    (("lab", "--set", "inequality=duhamel", "--set", "s=nan"),
+     "s must be auto or finite, got nan"),
+    (("lab", "--set", "inequality=duhamel", "--set", "s=inf"),
+     "s must be auto or finite, got inf"),
+    (("lab", "--set", "inequality=omega-scan", "--set", "omegas="),
+     "omegas must be non-empty, with every element finite, got []"),
+    (("solve2d", "--set", "p_values="),
+     "p_values must be non-empty, with every element >= 1, got []"),
+], ids=["fbnorm-s-nan", "lab-s-nan", "lab-s-inf", "lab-omegas-empty",
+        "solve2d-p_values-empty"])
+def test_values_that_once_ran_to_a_wrong_answer_are_refused(
+        tmp_path, capsys, monkeypatch, argv, message):
+    calls = calls_of_runner(monkeypatch, argv[0])
+    assert run_cli(argv[0], "--workdir", str(tmp_path), *argv[1:]) == 1
+    assert calls == [] and list(tmp_path.iterdir()) == []
+    assert message in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
 # fbnorm / checkpoint
 
 def test_fbnorm_reports_norm(tmp_path, field_file, capsys):
@@ -238,7 +302,7 @@ def test_solve3d_rejects_p_one(tmp_path, capsys):
     code = run_cli("solve3d", "--workdir", str(tmp_path),
                    "--config", "run.ini", "--set", "p=1")
     assert code == 1
-    assert "p = 1" in capsys.readouterr().err
+    assert "p must be > 1, got 1.0" in capsys.readouterr().err
 
 
 def test_solve3d_deterministic_artifacts(tmp_path):
@@ -282,8 +346,8 @@ def test_lab_non_finite_horizon_is_usage_error(tmp_path, capsys, value):
         code = run_cli("lab", "--workdir", str(tmp_path), "--set",
                        "ensemble=2", "--set", f"horizon={value}")
     assert code == 1
-    err = capsys.readouterr().err
-    assert f"horizon={value}" in err
+    assert f"horizon must be positive and finite, got {value}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("command, setting", [
@@ -444,8 +508,9 @@ def test_solve2d_t1_index_out_of_range_fails_before_stepping(tmp_path, capsys,
     (("initial=gaussian", "width_sq=0"), "width_sq must be positive and finite, got 0.0"),
     (("initial=gaussian", "width_sq=nan"), "width_sq must be positive and finite, got nan"),
     (("residual=true", "mask_radius=nan"), "mask_radius must be positive and finite, got nan"),
-    (("p_values=2,nan",), "p_values must all be >= 1, got [nan]"),
-    (("p_values=0.5",), "p_values must all be >= 1, got [0.5]"),
+    (("p_values=2,nan",), "p_values must be non-empty, with every element >= 1, "
+                          "got [2.0, nan]"),
+    (("p_values=0.5",), "p_values must be non-empty, with every element >= 1, got [0.5]"),
 ], ids=["omega-nan", "omega-inf", "width_sq-0", "width_sq-nan", "mask_radius-nan",
         "p_values-nan", "p_values-0.5"])
 def test_solve2d_bad_input_fails_before_stepping(tmp_path, capsys, monkeypatch,
@@ -487,7 +552,8 @@ def test_solve2d_unknown_initial(tmp_path, capsys):
     code = run_cli("solve2d", "--workdir", str(tmp_path),
                    "--set", "initial=vortex-sheet")
     assert code == 1
-    assert "unknown initial condition" in capsys.readouterr().err
+    assert ("initial must be one of taylor-green, gaussian, random, got vortex-sheet"
+            in capsys.readouterr().err)
 
 
 def test_solve2d_blow_up_is_a_numerical_failure(tmp_path):
@@ -604,7 +670,8 @@ def test_lab_unknown_inequality(tmp_path, capsys):
     code = run_cli("lab", "--workdir", str(tmp_path),
                    "--set", "inequality=trilinear")
     assert code == 1
-    assert "unknown inequality" in capsys.readouterr().err
+    assert ("inequality must be one of duhamel, product, semigroup, omega-scan, "
+            "got trilinear" in capsys.readouterr().err)
 
 
 def test_workdir_is_created(tmp_path, field_file, capsys):

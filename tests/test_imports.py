@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import fbns
+import fbns.cli
 
 MODULES = sorted(path for path in Path(fbns.__file__).parent.glob("*.py")
                  if path.name != "__init__.py")
@@ -75,3 +76,21 @@ def test_uncalled_definition_is_reported():
                "b": "import a\ndef g():\n    return a.h()\ndef h():\n    pass\n"}
     assert uncalled_definitions(sources, set()) == ["a.C", "a.f"]
     assert uncalled_definitions(sources, {"f"}) == ["a.C"]
+
+
+def config_reads(source: str) -> set:
+    """Keys source reads as cfg["key"]."""
+    return {node.slice.value for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+            and node.value.id == "cfg" and isinstance(node.slice, ast.Constant)}
+
+
+def test_every_config_key_is_read():
+    # a config key that no runner reads is an option that does nothing
+    keys = {key for schema in fbns.cli.SCHEMAS.values() for key in schema}
+    source = Path(fbns.cli.__file__).read_text()
+    assert sorted(keys - config_reads(source)) == []
+
+
+def test_config_read_is_found():
+    assert config_reads('cfg["a"]\ncfg.get("b")\nother["c"]\n') == {"a"}

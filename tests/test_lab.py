@@ -95,6 +95,15 @@ def test_verify_duhamel_smoothing_report():
     assert sup.passed
 
 
+def test_report_with_every_member_discarded_fails():
+    # a nan regularity makes every norm nan, so every member is discarded
+    rep = verify_duhamel_smoothing(s=math.nan, ensemble=1, grid=Grid(3, 8, 4.0),
+                                   n_samples=3)
+    assert rep.discarded == 2
+    assert math.isnan(rep.max_ratio) and math.isnan(rep.median_ratio)
+    assert not rep.passed
+
+
 def test_verify_duhamel_smoothing_validation():
     with pytest.raises(ValueError, match="a <= q"):
         verify_duhamel_smoothing(q=1.0, a=2.0)

@@ -132,6 +132,13 @@ def test_fb_norm_rejects_bad_exponents():
         fb_norm(f, 0.0, 2.0, 0.0)
 
 
+@pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
+def test_fb_norm_refuses_non_finite_regularity(s):
+    f = random_scalar_field(Grid(dim=2, n=16, period_l=1.0), seed=0)
+    with pytest.raises(ValueError, match=f"s must be finite, got {s}"):
+        fb_norm(f, s, 2.0, 2.0)
+
+
 def test_fb_norm_zero_field_and_triangle():
     grid = Grid(dim=2, n=16, period_l=1.0)
     zero = SpectralField(grid, np.zeros((1,) + grid.spectral_shape, dtype=np.complex128))
