@@ -132,6 +132,8 @@ def verify_duhamel_smoothing(s: float = None, p: float = 2.0, r: float = 2.0,
             "1 + 1/q = 1/q~ + 1/a stays admissible")
     if s is None:
         s = critical_index(p)
+    if not math.isfinite(s):
+        raise ValueError(f"regularity s must be finite, got {s}")
     rhs_index = s - 2.0 - (0.0 if q == INF else 2.0 / q) \
         + (0.0 if a == INF else 2.0 / a)
     times = lab_times(horizon, n_samples)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -56,20 +56,26 @@ def biot_savart(w: SpectralField) -> SpectralField:
     v_hat = (i xi_2, -i xi_1) w_hat / |xi|^2, zero mode dropped."""
     if not w.is_scalar or w.grid.dim != 2:
         raise ValueError("biot_savart expects a scalar field on a 2d grid")
-    return SpectralField(w.grid, _rhs_symbols(w.grid)[0][:2] * w.coeffs)
+    return SpectralField(w.grid, _rhs_symbols(w.grid)[0] * w.coeffs)
 
 
 @lru_cache(maxsize=8)
 def _rhs_symbols(grid: Grid) -> tuple:
-    """Read-only RHS symbols (i xi_2, -i xi_1)/|xi|^2, xi_1^2 - xi_2^2, xi_1 xi_2,
-    and their pack."""
+    """Read-only symbols: the Biot-Savart rows (i xi_2, -i xi_1)/|xi|^2 of the
+    half spectrum; combined, 1/conj(zeta) with zeta = xi_1 + i xi_2, on the full
+    band k_2 = -kcut...kcut (on both axes in Grid.band's order, zero mode 0);
+    -(i/4) conj(zeta)^2 on the band; and the index of -k on a full band axis."""
     xi1, xi2, inv = grid.xi_axis(0), grid.xi_axis(1), grid.inv_xi_sq
-    symbols = np.stack(np.broadcast_arrays(1j * xi2 * inv, -1j * xi1 * inv,
-                                           xi1 * xi1 - xi2 * xi2, xi1 * xi2))
-    band = grid.pack(symbols)
-    for arr in (symbols, band):
+    rows = np.stack(np.broadcast_arrays(1j * xi2 * inv, -1j * xi1 * inv))
+    xi1, xi2 = grid.band_symbols[0][:, :1], grid.band_symbols[1][:1]
+    xi2 = np.concatenate([xi2, -xi2[:, :0:-1]], axis=-1)  # k_2 = 0...kcut, -kcut...-1
+    zeta, sq = xi1 + 1j * xi2, xi1 ** 2 + xi2 ** 2
+    sq[0, 0] = math.inf  # 1/conj(zeta) is 0 at the zero mode, as biot_savart drops it
+    symbols = (rows, zeta * (1 / sq), -0.25j * np.conj(zeta[:, :grid.kcut + 1]) ** 2,
+               -np.arange(xi1.size) % xi1.size)
+    for arr in symbols:
         arr.setflags(write=False)
-    return symbols, band
+    return symbols
 
 
 def frame_rotation(omega: float, t: float) -> np.ndarray:
@@ -98,20 +104,35 @@ def _if_rk4(w: np.ndarray, grid: Grid, dt: float, steps: int, rhs) -> np.ndarray
     return w
 
 
-def _vorticity_rhs(grid: Grid, w_hat: np.ndarray) -> np.ndarray:
-    """-(v . grad w) on the band for band vorticity w, in the trace-free form
-    -(v . grad w) = -(d_1^2 - d_2^2)(v_1 v_2) - d_1 d_2 (v_2^2 - v_1^2) of a
-    divergence-free v (Basdevant 1983), whose symbols are xi_1^2 - xi_2^2 and
-    xi_1 xi_2: two band inverses for v, two products, two band forwards."""
-    bs1, bs2, sym_p, sym_q = _rhs_symbols(grid)[1]
-    v1, v2 = grid._to_samples(bs1 * w_hat), grid._to_samples(bs2 * w_hat)
-    p = v1 * v2
-    v2 *= v2
-    v2 -= np.multiply(v1, v1, out=v1)
-    out = grid._to_band(p)
-    out *= sym_p
-    out += sym_q * grid._to_band(v2)
-    return out
+def _vorticity_rhs(grid: Grid):
+    """The map w^ -> -(v . grad w)^ on the band, through the complex velocity
+    z = v_1 + i v_2 of a divergence-free v: z^ = w^/conj(zeta), zeta = xi_1 + i xi_2,
+    on the full band (w^(k) = conj(w^(-k)) on k_2 < 0), and z^2 = -Q + 2iP with
+    P = v_1 v_2, Q = v_2^2 - v_1^2.  The trace-free form -(d_1^2 - d_2^2) P
+    - d_1 d_2 Q (Basdevant 1983) is (i/4)(zeta^2 conj(Z^(-k)) - conj(zeta)^2 Z^(k))
+    for Z = z^2: one pruned complex inverse (axis 0 over the band's columns, then
+    axis 1 over every row) and one pruned complex forward in the reverse order.
+    The calls share two work buffers; fresh ones would fault on every page."""
+    _, inv_conj_zeta, sym, flip = _rhs_symbols(grid)
+    k, n = grid.kcut, grid.n
+    low, high, gap = grid._rows[-2]
+    cols, samples = np.empty((1, n, 2 * k + 1), complex), np.empty((1, n, n), complex)
+
+    def rhs(w_hat):
+        z_hat = np.concatenate([w_hat, np.conj(w_hat[..., flip, k:0:-1])], axis=-1)
+        z_hat *= inv_conj_zeta
+        cols[low], cols[high], cols[gap] = z_hat[low], z_hat[high], 0
+        np.fft.ifft(cols, axis=-2, norm="forward", out=cols)
+        samples[..., :k + 1], samples[..., -k:], samples[..., k + 1:-k] = cols[..., :k + 1], cols[..., k + 1:], 0
+        np.fft.ifft(samples, axis=-1, norm="forward", out=samples)
+        np.fft.fft(np.square(samples, out=samples), axis=-1, norm="forward", out=samples)
+        cols[..., :k + 1], cols[..., k + 1:] = samples[..., :k + 1], samples[..., -k:]
+        np.fft.fft(cols, axis=-2, norm="forward", out=cols)
+        z_hat = np.concatenate([cols[low], cols[high]], axis=-2)  # now Z^ of Z = z^2
+        out = sym * z_hat[..., :k + 1]
+        out += np.conj(sym * z_hat[..., flip[:, None], flip[:k + 1]])
+        return out
+    return rhs
 
 
 def advance_vorticity(state: VorticityState, dt: float, steps: int,
@@ -123,7 +144,7 @@ def advance_vorticity(state: VorticityState, dt: float, steps: int,
     grid = state.w.grid
     if check_cfl and steps > 0:
         advect_check(state.velocity, dt)
-    w = _if_rk4(grid.pack(state.w.coeffs), grid, dt, steps, partial(_vorticity_rhs, grid))
+    w = _if_rk4(grid.pack(state.w.coeffs), grid, dt, steps, _vorticity_rhs(grid))
     return VorticityState(SpectralField(grid, grid.unpack(w)), state.t + steps * dt)
 
 

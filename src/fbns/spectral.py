@@ -440,20 +440,20 @@ def taylor_green_2d(grid: Grid, amplitude: float = 1.0) -> SpectralField:
     the unit wavenumber sits on the lattice."""
     if grid.dim != 2:
         raise ValueError("taylor_green_2d expects a 2d grid")
-    x1, x2 = grid.x_axis(0), grid.x_axis(1)
-    u1 = amplitude * np.cos(x1) * np.sin(x2)
-    u2 = -amplitude * np.sin(x1) * np.cos(x2)
-    return forward_transform(np.stack([np.broadcast_to(u1, grid.shape),
-                                       np.broadcast_to(u2, grid.shape)]), grid)
+    return _taylor_green(grid, amplitude)
 
 
 def taylor_green_3d(grid: Grid, amplitude: float = 1.0) -> SpectralField:
     """The 2d Taylor-Green cell embedded in 3d with zero third component."""
     if grid.dim != 3:
         raise ValueError("taylor_green_3d expects a 3d grid")
+    return _taylor_green(grid, amplitude)
+
+
+def _taylor_green(grid: Grid, amplitude: float) -> SpectralField:
+    if not float(grid.period_l).is_integer():
+        raise ValueError(f"the Taylor-Green cell needs an integer period_l, got {grid.period_l}")
     x1, x2 = grid.x_axis(0), grid.x_axis(1)
-    u1 = amplitude * np.cos(x1) * np.sin(x2)
-    u2 = -amplitude * np.sin(x1) * np.cos(x2)
-    zero = np.zeros(grid.shape)
-    return forward_transform(np.stack([np.broadcast_to(u1, grid.shape),
-                                       np.broadcast_to(u2, grid.shape), zero]), grid)
+    cell = [amplitude * np.cos(x1) * np.sin(x2), -amplitude * np.sin(x1) * np.cos(x2)]
+    cell += [np.zeros(grid.shape)] * (grid.dim - 2)
+    return forward_transform(np.stack([np.broadcast_to(u, grid.shape) for u in cell]), grid)

@@ -524,6 +524,19 @@ def test_solve2d_bad_input_fails_before_stepping(tmp_path, capsys, monkeypatch,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, settings", [
+    ("solve2d", ("n=16", "n_steps=10")),
+    ("solve3d", ("initial=taylor-green", "n=8", "horizon=0.25", "dt=0.0625")),
+])
+def test_taylor_green_off_an_integer_period_is_usage_error(tmp_path, capsys, command,
+                                                           settings):
+    overrides = [arg for setting in settings for arg in ("--set", setting)]
+    code = run_cli(command, "--workdir", str(tmp_path), *overrides, "--set", "period_l=2.5")
+    assert code == 1
+    assert "integer period_l, got 2.5" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_solve2d_gronwall_bound_overflow_is_inf(tmp_path):
     code = run_cli("solve2d", "--workdir", str(tmp_path), "--set", "n=16",
                    "--set", "initial=random", "--set", "amplitude=300",

@@ -95,10 +95,10 @@ def test_verify_duhamel_smoothing_report():
     assert sup.passed
 
 
-def test_report_with_every_member_discarded_fails():
-    # a nan regularity makes every norm nan, so every member is discarded
-    rep = verify_duhamel_smoothing(s=math.nan, ensemble=1, grid=Grid(3, 8, 4.0),
-                                   n_samples=3)
+def test_report_with_every_member_discarded_fails(monkeypatch):
+    # a forcing-norm floor that no member clears discards every member
+    monkeypatch.setattr(lab, "_TINY_RHS", math.inf)
+    rep = verify_duhamel_smoothing(ensemble=1, grid=Grid(3, 8, 4.0), n_samples=3)
     assert rep.discarded == 2
     assert math.isnan(rep.max_ratio) and math.isnan(rep.median_ratio)
     assert not rep.passed
@@ -109,6 +109,18 @@ def test_verify_duhamel_smoothing_validation():
         verify_duhamel_smoothing(q=1.0, a=2.0)
     with pytest.raises(ValueError, match=">= 1"):
         verify_duhamel_smoothing(q=1.0, a=0.5)
+
+
+@pytest.mark.parametrize("s", [math.inf, -math.inf, math.nan])
+def test_duhamel_refuses_a_non_finite_regularity_before_any_member_is_drawn(
+        monkeypatch, s):
+    def draw(*args, **kwargs):
+        raise AssertionError("a member was drawn")
+
+    monkeypatch.setattr(lab, "random_divfree_field", draw)
+    monkeypatch.setattr(lab, "random_scalar_field", draw)
+    with pytest.raises(ValueError, match=f"regularity s must be finite, got {s}"):
+        verify_duhamel_smoothing(s=s, ensemble=1, grid=Grid(3, 8, 4.0), n_samples=3)
 
 
 def test_duhamel_reports_are_reproducible():

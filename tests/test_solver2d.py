@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fbns.solver2d import (SupportError, VorticityState, _if_rk4, _lambert_w0, _rhs_symbols,
                            _vorticity_rhs,
@@ -145,11 +145,12 @@ def test_rhs_symbol_cache_is_keyed_by_the_whole_grid():
     for k in (0, 1, 2, 1, 0, 2):
         assert np.array_equal(run(grids[k]), alone[k])
     assert _rhs_symbols(Grid(2, 16, 4.0)) is _rhs_symbols(grids[1])
-    symbols, band = _rhs_symbols(grids[0])
-    assert np.array_equal(band, grids[0].pack(symbols))
-    for arr in (symbols, band):
+    symbols = _rhs_symbols(grids[0])
+    rows, inv_conj_zeta = symbols[:2]  # 1/conj(zeta) is the Biot-Savart rows combined
+    assert np.array_equal(inv_conj_zeta[:, :grids[0].kcut + 1], grids[0].pack(rows[0] + 1j * rows[1]))
+    for arr in symbols:
         with pytest.raises(ValueError):
-            arr[0, 1, 1] = 0.0
+            arr[(1,) * arr.ndim] = 0
 
 
 def test_vorticity_rhs_hand_oracle():
@@ -160,22 +161,46 @@ def test_vorticity_rhs_hand_oracle():
     x1, x2 = grid.x_axis(0), grid.x_axis(1)
     w = forward_transform(np.cos(x1) + np.cos(2 * x2), grid)
     expected = forward_transform(1.5 * np.sin(x1) * np.sin(2 * x2), grid)
-    got = _vorticity_rhs(grid, grid.pack(w.coeffs))
+    got = _vorticity_rhs(grid)(grid.pack(w.coeffs))
     assert np.max(np.abs(expected.coeffs)) == pytest.approx(0.375)
     assert np.max(np.abs(got - grid.pack(expected.coeffs))) < 1e-15
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([8, 10, 16, 24, 32, 48, 64, 98]), st.floats(0.25, 8.0),
+       st.integers(0, 2**32 - 1))
+def test_vorticity_rhs_properties(n, period_l, seed):
+    grid = Grid(2, n, period_l)
+    w = dealias(random_scalar_field(grid, seed, amplitude=3.0))
+    _, inv_conj_zeta, _, flip = _rhs_symbols(grid)
+    rhs = _vorticity_rhs(grid)(grid.pack(w.coeffs))[0]
+    # the k_2 = 0 column exactly Hermitian, or the stepped vorticity stops
+    # being real, and the zero mode exactly 0
+    assert np.array_equal(rhs[flip, 0], np.conj(rhs[:, 0]))
+    assert rhs[0, 0] == 0
+    # w^/conj(zeta) on the full band is the complex velocity v_1 + i v_2
+    band = np.ix_(*[np.r_[0:grid.kcut + 1, n - grid.kcut:n]] * 2)
+    z_hat = np.zeros(grid.shape, complex)
+    z_hat[band] = grid.full_spectrum(w.coeffs)[0][band] * inv_conj_zeta
+    z = np.fft.ifft2(z_hat, norm="forward")
+    v = inverse_transform(biot_savart(w))
+    assert np.max(np.abs(z - (v[0] + 1j * v[1]))) <= 1e-15 * np.max(np.abs(z))
+
+
 def test_vorticity_steps_stay_on_the_band(monkeypatch):
-    # one pack in, one unpack out, and per RK4 stage two band inverse and two
-    # band forward transforms: no half-spectrum transform in the steps
+    # one pack in, one unpack out, and per RK4 stage one pruned complex band
+    # inverse and one forward, two 1d passes each: no half-spectrum transform
+    # and no real band transform in the steps
     grid = Grid(2, 16, 1.0)
     state = VorticityState(dealias(random_scalar_field(grid, 9, amplitude=2.0)))
     advance_vorticity(state, 1e-3, 1)  # builds the per-grid symbols
     calls = count_calls(monkeypatch, (Grid, "pack"), (Grid, "unpack"), (np.fft, "irfftn"),
-                        (np.fft, "rfftn"), (Grid, "_to_samples"), (Grid, "_to_band"))
+                        (np.fft, "rfftn"), (Grid, "_to_samples"), (Grid, "_to_band"),
+                        (np.fft, "ifft"), (np.fft, "fft"), (np.fft, "irfft"), (np.fft, "rfft"))
     advance_vorticity(state, 1e-3, 3, check_cfl=False)
     assert calls == {"pack": 1, "unpack": 1, "irfftn": 0, "rfftn": 0,
-                     "_to_samples": 3 * 4 * 2, "_to_band": 3 * 4 * 2}
+                     "_to_samples": 0, "_to_band": 0,
+                     "ifft": 3 * 4 * 2, "fft": 3 * 4 * 2, "irfft": 0, "rfft": 0}
 
 
 def test_coriolis_term_is_invisible_after_projection():

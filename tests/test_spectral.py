@@ -239,6 +239,13 @@ def test_taylor_green_fields():
     assert np.max(np.abs(u3.coeffs[2])) == 0.0
 
 
+@pytest.mark.parametrize("make, dim", [(taylor_green_2d, 2), (taylor_green_3d, 3)])
+def test_taylor_green_refuses_a_non_integer_period(make, dim):
+    # at period_l = 2.5 the cell is not periodic: its divergence defect is 0.675
+    with pytest.raises(ValueError, match="integer period_l, got 2.5"):
+        make(Grid(dim=dim, n=8, period_l=2.5))
+
+
 def test_zeros_and_arithmetic():
     grid = Grid(dim=2, n=8, period_l=1.0)
     f = random_scalar_field(grid, seed=1)
