@@ -10,7 +10,8 @@ the max over all 2n exceeds the max over the first n by less than 20%.
 Ensemble members are seeded per index, so member i is the same object in
 every run and in both ensemble sizes.  Every member is drawn dealiased, so
 it is stored, stepped and measured on the dealiased band only, in the
-band-packed layout of the Picard solver (Grid.pack).
+band-packed layout of the Picard solver (Grid.pack); vector members as
+their helical amplitudes (Grid.helical).
 """
 
 from __future__ import annotations
@@ -99,9 +100,10 @@ def _members(ensemble: int) -> range:
 
 
 def _member_field(grid: Grid, seed, index: int, scalar: bool = False) -> np.ndarray:
-    """Member `index`'s random field, drawn dealiased, band-packed."""
-    draw = random_scalar_field if scalar else random_divfree_field
-    return grid.pack(draw(grid, seed=member_seed(seed, index)).coeffs)
+    """Member `index`'s random field, drawn dealiased, band-packed; a vector as helical amplitudes."""
+    band = grid.pack((random_scalar_field if scalar else random_divfree_field)(
+        grid, seed=member_seed(seed, index)).coeffs)
+    return band if scalar else grid.helical(band)
 
 
 def _decaying(grid: Grid, times: np.ndarray, seed, index: int,
@@ -286,6 +288,8 @@ def omega_independence_scan(experiment: str, omegas, grid: Grid = LAB_GRID,
     if "ensemble" in kwargs:
         _members(kwargs["ensemble"])
     omegas = [float(w) for w in omegas]
+    if not omegas:
+        raise ValueError("the scan needs at least one rotation rate")
     constants = []
     per_omega = []
     for w in omegas:
@@ -299,9 +303,9 @@ def omega_independence_scan(experiment: str, omegas, grid: Grid = LAB_GRID,
             entry = _contraction_constant(grid, w, seed)
             constants.append(entry["constant"])
             per_omega.append(entry)
-    lo, hi = min(constants, default=0.0), max(constants, default=0.0)
+    lo, hi = min(constants), max(constants)
     spread = _excess(hi, lo)
-    growth = max(0.0, _excess(hi, constants[0] if constants else 0.0))
+    growth = max(0.0, _excess(hi, constants[0]))
     return {
         "experiment": experiment,
         "omegas": omegas,

@@ -79,11 +79,11 @@ class SolverConfig3D:
 
     @property
     def memory_bytes(self) -> int:
-        """Rough peak of picard_solve: the band-packed trajectory, two shell series
-        per sample, and scratch of about twelve half-spectrum vector fields."""
+        """Rough peak of picard_solve: the band-packed helical trajectory, two shell
+        series per sample, and scratch of about twelve half-spectrum vector fields."""
         samples = self.n_steps + 1
         shells = len(lp.shell_range_for(self.grid.dxi, self.grid.band_max).indices)
-        return (samples * (48 * math.prod(self.grid.band_shape) + 16 * shells)
+        return (samples * (32 * math.prod(self.grid.band_shape) + 16 * shells)
                 + 12 * 48 * math.prod(self.grid.spectral_shape))
 
 
@@ -136,14 +136,13 @@ def smallness_gate(u0: SpectralField, p: float, r: float) -> GateReport:
 
 
 def pair_forcing(grid: Grid, u: np.ndarray) -> np.ndarray:
-    """P div(u (x) u) on the band for dim-component band coefficients
-    (Grid.pack): component i is P applied to sum_j d_j (u_i u_j), each product
-    taken pseudo-spectrally straight to the band (Grid._to_band, the 2/3
-    rule).  u is transformed once and each symmetric product u_i u_j formed once."""
-    if len(u) != grid.dim:
-        raise ValueError(f"pair forcing expects {grid.dim}-component fields "
-                         f"on a {grid.dim}d grid")
-    up = grid._to_samples(u)
+    """P div(u (x) u) on the band (Grid.pack), for u and result as 2d components
+    or 3d helical amplitudes (Grid.helical, which projects): P of sum_j d_j (u_i
+    u_j), each product taken pseudo-spectrally straight to the band (Grid._to_band,
+    the 2/3 rule).  u is transformed once and each product u_i u_j formed once."""
+    if len(u) != 2:
+        raise ValueError(f"pair forcing expects 2-component fields on a {grid.dim}d grid")
+    up = grid._to_samples(grid.cartesian(u) if grid.dim == 3 else u)
     *xi, inv_xi_sq = grid.band_symbols
     div = np.zeros((grid.dim,) + xi[0].shape, dtype=np.complex128)
     for jax in range(grid.dim):
@@ -153,7 +152,7 @@ def pair_forcing(grid: Grid, u: np.ndarray) -> np.ndarray:
             if iax < jax:
                 div[jax] += 1j * xi[iax] * prod_hat
     del up  # free the samples before projecting
-    return leray(div, xi, inv_xi_sq)
+    return grid.helical(div) if grid.dim == 3 else leray(div, xi, inv_xi_sq)
 
 
 def advect_check(u: SpectralField, dt: float):
@@ -166,8 +165,8 @@ def advect_check(u: SpectralField, dt: float):
 
 def _mild_map_sweep(buffer: np.ndarray, u0: np.ndarray, grid: Grid, prop,
                     nonlinearity: bool = True, record=None):
-    """Overwrite the iterate u in buffer (samples x components x band), one
-    sample at a time, with T(t) u0 - integral_0^t T(t - tau) P div(u (x) u)
+    """Overwrite the iterate u in buffer (samples x helical amplitudes x band),
+    one sample at a time, with T(t) u0 - integral_0^t T(t - tau) P div(u (x) u)
     dtau, all band-packed.  Sample k of u is read for its forcing before the
     new value replaces it; record(k, new, old) sees both."""
     forcing = None
@@ -188,7 +187,7 @@ def _mild_map_sweep(buffer: np.ndarray, u0: np.ndarray, grid: Grid, prop,
 def picard_solve(u0: SpectralField, config: SolverConfig3D):
     """Iterate the mild map to its fixed point.
 
-    The iterate lives in one buffer on the dealiased band, which every
+    The iterate lives in one buffer of helical amplitudes on the band, which every
     Picard step overwrites in place, sample by sample, while it records the
     per-shell L^p values of the new iterate and of the increment; the
     contraction metric is computed from those, so no second trajectory is
@@ -215,7 +214,7 @@ def picard_solve(u0: SpectralField, config: SolverConfig3D):
     if config.nonlinearity:
         advect_check(u0, config.dt)
     prop = propagator(grid, config.dt, config.omega)
-    u0 = grid.pack(u0.coeffs)
+    u0 = grid.helical(grid.pack(u0.coeffs))
 
     # shell_series of each sample of the new iterate and of the increment
     series = np.zeros((2, times.size, len(part.js)))

@@ -19,7 +19,7 @@ integrals over R^dim, and refining 1/L tightens the approximation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -47,6 +47,10 @@ class Grid:
             raise ValueError(f"n must be even and >= 8, got {self.n}")
         if not 0 < self.period_l < np.inf:
             raise ValueError(f"period_l must be positive and finite, got {self.period_l}")
+        with np.errstate(over="ignore", under="ignore"):  # the band's top symbol, the weights
+            scales = np.array([self.band_max, self.dxi, self.dx]) ** [2, self.dim, self.dim]
+        if not (np.isfinite(scales).all() and scales.all()):
+            raise ValueError(f"period_l={self.period_l} puts the band's symbols or weights out of range")
 
     @property
     def shape(self) -> tuple:
@@ -85,7 +89,7 @@ class Grid:
         """Stored wavenumbers k / L of one axis, shaped for broadcasting: k in
         FFT order 0, 1, ..., n/2-1, -n/2, ..., -1, or 0, ..., n/2 on the last."""
         last = axis % self.dim == self.dim - 1
-        k = np.arange(self.n // 2 + 1) if last else np.fft.fftfreq(self.n, 1.0 / self.n)
+        k = np.arange(self.n // 2 + 1) if last else np.r_[:self.n // 2, -(self.n // 2):0]
         return self._along(axis, k * self.dxi)
 
     @cached_property
@@ -152,6 +156,35 @@ class Grid:
     def band_symbols(self) -> tuple:
         """xi_1, ..., xi_dim and 1/|xi|^2, each gathered to the band (pack)."""
         return tuple(self.pack(s) for s in (*map(self.xi_axis, range(self.dim)), self.inv_xi_sq))
+
+    @lru_cache(maxsize=16)
+    def _frame(self, layout: str) -> tuple:
+        """i e1/sqrt 2 (e1_3 = 0 is left out) and e2/sqrt 2 of the helical frame
+        in a layout: e1 = (xi_2, -xi_1, 0)/|(xi_1, xi_2)|, or e_x on the xi_3
+        axis, and e2 = xi/|xi| x e1; all zero at xi = 0."""
+        k1, k2, k3 = (self.gather(self.xi_axis(ax), layout) for ax in range(3))
+        flat, norm = np.hypot(k1, k2), self.gather(self.xi_abs, layout)
+        e1 = np.stack([np.where(flat == 0.0, 1.0, k2), -k1]) / np.where(flat == 0.0, 1.0, flat)
+        e1[:, 0, 0, 0], norm[0, 0, 0] = 0.0, 1.0  # xi = 0 comes first in both layouts
+        u1, u2, u3 = k1 / norm, k2 / norm, k3 / norm
+        e2 = np.stack([-u3 * e1[1], u3 * e1[0], u1 * e1[1] - u2 * e1[0]])
+        return (1j * np.sqrt(0.5)) * e1, (np.sqrt(0.5) + 0j) * e2
+
+    def helical(self, u: np.ndarray) -> np.ndarray:
+        """The amplitudes a+- = conj(h+-) . u, h+- = (e2 -+ i e1)/sqrt 2 (_frame),
+        (2,) + layout, of 3d coefficients (3,) + either layout: R h+- = +-i h+-
+        for R(xi) a = (a x xi)/|xi|, and any part of u along xi is dropped."""
+        ie1, e2 = self._frame(self.layout(u))
+        p = e2[0] * u[0] + e2[1] * u[1] + e2[2] * u[2]
+        q = ie1[0] * u[0] + ie1[1] * u[1]
+        return np.stack([p + q, p - q])
+
+    def cartesian(self, a: np.ndarray) -> np.ndarray:
+        """The divergence-free h+ a+ + h- a-, (3,) + layout, of helical
+        amplitudes (2,) + either layout: the inverse of helical."""
+        ie1, e2 = self._frame(self.layout(a))
+        s, d = a[0] + a[1], a[0] - a[1]
+        return np.stack([e2[0] * s - ie1[0] * d, e2[1] * s - ie1[1] * d, e2[2] * s])
 
     def unpack(self, coeffs: np.ndarray) -> np.ndarray:
         """Band-packed coefficients in the half spectrum, zero outside the band."""

@@ -11,10 +11,10 @@ from .spectral import Grid, SpectralField
 
 @dataclass
 class Trajectory:
-    """Samples u(t_k) of a field on the dealiased band: coeffs has shape
-    (n_samples, ncomp) + grid.band_shape, and field(k) scatters sample k
-    into the half spectrum.  fb_norms optionally carries a per-sample scalar
-    diagnostic (the solver stores the critical Fourier-Besov norm there).
+    """Samples u(t_k) of a 3d velocity on the dealiased band: coeffs has shape
+    (n_samples, 2) + grid.band_shape, the helical amplitudes (Grid.helical), and
+    field(k) is sample k in the half spectrum.  fb_norms optionally carries a
+    per-sample scalar diagnostic (the solver's critical Fourier-Besov norms).
     """
 
     grid: Grid
@@ -27,4 +27,4 @@ class Trajectory:
         return self.times.size
 
     def field(self, k: int) -> SpectralField:
-        return SpectralField(self.grid, self.grid.unpack(self.coeffs[k]))
+        return SpectralField(self.grid, self.grid.unpack(self.grid.cartesian(self.coeffs[k])))

@@ -1,9 +1,10 @@
 """Full-layout references for the band-packed paths of fbns.
 
-fbns stores every trajectory on the dealiased band (Grid.pack).  The
-functions here compute the same samples on the whole half spectrum, by the
-same sweep_samples fed half-spectrum arrays, so that tests can compare the
-band paths against an independent layout.
+fbns stores every trajectory on the dealiased band (Grid.pack), a 3d
+velocity as its helical amplitudes (Grid.helical).  The functions here
+compute the same samples on the whole half spectrum, by the same
+sweep_samples fed half-spectrum arrays, so that tests can compare the band
+paths against an independent layout.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from fbns.spectral import Grid, SpectralField
 @dataclass
 class Samples:
     """Samples u(t_k) in the half spectrum: coeffs has shape
-    (n_samples, ncomp) + grid.spectral_shape."""
+    (n_samples, ncomp) + grid.spectral_shape, the two helical amplitudes of
+    a 3d velocity."""
     grid: Grid
     times: np.ndarray
     coeffs: np.ndarray
@@ -44,7 +46,7 @@ def unpacked(traj) -> Samples:
 def linear_samples(u0: SpectralField, times, omega: float) -> Samples:
     """T(t_k) u0 at uniform sample times starting at t_0 = 0."""
     times = np.asarray(times, dtype=float)
-    return Samples(u0.grid, times, sweep_samples(u0.grid, times, omega, u0.coeffs))
+    return Samples(u0.grid, times, sweep_samples(u0.grid, times, omega, u0.grid.helical(u0.coeffs)))
 
 
 def duhamel_samples(forcing: Samples, omega: float) -> Samples:
@@ -70,5 +72,5 @@ def picard_map(traj: Samples, u0: SpectralField, omega: float) -> Samples:
     grid = traj.grid
     out = grid.pack(traj.coeffs)
     dt = float(traj.times[1] - traj.times[0])
-    _mild_map_sweep(out, grid.pack(u0.coeffs), grid, propagator(grid, dt, omega))
+    _mild_map_sweep(out, grid.helical(grid.pack(u0.coeffs)), grid, propagator(grid, dt, omega))
     return Samples(grid, traj.times, grid.unpack(out))

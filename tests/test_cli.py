@@ -695,3 +695,20 @@ def test_workdir_is_created(tmp_path, field_file, capsys):
     assert code == 0
     assert nested.is_dir()
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command, settings", [
+    ("solve3d", ("n=8", "horizon=0.25", "dt=0.0625", "period_l=1e-300")),
+    ("lab", ("n=8", "ensemble=2", "period_l=1e-300")),
+    ("solve2d", ("n=16", "n_steps=4", "sample_every=1", "period_l=1e300")),
+])
+def test_period_out_of_floating_point_range_is_usage_error(tmp_path, capsys, command,
+                                                           settings):
+    # these exited 2 with an opaque "(34, 'Numerical result out of range')"
+    overrides = [arg for setting in settings for arg in ("--set", setting)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = run_cli(command, "--workdir", str(tmp_path), *overrides)
+    assert code == 1
+    assert "period_l=" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())

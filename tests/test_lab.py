@@ -60,7 +60,7 @@ def test_duhamel_ratio_closed_form_single_mode():
     # the integral is (1 - e^{-t}) g per mode, so the ratio of the two
     # Chemin-Lerner norms (q = a = 1) reduces to the shell-weight quotient
     # times int_0^1 (1 - e^{-t}) dt = 1/e
-    g = GRID.pack(transverse_mode(GRID).coeffs)
+    g = GRID.helical(GRID.pack(transverse_mode(GRID).coeffs))
     times = np.linspace(0.0, 1.0, 257)
     forcing = np.repeat(g[np.newaxis], times.size, axis=0)
     integral = sweep_samples(GRID, times, 0.0, np.zeros_like(g), forcing)
@@ -208,6 +208,7 @@ def full_layout_member(grid, times, seed, index, scalar=False,
                        oscillation=False):
     draw = random_scalar_field if scalar else random_divfree_field
     base = draw(grid, seed=member_seed(seed, index)).coeffs
+    base = base if scalar else grid.helical(base)
     env = np.exp(-times) * (1.0 + 0.5 * np.sin(5.0 * times) if oscillation else 1.0)
     return Samples(grid, times, env[:, None, None, None, None] * base)
 
@@ -330,8 +331,8 @@ def test_contraction_scan_refuses_options_before_any_solve(monkeypatch):
 
 
 def test_omega_scan_empty_and_unknown():
-    out = omega_independence_scan("linear", [], ensemble=2)
-    assert out["constants"] == [] and out["variation"] == 0.0
-    assert not out["flagged"]
+    # a scan of no rotation rates has no baseline to flag growth against
+    with pytest.raises(ValueError, match="at least one rotation rate"):
+        omega_independence_scan("linear", [], ensemble=2)
     with pytest.raises(ValueError, match="unknown experiment"):
         omega_independence_scan("bilinear", [0.0])

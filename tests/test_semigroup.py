@@ -48,6 +48,37 @@ def semigroup_matrix(xi, t: float, omega: float) -> np.ndarray:
     return decay * (math.cos(theta) * np.eye(3) + math.sin(theta) * coriolis_matrix(v))
 
 
+def quarter_turn(grid, coeffs):
+    """R(xi) f = f x xi/|xi| applied modewise to half-spectrum coefficients."""
+    xi = grid.xi_abs
+    unit = [np.divide(np.broadcast_to(grid.xi_axis(i), grid.spectral_shape), xi,
+                      out=np.zeros(grid.spectral_shape), where=xi > 0) for i in range(3)]
+    return np.stack([coeffs[(i + 1) % 3] * unit[(i + 2) % 3] - coeffs[(i + 2) % 3] * unit[(i + 1) % 3]
+                     for i in range(3)])
+
+
+def cartesian_multiplier(grid, coeffs, c):
+    """Re(c) f + Im(c) R(xi) f for a per-mode complex symbol c of the
+    (a, R a) plane, zero at xi = 0: the Cartesian form of a multiplier that
+    is c on a+ and conj(c) on a-."""
+    out = c.real * coeffs + c.imag * quarter_turn(grid, coeffs)
+    out[(slice(None),) + (0,) * 3] = 0.0
+    return out
+
+
+def rotation_symbol(grid, omega):
+    """z = |xi|^2 - i Omega xi_3/|xi|, whose exp(-z t) is the multiplier."""
+    xi = grid.xi_abs
+    rho = np.divide(grid.xi_axis(2), xi, out=np.zeros(grid.spectral_shape), where=xi > 0)
+    return xi**2 - 1j * omega * rho
+
+
+def propagated(grid, coeffs, t, omega):
+    """propagator(grid, t, omega).apply on the helical amplitudes of
+    divergence-free Cartesian coefficients, mapped back."""
+    return grid.cartesian(propagator(grid, t, omega).apply(grid.helical(coeffs)))
+
+
 def transverse_mode(grid, k=(0, 0, 1), a=(1.0, 0.0, 0.0)):
     # a cos(k.x/L): a/2 at k and at -k, of which the half spectrum stores
     # those with a non-negative last index
@@ -107,10 +138,13 @@ def test_coriolis_matrix_vertical_mode():
 def test_matrix_oracle_matches_lattice_multiplier():
     u = transverse_mode(GRID, k=(2, 1, 3), a=(3.0, 0.0, -2.0))
     t, omega = 0.07, 18.0
-    out = propagator(GRID, t, omega).apply(u.coeffs)
+    out = propagated(GRID, u.coeffs, t, omega)
     mat = semigroup_matrix((2.0, 1.0, 3.0), t, omega)
     expected = mat @ (np.array([3.0, 0.0, -2.0]) / 2.0)
     assert np.max(np.abs(out[:, 2, 1, 3] - expected)) < 1e-14
+    # the Cartesian form a f + b R f of the diagonal multiplier, everywhere
+    reference = cartesian_multiplier(GRID, u.coeffs, np.exp(-rotation_symbol(GRID, omega) * t))
+    assert np.max(np.abs(out - reference)) < 1e-14
 
 
 @settings(max_examples=30, deadline=None)
@@ -125,10 +159,13 @@ def test_semigroup_law_and_divfree_preserved(seed, t, s, omega):
 
 
 def test_commutes_with_helmholtz_projection():
+    # the Cartesian form of the multiplier on mixed input, then projected,
+    # against the helical semigroup of the projected input
     f = random_divfree_field(GRID, seed=43) + gradient(random_scalar_field(GRID, seed=43))
     assert divergence_defect(f) > 1e-3  # genuinely mixed input
     omega, t = 12.0, 0.2
-    a = helmholtz_project(SpectralField(GRID, propagator(GRID, t, omega).apply(f.coeffs)))
+    mixed = cartesian_multiplier(GRID, f.coeffs, np.exp(-rotation_symbol(GRID, omega) * t))
+    a = helmholtz_project(SpectralField(GRID, mixed))
     b = apply_semigroup(helmholtz_project(f), t, omega)
     assert np.max(np.abs(a.coeffs - b.coeffs)) < 1e-12
 
@@ -158,27 +195,14 @@ def test_duhamel_constant_forcing_is_exact():
     g = random_divfree_field(GRID, seed=46)
     t, omega = 0.4, 15.0
     times = np.linspace(0.0, t, 5)
-    forcing = np.repeat(GRID.pack(g.coeffs)[None], 5, axis=0)
+    forcing = np.repeat(GRID.helical(GRID.pack(g.coeffs))[None], 5, axis=0)
     out = sweep_samples(GRID, times, omega, np.zeros_like(forcing[0]), forcing)[-1]
     # per mode: integral_0^t m(s) ds applied to g_hat, with m acting as
     # exp(-(kappa - i omega rho) s) on the (a, Ra) plane
-    xi = GRID.xi_abs
-    kappa = xi**2
-    rho = np.divide(GRID.xi_axis(2), xi, out=np.zeros(GRID.spectral_shape), where=xi > 0)
-    z = kappa - 1j * omega * rho
+    z = rotation_symbol(GRID, omega)
     zs = np.where(np.abs(z) > 0, z, 1.0)
-    gi = (1.0 - np.exp(-z * t)) / zs
-    quarter = np.empty_like(g.coeffs)
-    axes = np.stack([np.broadcast_to(np.asarray(GRID.xi_axis(i)), GRID.spectral_shape)
-                     for i in range(3)])
-    xin = np.divide(axes, xi, out=np.zeros((3,) + GRID.spectral_shape), where=xi > 0)
-    # quarter turn is f x xi_hat applied modewise
-    quarter[0] = g.coeffs[1] * xin[2] - g.coeffs[2] * xin[1]
-    quarter[1] = g.coeffs[2] * xin[0] - g.coeffs[0] * xin[2]
-    quarter[2] = g.coeffs[0] * xin[1] - g.coeffs[1] * xin[0]
-    expected = gi.real * g.coeffs + gi.imag * quarter
-    expected[(slice(None),) + (0,) * 3] = 0.0
-    assert np.max(np.abs(out - GRID.pack(expected))) < 1e-14
+    expected = cartesian_multiplier(GRID, g.coeffs, (1.0 - np.exp(-z * t)) / zs)
+    assert np.max(np.abs(GRID.cartesian(out) - GRID.pack(expected))) < 1e-14
 
 
 def closed_form_duhamel(alpha, kappa, rho, omega, t):
@@ -195,9 +219,9 @@ def test_duhamel_schemes_second_order():
     def sweep_last(n):
         times = np.linspace(0.0, t, n)
         env = np.exp(-alpha * times)
-        forcing = env[:, None, None, None, None] * GRID.pack(base.coeffs)[None]
+        forcing = env[:, None, None, None, None] * GRID.helical(GRID.pack(base.coeffs))[None]
         last = sweep_samples(GRID, times, omega, np.zeros_like(forcing[0]), forcing)[-1]
-        return GRID.unpack(last)
+        return GRID.unpack(GRID.cartesian(last))
 
     w = closed_form_duhamel(alpha, 1.0, 1.0, omega, t)
     # identify x a + y (quarter turn a) with x + i y; at +k the quarter
@@ -214,11 +238,11 @@ def test_linear_trajectory_matches_direct_application():
     u = random_divfree_field(GRID, seed=48)
     omega = 6.0
     times = np.array([0.2, 0.4, 0.6])
-    start = propagator(GRID, 0.2, omega).apply(GRID.pack(u.coeffs))
+    start = propagator(GRID, 0.2, omega).apply(GRID.helical(GRID.pack(u.coeffs)))
     samples = sweep_samples(GRID, times, omega, start)
     for i, t in enumerate(times):
         direct = apply_semigroup(u, float(t), omega)
-        assert np.max(np.abs(GRID.unpack(samples[i]) - direct.coeffs)) < 1e-13
+        assert np.max(np.abs(GRID.unpack(GRID.cartesian(samples[i])) - direct.coeffs)) < 1e-13
 
 
 @pytest.mark.parametrize("n", [8, 12])
@@ -227,10 +251,10 @@ def test_linear_trajectory_matches_direct_application():
 def test_band_sweep_matches_full_layout_sweep(n, omega, forced):
     grid = Grid(dim=3, n=n, period_l=2.0)
     times = np.linspace(0.0, 0.5, 6)
-    start = random_divfree_field(grid, seed=49).coeffs
+    start = grid.helical(random_divfree_field(grid, seed=49).coeffs)
     forcing = None
     if forced:
-        g = random_divfree_field(grid, seed=50).coeffs
+        g = grid.helical(random_divfree_field(grid, seed=50).coeffs)
         forcing = np.cos(3.0 * times)[:, None, None, None, None] * g[None]
     band = sweep_samples(grid, times, omega, grid.pack(start),
                          None if forcing is None else grid.pack(forcing))
@@ -244,7 +268,7 @@ def test_propagator_band_equals_packed_half_spectrum(n, omega):
     # one propagator serves both layouts, each entry bit for bit
     grid = Grid(dim=3, n=n, period_l=2.0)
     prop = propagator(grid, 0.1, omega)
-    f, g = (random_divfree_field(grid, seed=s).coeffs for s in (51, 52))
+    f, g = (grid.helical(random_divfree_field(grid, seed=s).coeffs) for s in (51, 52))
     assert np.array_equal(prop.apply(grid.pack(f)), grid.pack(prop.apply(f)))
     assert np.array_equal(prop.step(grid.pack(f), grid.pack(g), grid.pack(f)),
                           grid.pack(prop.step(f, g, f)))
@@ -252,7 +276,7 @@ def test_propagator_band_equals_packed_half_spectrum(n, omega):
 
 def test_coefficients_in_neither_layout_are_refused():
     other = Grid(dim=3, n=24, period_l=1.0)
-    foreign = other.pack(random_divfree_field(other, seed=53).coeffs)
+    foreign = other.helical(other.pack(random_divfree_field(other, seed=53).coeffs))
     times = np.linspace(0.0, 0.2, 3)
     for call in (lambda: propagator(GRID, 0.1, 0.0).apply(foreign),
                  lambda: sweep_samples(GRID, times, 0.0, foreign),

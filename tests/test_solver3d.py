@@ -45,9 +45,16 @@ def component_mode(grid, comp, k, amplitude=1.0):
 # ---------------------------------------------------------------------------
 # quadratic forcing
 
+def band_state(u):
+    # the band-packed state pair_forcing takes: helical amplitudes in 3d
+    band = u.grid.pack(u.coeffs)
+    return u.grid.helical(band) if u.grid.dim == 3 else band
+
+
 def forcing(u):
-    # pair_forcing of a half-spectrum field, packed to the band first
-    return pair_forcing(u.grid, u.grid.pack(u.coeffs))
+    # pair_forcing of a half-spectrum field, as Cartesian band coefficients
+    out = pair_forcing(u.grid, band_state(u))
+    return u.grid.cartesian(out) if u.grid.dim == 3 else out
 
 
 def polarized(u, v):
@@ -58,7 +65,8 @@ def polarized(u, v):
 
 def pair_forcing_on_stored_modes(u, v):
     # the divergence accumulated on every stored mode, then masked to the
-    # band and projected: the formula before the band gather
+    # band and projected (in 3d by the helical projection): the formula
+    # before the band gather
     grid = u.grid
     up, vp = inverse_transform(u), inverse_transform(v)
     div = np.zeros((grid.dim,) + grid.spectral_shape, dtype=np.complex128)
@@ -67,16 +75,18 @@ def pair_forcing_on_stored_modes(u, v):
             prod_hat = forward_transform(up[iax] * vp[jax], grid).coeffs[0]
             div[iax] += 1j * grid.xi_axis(jax) * prod_hat
     div *= grid.dealias_mask
-    return helmholtz_project(SpectralField(grid, div))
+    return grid.helical(div) if grid.dim == 3 else helmholtz_project(SpectralField(grid, div)).coeffs
 
 
 @pytest.mark.parametrize("grid", [Grid(dim=2, n=32, period_l=1.0),
                                   Grid(dim=3, n=16, period_l=4.0)])
 def test_pair_forcing_on_the_band_equals_stored_mode_formula(grid):
     for seed in (71, 72):
-        u = random_divfree_field(grid, seed=seed, cutoff=grid.band_max)
-        expected = grid.pack(pair_forcing_on_stored_modes(u, u).coeffs)
-        assert np.array_equal(forcing(u), expected)
+        state = band_state(random_divfree_field(grid, seed=seed, cutoff=grid.band_max))
+        # the Cartesian field that the 3d amplitudes hold
+        u = SpectralField(grid, grid.unpack(grid.cartesian(state) if grid.dim == 3 else state))
+        expected = grid.pack(pair_forcing_on_stored_modes(u, u))
+        assert np.array_equal(pair_forcing(grid, state), expected)
 
 
 def test_pair_forcing_hand_oracle():
@@ -116,7 +126,7 @@ def direct_forcing(u, v):
         for i in dims:
             for j in dims:
                 conv[i, j] += um[i] * rolled[j]
-    k = np.fft.fftfreq(grid.n, d=1.0 / grid.n) * grid.dxi
+    k = np.r_[:grid.n // 2, -(grid.n // 2):0] * grid.dxi  # exact integer wavenumbers
     xi = np.meshgrid(*([k] * grid.dim), indexing="ij")
     div = np.zeros((grid.dim,) + grid.shape, dtype=np.complex128)
     for i in dims:
@@ -173,7 +183,7 @@ def test_nonlinear_term_transforms_its_field_once(monkeypatch):
     # the band is inverted by the pruned transform, not by irfftn
     for grid, products in ((GRID, 6), (Grid(dim=2, n=16, period_l=1.0), 3)):
         calls.update(dict.fromkeys(calls, 0))
-        pair_forcing(grid, grid.pack(random_divfree_field(grid, seed=55).coeffs))
+        pair_forcing(grid, band_state(random_divfree_field(grid, seed=55)))
         assert tuple(calls.values()) == (1, 0, products)
 
 
@@ -182,7 +192,7 @@ def test_picard_sweep_stays_on_the_band(monkeypatch):
     # no scatter to the half spectrum, no gather back, no n-d transform (a
     # first sweep builds the per-grid symbols, which gather once)
     grid = Grid(dim=3, n=8, period_l=1.0)
-    u0 = grid.pack(small_data(grid, seed=56).coeffs)
+    u0 = band_state(small_data(grid, seed=56))
     buffer = np.repeat(u0[np.newaxis], 5, axis=0)
     prop = solver3d.propagator(grid, 0.05, 3.0)
     solver3d._mild_map_sweep(buffer, u0, grid, prop)
@@ -198,9 +208,11 @@ def test_nonlinear_term_validation():
     f2 = np.zeros((3,) + grid2.spectral_shape, dtype=np.complex128)
     with pytest.raises(ValueError, match="2-component fields"):
         pair_forcing(grid2, f2)
-    other = random_divfree_field(Grid(dim=3, n=8, period_l=1.0), seed=1)
+    with pytest.raises(ValueError, match="2-component fields on a 3d grid"):
+        pair_forcing(GRID, GRID.pack(random_divfree_field(GRID, seed=1).coeffs))
+    other = band_state(random_divfree_field(Grid(dim=3, n=8, period_l=1.0), seed=1))
     with pytest.raises(ValueError, match="neither layout"):
-        pair_forcing(GRID, other.coeffs)
+        pair_forcing(GRID, other)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +249,7 @@ def test_picard_contracts_on_small_data():
     assert all(r <= 0.5 for r in diag.ratios)
     assert diag.iterate_norms[-1] <= 2.0 * diag.linear_norm
     assert traj.fb_norms is not None and len(traj.fb_norms) == traj.n_samples
-    assert np.array_equal(traj.field(0).coeffs, dealias(u0).coeffs)
+    assert np.array_equal(traj.coeffs[0], band_state(dealias(u0)))
 
 
 def test_picard_fixed_point_is_scheme_consistent():
@@ -266,7 +278,7 @@ def test_zero_start_converges_to_same_fixed_point():
     config = solver_config()
     fixed, diag = picard_solve(u0, config)
     assert diag.converged
-    current = Samples(GRID, config.times, np.zeros((config.times.size, 3) + GRID.spectral_shape,
+    current = Samples(GRID, config.times, np.zeros((config.times.size, 2) + GRID.spectral_shape,
                                                    dtype=np.complex128))
     for _ in range(40):
         current = picard_map(current, u0, 0.0)
@@ -393,6 +405,10 @@ def test_picard_solve_keeps_one_trajectory_live():
     assert diag.converged
     full_layout = traj.n_samples * u0.coeffs.nbytes
     assert peak <= 0.75 * full_layout
+    # two helical amplitudes per band mode and sample: 32 bytes, not 48, and
+    # the preflight estimate bounds the whole solve
+    assert traj.coeffs.nbytes == traj.n_samples * 32 * math.prod(GRID.band_shape)
+    assert traj.coeffs.nbytes < peak <= config.memory_bytes
 
 
 def test_divergent_data_aborts_early_without_overflow():

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -252,3 +253,57 @@ def test_zeros_and_arithmetic():
     assert np.max(np.abs((f - f).coeffs)) == 0.0
     assert np.allclose((f + f).coeffs, (2.0 * f).coeffs)
     assert (f - f).l2() == 0.0
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(4, 16), st.sampled_from([0.3, 1.0, 2.5, 4.0, 7.0]), st.integers(0, 2**16))
+def test_helical_frame(half_n, period_l, seed):
+    # h+- = (e2 -+ i e1)/sqrt 2 are the eigenvectors of R(xi) a = a x xi/|xi|
+    # with eigenvalues +-i, and the amplitudes a+- = conj(h+-) . u are an
+    # isometry of the divergence-free band
+    grid = Grid(dim=3, n=2 * half_n, period_l=period_l)
+    ie1, e2 = grid._frame("band")
+    ie1 = np.concatenate([ie1, np.zeros_like(ie1[:1])])  # e1 has no third component
+    xi = np.stack([grid.pack(grid.xi_axis(ax)) for ax in range(3)])
+    unit = xi / np.where(grid.pack(grid.xi_abs) > 0, grid.pack(grid.xi_abs), 1.0)
+    for sign, h in ((1, e2 - ie1), (-1, e2 + ie1)):
+        assert np.max(np.abs(np.cross(h, unit, axis=0) - sign * 1j * h)) <= 1e-15
+    u = grid.pack(random_divfree_field(grid, seed=seed).coeffs)
+    a = grid.helical(u)
+    scale = np.max(np.abs(u))
+    assert a.shape == (2,) + grid.band_shape
+    assert np.max(np.abs(grid.cartesian(a) - u)) <= 1e-15 * scale
+    # so shell_series reads the same pointwise magnitudes from either
+    magnitude = [np.sqrt(np.sum(np.abs(c) ** 2, axis=0)) for c in (a, u)]
+    assert np.max(np.abs(magnitude[0] - magnitude[1])) <= 1e-15 * scale
+    # a real field keeps a+-(-k) = conj(a+-(k)) on the stored k3 = 0 plane
+    m = 2 * grid.kcut + 1
+    mirror = a[:, (m - np.arange(m)) % m][:, :, (m - np.arange(m)) % m][..., 0]
+    assert np.array_equal(mirror, np.conj(a[..., 0]))
+    # the k3 axis takes e1 = e_x, and xi = 0 maps to zero both ways
+    assert np.all(ie1[:, 0, 0, 1:] == np.array([[1j * np.sqrt(0.5)], [0.0], [0.0]]))
+    mean = np.ones((3,) + grid.band_shape, dtype=np.complex128)
+    assert np.all(grid.helical(mean)[:, 0, 0, 0] == 0.0)
+    assert np.all(grid.cartesian(np.ones_like(a))[:, 0, 0, 0] == 0.0)
+
+
+@pytest.mark.parametrize("period_l", [1.0, 4.0, 0.3])
+def test_wavenumbers_are_exact_integers_times_dxi(period_l):
+    # np.fft.fftfreq(98, 1/98) is off by 2.2e-16 at some indices, which
+    # breaks the k <-> -k symmetry of every symbol built on it
+    n = 98
+    grid = Grid(dim=3, n=n, period_l=period_l)
+    k = np.r_[:n // 2, -(n // 2):0]
+    for axis in (0, 1):
+        xi = grid.xi_axis(axis).ravel()
+        assert np.array_equal(xi, k * grid.dxi)
+        assert np.array_equal(xi[1:n // 2], -xi[:n // 2:-1])
+    assert np.array_equal(grid.xi_axis(2).ravel(), np.arange(n // 2 + 1) * grid.dxi)
+    if period_l == 1.0:
+        assert np.array_equal(grid.xi_axis(0).ravel(), k)
+
+
+@pytest.mark.parametrize("dim, period_l", [(3, 1e-300), (3, 1e300), (2, 1e300), (2, 1e-200)])
+def test_grid_refuses_a_period_out_of_floating_point_range(dim, period_l):
+    with pytest.raises(ValueError, match=re.escape(f"period_l={period_l} puts the band's symbols")):
+        Grid(dim=dim, n=16, period_l=period_l)
