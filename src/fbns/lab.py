@@ -11,7 +11,9 @@ Ensemble members are seeded per index, so member i is the same object in
 every run and in both ensemble sizes.  Every member is drawn dealiased, so
 it is stored, stepped and measured on the dealiased band only, in the
 band-packed layout of the Picard solver (Grid.pack); vector members as
-their helical amplitudes (Grid.helical).
+their helical amplitudes (Grid.helical).  A forcing or product member is an
+envelope in time times one field, so its spatial work is done once, not per
+sample: one band product per product member, one shell series per factor.
 """
 
 from __future__ import annotations
@@ -106,16 +108,17 @@ def _member_field(grid: Grid, seed, index: int, scalar: bool = False) -> np.ndar
     return band if scalar else grid.helical(band)
 
 
-def _decaying(grid: Grid, times: np.ndarray, seed, index: int,
-              scalar: bool = False, oscillation: bool = False) -> np.ndarray:
-    """Band-packed samples of e^{-t} times member `index`'s random field; odd
-    members can get an extra bounded oscillation so both time exponents
-    a in {1, inf} see non-monotone inputs."""
-    base = _member_field(grid, seed, index, scalar)
-    env = np.exp(-np.asarray(times, dtype=float))
-    if oscillation:
-        env = env * (1.0 + 0.5 * np.sin(5.0 * np.asarray(times)))
-    return env[(slice(None),) + (np.newaxis,) * base.ndim] * base[np.newaxis]
+def _envelope(times: np.ndarray, oscillation: bool = False) -> np.ndarray:
+    """e^{-t} at the sample times; odd members can get an extra bounded
+    oscillation so both time exponents a in {1, inf} see non-monotone inputs."""
+    env = np.exp(-times)
+    return env * (1.0 + 0.5 * np.sin(5.0 * times)) if oscillation else env
+
+
+def _series(env: np.ndarray, base: np.ndarray, p: float, part) -> np.ndarray:
+    """Shell series of the samples env[k] * base: every frequency L^p norm is
+    homogeneous of degree one, so one series of base serves every sample."""
+    return np.abs(env)[:, np.newaxis] * shell_series(base, p, part)
 
 
 def verify_duhamel_smoothing(s: float = None, p: float = 2.0, r: float = 2.0,
@@ -142,11 +145,12 @@ def verify_duhamel_smoothing(s: float = None, p: float = 2.0, r: float = 2.0,
     part = get_partition(grid)
     ratios = []
     for i in _members(ensemble):
-        f = _decaying(grid, times, seed, i, oscillation=(i % 2 == 1))
-        integral = sweep_samples(grid, times, omega, np.zeros_like(f[0]), f)
+        env, f = _envelope(times, i % 2 == 1), _member_field(grid, seed, i)
+        integral = sweep_samples(grid, times, omega, np.zeros_like(f),
+                                 env.reshape((-1,) + (1,) * f.ndim) * f)
         lhs = chemin_lerner_norm(shell_series(integral, p, part),
                                  times, s, r, q, part)
-        rhs = chemin_lerner_norm(shell_series(f, p, part),
+        rhs = chemin_lerner_norm(_series(env, f, p, part),
                                  times, rhs_index, r, a, part)
         ratios.append(lhs / rhs if rhs > _TINY_RHS else math.nan)
     params = {"s": s, "p": p, "r": r, "q": q, "a": a, "omega": omega,
@@ -156,24 +160,17 @@ def verify_duhamel_smoothing(s: float = None, p: float = 2.0, r: float = 2.0,
     return _finalize("duhamel_smoothing", params, ensemble, ratios)
 
 
-def _y_norm(samples: np.ndarray, times, s: float, p: float, r: float, part) -> float:
+def _y_norm(series: np.ndarray, times, s: float, p: float, r: float, part) -> float:
     """Norm of the persistence-plus-smoothing space entering the product
     estimate: sup-in-time at regularity s plus time-integrated at 4 - 3/p,
-    both read from one shell series of the band-packed samples."""
-    series = shell_series(samples, p, part)
+    both read from one shell series."""
     return sum(chemin_lerner_norm(series, times, sigma, r, q, part)
                for sigma, q in ((s, INF), (4.0 - 3.0 / p, 1.0)))
 
 
 def _band_product(grid: Grid, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Sample-by-sample pointwise (dot) product of two samples x ncomp
-    band-packed stacks, on the band (the 2/3 rule), by band transforms of as
-    many scalar samples as stay below glibc's 128 KiB mmap threshold (three at
-    16^3): larger intermediates are zero-filled page by page on every call."""
-    step = max(1, (2**17 - 1) // (8 * grid.n ** grid.dim))
-    return np.concatenate([grid._to_band(np.sum(
-        grid._to_samples(u[k:k + step]) * grid._to_samples(v[k:k + step]), axis=1))
-        for k in range(0, len(u), step)])[:, np.newaxis]
+    """Pointwise product of two band-packed scalar fields, on the band (the 2/3 rule)."""
+    return grid._to_band(grid._to_samples(u) * grid._to_samples(v))
 
 
 def verify_product_estimate(s: float = 0.5, p: float = 2.0, r: float = 2.0,
@@ -194,13 +191,14 @@ def verify_product_estimate(s: float = 0.5, p: float = 2.0, r: float = 2.0,
     part = get_partition(grid)
     ratios = []
     for i in _members(ensemble):
-        u = _decaying(grid, times, (seed, 0), i, scalar=True,
-                      oscillation=(i % 2 == 1))
-        v = _decaying(grid, times, (seed, 1), i, scalar=True)
-        w = _band_product(grid, u, v)
-        lhs = chemin_lerner_norm(shell_series(w, p, part),
-                                 times, s + 1.0, r, 1.0, part)
-        rhs = _y_norm(u, times, s, p, r, part) * _y_norm(v, times, s, p, r, part)
+        # member i is env_u u times env_v v, so its product is env_u env_v uv
+        env_u, env_v = _envelope(times, i % 2 == 1), _envelope(times)
+        u = _member_field(grid, (seed, 0), i, scalar=True)
+        v = _member_field(grid, (seed, 1), i, scalar=True)
+        w = _series(env_u * env_v, _band_product(grid, u, v), p, part)
+        lhs = chemin_lerner_norm(w, times, s + 1.0, r, 1.0, part)
+        rhs = (_y_norm(_series(env_u, u, p, part), times, s, p, r, part)
+               * _y_norm(_series(env_v, v, p, part), times, s, p, r, part))
         ratios.append(lhs / rhs if rhs > _TINY_RHS else math.nan)
     params = {"s": s, "p": p, "r": r, "horizon": horizon,
               "n_samples": n_samples, "seed": seed, "grid_n": grid.n,

@@ -80,11 +80,12 @@ class SolverConfig3D:
     @property
     def memory_bytes(self) -> int:
         """Rough peak of picard_solve: the band-packed helical trajectory, two shell
-        series per sample, and scratch of about twelve half-spectrum vector fields."""
+        series per sample, and twelve real sample arrays of scratch: pair_forcing's
+        velocity, products and transform buffers peak near ten."""
         samples = self.n_steps + 1
         shells = len(lp.shell_range_for(self.grid.dxi, self.grid.band_max).indices)
         return (samples * (32 * math.prod(self.grid.band_shape) + 16 * shells)
-                + 12 * 48 * math.prod(self.grid.spectral_shape))
+                + 12 * 8 * math.prod(self.grid.shape))
 
 
 @dataclass
@@ -159,7 +160,7 @@ def advect_check(u: SpectralField, dt: float):
     """Warn when the velocity u moves more than one grid cell in time dt."""
     ratio = float(np.max(np.abs(inverse_transform(u)))) * dt / u.grid.dx
     if ratio > 1.0:
-        warnings.warn(f"advective CFL ratio {ratio:.2f} > 1; reduce dt",
+        warnings.warn(f"advective CFL ratio {ratio:.3g} > 1; reduce dt",
                       RuntimeWarning)
 
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fbns import lab, lp
 from fbns.lab import (LAB_GRID, STABILITY_LIMIT, lab_times,
@@ -36,9 +37,9 @@ def transverse_mode(grid, k=(4, 0, 0), a=(0.0, 1.0, 0.0)):
 def test_member_seed_flattens():
     assert member_seed(7, 3) == (7, 3)
     assert member_seed((7, 1), 3) == (7, 1, 3)
-    a = lab._decaying(GRID, lab_times(), seed=7, index=3)
-    b = lab._decaying(GRID, lab_times(), seed=7, index=3)
-    c = lab._decaying(GRID, lab_times(), seed=7, index=4)
+    a = lab._member_field(GRID, seed=7, index=3)
+    b = lab._member_field(GRID, seed=7, index=3)
+    c = lab._member_field(GRID, seed=7, index=4)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -172,12 +173,50 @@ def test_sweep_product_estimate():
 
 def test_product_y_norm_is_sum_of_parts():
     times = lab_times()
-    band = lab._decaying(GRID, times, seed=2, index=0, scalar=True)
-    y = lab._y_norm(band, times, 0.5, 2.0, 2.0, get_partition(GRID))
-    traj = Samples(GRID, times, GRID.unpack(band))
+    part = get_partition(GRID)
+    env, base = lab._envelope(times), lab._member_field(GRID, 2, 0, scalar=True)
+    y = lab._y_norm(lab._series(env, base, 2.0, part), times, 0.5, 2.0, 2.0, part)
+    traj = Samples(GRID, times, GRID.unpack(env[:, None, None, None, None] * base))
     parts = (cl_norm(traj, 0.5, 2.0, 2.0, INF)
              + cl_norm(traj, 4.0 - 1.5, 2.0, 2.0, 1.0))
     assert math.isclose(y, parts, rel_tol=1e-14)
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(st.sampled_from([1.0, 2.0, 7.5, 1e3, INF]), st.booleans(),
+       st.booleans(), st.integers(0, 2**16), st.sampled_from([8, 12, 16]))
+def test_envelope_series_equals_series_of_the_samples(p, oscillation, scalar,
+                                                      seed, n):
+    # a member is env(t_k) times one field, and each frequency L^p norm is
+    # homogeneous of degree one, so one series of the field serves every sample
+    grid = Grid(3, n, 4.0)
+    part = get_partition(grid)
+    times = lab_times(1.0, 9)
+    env = lab._envelope(times, oscillation)
+    base = lab._member_field(grid, seed, 0, scalar)
+    samples = env.reshape((-1,) + (1,) * base.ndim) * base
+    np.testing.assert_allclose(lab._series(env, base, p, part),
+                               shell_series(samples, p, part), rtol=1e-15, atol=0)
+
+
+def test_product_member_takes_one_band_product(monkeypatch):
+    # the factors' fields are transformed once each, and their product once,
+    # whatever the number of time samples
+    calls = []
+    to_samples, to_band = Grid._to_samples, Grid._to_band
+
+    def counting_samples(self, coeffs):
+        calls.append(("samples", coeffs.shape[:-self.dim]))
+        return to_samples(self, coeffs)
+
+    def counting_band(self, samples):
+        calls.append(("band", samples.shape[:-self.dim]))
+        return to_band(self, samples)
+
+    monkeypatch.setattr(Grid, "_to_samples", counting_samples)
+    monkeypatch.setattr(Grid, "_to_band", counting_band)
+    verify_product_estimate(ensemble=1, n_samples=17)  # two members
+    assert calls == 2 * [("samples", (1,)), ("samples", (1,)), ("band", (1,))]
 
 
 @pytest.mark.parametrize("verify, calls", [

@@ -11,6 +11,7 @@ from fbns.solver2d import (SupportError, VorticityState, _if_rk4, _lambert_w0, _
                            czero_constant, frame_rotation, gaussian_vortex,
                            gronwall_diagnostic, rotating_frame_residual,
                            rotating_frame_transform, run_vorticity)
+from fbns.solver3d import advect_check
 from fbns.spectral import (Grid, SpectralField, curl, dealias,
                            divergence_defect, forward_transform, gradient,
                            inverse_transform, random_divfree_field,
@@ -89,6 +90,15 @@ def test_cfl_warning():
     w0 = gaussian_vortex(GRID, width_sq=0.3, amplitude=50.0)
     with pytest.warns(RuntimeWarning, match="CFL"):
         advance_vorticity(VorticityState(w0), dt=0.5, steps=1)
+
+
+def test_cfl_warning_prints_a_short_ratio():
+    # a ratio near 1e300 (dt=1e300 or amplitude=1e300 in solve2d) prints in
+    # three significant digits, not with its hundreds of integer digits
+    velocity = VorticityState(gaussian_vortex(GRID, width_sq=0.3)).velocity
+    with pytest.warns(RuntimeWarning,
+                      match=r"^advective CFL ratio \d\.\d\de\+\d{3} > 1; reduce dt$"):
+        advect_check(velocity, 1e300)
 
 
 def test_velocity_and_vorticity_steppers_agree_on_taylor_green():
@@ -492,6 +502,19 @@ def test_gronwall_constant_closes_the_bound_where_velocity_grows():
         assert c > 1.0
         closed = c * first.v_lp * math.exp(c * 0.5 * first.w_lp)
         assert abs(closed - last.v_lp) <= 1e-12 * last.v_lp
+
+
+def test_non_small_trajectory_keeps_every_margin_over_the_papers_range():
+    # the paper's 2d result takes non-small data in L^p for p in [2, inf):
+    # amplitude 10 on the unit period, to t = 0.5
+    grid = Grid(dim=2, n=64, period_l=1.0)
+    w0 = random_scalar_field(grid, seed=(11, 0), amplitude=10.0)
+    times, states = run_vorticity(w0, dt=2e-3, n_steps=250, sample_every=25)
+    summary = gronwall_diagnostic(times, states, (2.0, 8.0, 64.0))["summary"]
+    for p, row in summary.items():
+        assert row["vorticity_margin"] >= 0.0, p
+        assert row["cz_margin"] >= 0.0, p
+        assert math.isfinite(row["gronwall_constant"]), p
 
 
 def test_gronwall_validation():
