@@ -8,12 +8,12 @@ hardcoded number: the verifier always computes 2n samples and passes when
 the max over all 2n exceeds the max over the first n by less than 20%.
 
 Ensemble members are seeded per index, so member i is the same object in
-every run and in both ensemble sizes.  Every member is drawn dealiased, so
-it is stored, stepped and measured on the dealiased band only, in the
-band-packed layout of the Picard solver (Grid.pack); vector members as
-their helical amplitudes (Grid.helical).  A forcing or product member is an
-envelope in time times one field, so its spatial work is done once, not per
-sample: one band product per product member, one shell series per factor.
+every run and in both ensemble sizes.  Every member is drawn on the
+dealiased band (random_band) and stored, stepped and measured there, in the
+band-packed layout of the Picard solver; vector members as their helical
+amplitudes (Grid.helical).  A forcing or product member is an envelope in
+time times one field, so its spatial work is done once, not per sample:
+one band product per product member, one shell series per factor.
 """
 
 from __future__ import annotations
@@ -27,8 +27,7 @@ from .lp import (INF, chemin_lerner_norm, critical_index, fb_norm_of_series,
                  get_partition, shell_series)
 from .semigroup import sweep_samples
 from .solver3d import SolverConfig3D, picard_solve, smallness_gate
-from .spectral import (Grid, SpectralField, random_divfree_field,
-                       random_scalar_field)
+from .spectral import Grid, SpectralField, random_band, random_divfree_field
 
 STABILITY_LIMIT = 0.2
 _TINY_RHS = 1e-300
@@ -102,17 +101,19 @@ def _members(ensemble: int) -> range:
 
 
 def _member_field(grid: Grid, seed, index: int, scalar: bool = False) -> np.ndarray:
-    """Member `index`'s random field, drawn dealiased, band-packed; a vector as helical amplitudes."""
-    band = grid.pack((random_scalar_field if scalar else random_divfree_field)(
-        grid, seed=member_seed(seed, index)).coeffs)
+    """Member `index`'s random field, drawn on the band; a vector as helical amplitudes."""
+    band = random_band(grid, member_seed(seed, index), divfree=not scalar)
     return band if scalar else grid.helical(band)
 
 
 def _envelope(times: np.ndarray, oscillation: bool = False) -> np.ndarray:
     """e^{-t} at the sample times; odd members can get an extra bounded
     oscillation so both time exponents a in {1, inf} see non-monotone inputs."""
-    env = np.exp(-times)
-    return env * (1.0 + 0.5 * np.sin(5.0 * times)) if oscillation else env
+    with np.errstate(over="ignore", invalid="ignore"):
+        env = np.exp(-times) * (1.0 + 0.5 * np.sin(5.0 * times) if oscillation else 1.0)
+    if not np.isfinite(env).all():
+        raise ValueError(f"horizon={times[-1]} puts a member envelope e^-t (1 + sin(5t)/2) out of range")
+    return env
 
 
 def _series(env: np.ndarray, base: np.ndarray, p: float, part) -> np.ndarray:
@@ -143,9 +144,9 @@ def verify_duhamel_smoothing(s: float = None, p: float = 2.0, r: float = 2.0,
         + (0.0 if a == INF else 2.0 / a)
     times = lab_times(horizon, n_samples)
     part = get_partition(grid)
-    ratios = []
+    envs, ratios = (_envelope(times), _envelope(times, True)), []
     for i in _members(ensemble):
-        env, f = _envelope(times, i % 2 == 1), _member_field(grid, seed, i)
+        env, f = envs[i % 2], _member_field(grid, seed, i)
         integral = sweep_samples(grid, times, omega, np.zeros_like(f),
                                  env.reshape((-1,) + (1,) * f.ndim) * f)
         lhs = chemin_lerner_norm(shell_series(integral, p, part),
@@ -189,10 +190,10 @@ def verify_product_estimate(s: float = 0.5, p: float = 2.0, r: float = 2.0,
             f"(-1, {upper}); the paraproduct sums diverge at the endpoints")
     times = lab_times(horizon, n_samples)
     part = get_partition(grid)
-    ratios = []
+    envs, ratios = (_envelope(times), _envelope(times, True)), []
     for i in _members(ensemble):
         # member i is env_u u times env_v v, so its product is env_u env_v uv
-        env_u, env_v = _envelope(times, i % 2 == 1), _envelope(times)
+        env_u, env_v = envs[i % 2], envs[0]
         u = _member_field(grid, (seed, 0), i, scalar=True)
         v = _member_field(grid, (seed, 1), i, scalar=True)
         w = _series(env_u * env_v, _band_product(grid, u, v), p, part)

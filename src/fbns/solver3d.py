@@ -165,14 +165,16 @@ def advect_check(u: SpectralField, dt: float):
 
 
 def _mild_map_sweep(buffer: np.ndarray, u0: np.ndarray, grid: Grid, prop,
-                    nonlinearity: bool = True, record=None):
+                    nonlinearity: bool = True, record=None, forcing0=None):
     """Overwrite the iterate u in buffer (samples x helical amplitudes x band),
     one sample at a time, with T(t) u0 - integral_0^t T(t - tau) P div(u (x) u)
     dtau, all band-packed.  Sample k of u is read for its forcing before the
-    new value replaces it; record(k, new, old) sees both."""
+    new value replaces it; record(k, new, old) sees both; forcing0 is sample 0's, if given."""
     forcing = None
     if nonlinearity:
         def forcing(k):  # -P div(u (x) u), the forcing of the mild map
+            if k == 0 and forcing0 is not None:
+                return forcing0
             out = pair_forcing(grid, buffer[k])
             return np.negative(out, out=out)
 
@@ -198,7 +200,8 @@ def picard_solve(u0: SpectralField, config: SolverConfig3D):
     Returns (Trajectory, diagnostics).  A non-finite mild norm, or a
     contraction ratio above 1 on two consecutive iterations (divergence;
     the message gives the ratio), stops the iteration with aborted=True and
-    converged=False.  The ratio sequence is reported either way.
+    converged=False; an increment below eps times the iterate's mild norm stops
+    it as stalled at rounding level.  The ratio sequence is reported either way.
     """
     grid = config.grid
     if u0.grid != grid:
@@ -222,7 +225,8 @@ def picard_solve(u0: SpectralField, config: SolverConfig3D):
 
     def record(k, new, old):
         series[0, k] = lp.shell_series(new, p, part)
-        series[1, k] = lp.shell_series(new - old, p, part)
+        if diag.iterate_norms:  # nothing reads the linear sweep's increment
+            series[1, k] = lp.shell_series(new - old, p, part)
 
     traj = Trajectory(grid, times, np.zeros((times.size,) + u0.shape, dtype=np.complex128))
     _mild_map_sweep(traj.coeffs, u0, grid, prop, False, record)
@@ -237,8 +241,9 @@ def picard_solve(u0: SpectralField, config: SolverConfig3D):
         diag.message = "nonlinearity disabled; linear trajectory is exact"
         return traj, diag
 
+    forcing0 = np.negative(pair_forcing(grid, traj.coeffs[0]))
     for m in range(1, config.max_iterations + 1):
-        _mild_map_sweep(traj.coeffs, u0, grid, prop, record=record)
+        _mild_map_sweep(traj.coeffs, u0, grid, prop, record=record, forcing0=forcing0)
         norm, diff = (lp.mild_norm(x, times, p, r, part) for x in series)
         diag.diff_norms.append(diff)
         diag.iterate_norms.append(norm)
@@ -252,9 +257,11 @@ def picard_solve(u0: SpectralField, config: SolverConfig3D):
             diag.aborted = True
             diag.message = f"non-finite mild norm at iteration {m}"
             return traj, diag
-        if diff <= config.tolerance:
-            diag.converged = True
-            diag.message = f"contraction reached tolerance at iteration {m}"
+        if diff <= max(config.tolerance, np.finfo(float).eps * norm):
+            diag.converged = diff <= config.tolerance
+            diag.message = (f"contraction reached tolerance at iteration {m}" if diag.converged else
+                            f"stalled at rounding level: increment {diff:.3g} < eps x iterate norm "
+                            f"{norm:.3g}, so tolerance {config.tolerance:.3g} cannot be reached (iteration {m})")
             break
         if len(diag.ratios) >= 2 and min(diag.ratios[-2:]) > 1.0:
             diag.aborted = True

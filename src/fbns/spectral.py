@@ -432,40 +432,42 @@ def leray(coeffs: np.ndarray, xi: list, inv_xi_sq: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # random fields
 
-def _random_coeffs(grid: Grid, seed, ncomp: int, cutoff: float | None) -> np.ndarray:
-    if cutoff is None:
-        cutoff = 0.4 * grid.band_max
-    rng = np.random.default_rng(seed)
-    shape = (ncomp,) + grid.shape
-    raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    # drawn on the full lattice, so a seed gives the same field as ever
-    raw = grid.half_spectrum(0.5 * (raw + np.conj(grid.reflect(raw))))
-    coeffs = raw * np.exp(-grid.xi_sq / cutoff**2) * grid.dealias_mask
+@lru_cache(maxsize=16)
+def _band_draw(grid: Grid, cutoff: float) -> tuple:
+    """Flat lattice indices of the band's modes k and of -k, stacked, and the
+    envelope exp(-|xi|^2/cutoff^2), each band-packed."""
+    flat = np.arange(grid.n ** grid.dim).reshape(grid.shape)
+    pair = np.stack([grid.pack(grid.half_spectrum(k)) for k in (flat, grid.reflect(flat))])
+    return pair, grid.pack(np.exp(-grid.xi_sq / cutoff**2))
+
+
+def random_band(grid: Grid, seed, divfree: bool = False, cutoff: float | None = None,
+                amplitude: float = 1.0) -> np.ndarray:
+    """A zero-mean real random scalar, or divergence-free field of dim components,
+    band-packed, with a smooth decaying spectrum and l2 norm amplitude.  A seed
+    gives the same field as ever: the normal draws fill the full lattice, of
+    which only the band's k and -k are read, as 0.5 (raw(k) + conj(raw(-k)))."""
+    pair, envelope = _band_draw(grid, 0.4 * grid.band_max if cutoff is None else cutoff)
+    rng, shape = np.random.default_rng(seed), (grid.dim if divfree else 1, grid.n ** grid.dim)
+    re, im = (rng.standard_normal(shape).take(pair, 1) for _ in range(2))  # at k and -k
+    coeffs = 0.5 * (re[:, 0] + re[:, 1] + 1j * (im[:, 0] - im[:, 1])) * envelope
     coeffs[(slice(None),) + (0,) * grid.dim] = 0.0
-    return coeffs
+    if divfree:
+        coeffs = leray(coeffs, grid.band_symbols[:-1], grid.band_symbols[-1])
+    norm = SpectralField(grid, grid.unpack(coeffs)).l2()
+    return coeffs * (amplitude / norm) if norm > 0 else coeffs
 
 
 def random_scalar_field(grid: Grid, seed, cutoff: float | None = None,
                         amplitude: float = 1.0) -> SpectralField:
-    """Zero-mean real random scalar with a smooth decaying spectrum,
-    bit-reproducible for a given seed."""
-    field = SpectralField(grid, _random_coeffs(grid, seed, 1, cutoff))
-    norm = field.l2()
-    if norm > 0:
-        field = field * (amplitude / norm)
-    return field
+    """random_band of a scalar, in the half spectrum."""
+    return SpectralField(grid, grid.unpack(random_band(grid, seed, False, cutoff, amplitude)))
 
 
 def random_divfree_field(grid: Grid, seed, cutoff: float | None = None,
                          amplitude: float = 1.0) -> SpectralField:
-    """Zero-mean real divergence-free random vector field (dim components),
-    bit-reproducible for a given seed."""
-    coeffs = _random_coeffs(grid, seed, grid.dim, cutoff)
-    field = helmholtz_project(SpectralField(grid, coeffs))
-    norm = field.l2()
-    if norm > 0:
-        field = field * (amplitude / norm)
-    return field
+    """random_band of a divergence-free vector, in the half spectrum."""
+    return SpectralField(grid, grid.unpack(random_band(grid, seed, True, cutoff, amplitude)))
 
 
 def taylor_green_2d(grid: Grid, amplitude: float = 1.0) -> SpectralField:

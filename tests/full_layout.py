@@ -4,7 +4,9 @@ fbns stores every trajectory on the dealiased band (Grid.pack), a 3d
 velocity as its helical amplitudes (Grid.helical).  The functions here
 compute the same samples on the whole half spectrum, by the same
 sweep_samples fed half-spectrum arrays, so that tests can compare the band
-paths against an independent layout.
+paths against an independent layout.  random_field draws a seeded field by
+the formula on the full lattice that spectral.random_band reproduces on the
+band alone.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 
 from fbns.semigroup import propagator, sweep_samples
 from fbns.solver3d import _mild_map_sweep, pair_forcing
-from fbns.spectral import Grid, SpectralField
+from fbns.spectral import Grid, SpectralField, helmholtz_project
 
 
 @dataclass
@@ -74,3 +76,24 @@ def picard_map(traj: Samples, u0: SpectralField, omega: float) -> Samples:
     dt = float(traj.times[1] - traj.times[0])
     _mild_map_sweep(out, grid.helical(grid.pack(u0.coeffs)), grid, propagator(grid, dt, omega))
     return Samples(grid, traj.times, grid.unpack(out))
+
+
+def random_field(grid: Grid, seed, divfree: bool, cutoff: float | None = None,
+                 amplitude: float = 1.0) -> SpectralField:
+    """The seeded random field on the full lattice: raw = N1 + i N2 at every
+    point, 0.5 (raw + conj(raw(-k))) in the half spectrum, times
+    exp(-|xi|^2/cutoff^2), dealiased, zero mean, Leray-projected for a
+    vector, scaled to l2 norm amplitude."""
+    if cutoff is None:
+        cutoff = 0.4 * grid.band_max
+    rng = np.random.default_rng(seed)
+    shape = (grid.dim if divfree else 1,) + grid.shape
+    raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    raw = grid.half_spectrum(0.5 * (raw + np.conj(grid.reflect(raw))))
+    coeffs = raw * np.exp(-grid.xi_sq / cutoff**2) * grid.dealias_mask
+    coeffs[(slice(None),) + (0,) * grid.dim] = 0.0
+    field = SpectralField(grid, coeffs)
+    if divfree:
+        field = helmholtz_project(field)
+    norm = field.l2()
+    return field * (amplitude / norm) if norm > 0 else field

@@ -350,6 +350,17 @@ def test_lab_non_finite_horizon_is_usage_error(tmp_path, capsys, value):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("inequality", ["duhamel", "product"])
+def test_lab_horizon_beyond_the_member_envelope_is_usage_error(tmp_path, capsys,
+                                                               inequality):
+    # sin(5 t) of the odd members' envelope overflows past t = 3.6e307
+    code = run_cli("lab", "--workdir", str(tmp_path), "--set", f"inequality={inequality}",
+                   "--set", "horizon=1e308", "--set", "ensemble=1", "--set", "n=8")
+    assert code == 1
+    assert "horizon=1e+308" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("command, setting", [
     ("semigroup", "t=nan"), ("semigroup", "t=inf"),
     ("semigroup", "omega=nan"), ("semigroup", "omega=inf"),
@@ -402,6 +413,24 @@ def test_solve3d_divergent_data_exits_numerical(tmp_path, capsys):
     assert diag["error_estimate"] is None
     assert "diverging" in diag["message"]
     assert (tmp_path / "solve3d_final.fbns").is_file()
+
+
+def test_solve3d_tolerance_below_rounding_exits_numerical_as_a_stall(tmp_path, capsys):
+    # the increments fall from 2e-3 to 9e-19, under eps times the iterate norm
+    # 0.051, at iteration 11; left to run, they wander with ratios near 1 and
+    # were once reported as a divergence at iteration 16
+    code = run_cli("solve3d", "--workdir", str(tmp_path), "--set", "n=8",
+                   "--set", "horizon=0.25", "--set", "dt=0.0625", "--set", "tolerance=1e-300")
+    assert code == 2
+    out = read_json(capsys)
+    assert not out["converged"] and not out["aborted"]
+    assert out["message"].startswith("stalled at rounding level")
+    assert "tolerance 1e-300 cannot be reached (iteration 11)" in out["message"]
+    manifest = json.loads((tmp_path / "solve3d_manifest.json").read_text())
+    assert manifest["exit_code"] == 2
+    diag, eps = manifest["diagnostics"], np.finfo(float).eps
+    assert diag["diff_norms"][-1] <= eps * diag["iterate_norms"][-1]
+    assert all(d > eps * n for d, n in zip(diag["diff_norms"][:-1], diag["iterate_norms"][1:-1]))
 
 
 def test_solve3d_save_trajectory(tmp_path):

@@ -119,7 +119,7 @@ def test_duhamel_refuses_a_non_finite_regularity_before_any_member_is_drawn(
         raise AssertionError("a member was drawn")
 
     monkeypatch.setattr(lab, "random_divfree_field", draw)
-    monkeypatch.setattr(lab, "random_scalar_field", draw)
+    monkeypatch.setattr(lab, "random_band", draw)
     with pytest.raises(ValueError, match=f"regularity s must be finite, got {s}"):
         verify_duhamel_smoothing(s=s, ensemble=1, grid=Grid(3, 8, 4.0), n_samples=3)
 
@@ -315,7 +315,7 @@ def test_empty_ensemble_is_refused_before_any_member_is_drawn(
         raise AssertionError("a member was drawn")
 
     monkeypatch.setattr(lab, "random_divfree_field", draw)
-    monkeypatch.setattr(lab, "random_scalar_field", draw)
+    monkeypatch.setattr(lab, "random_band", draw)
     with pytest.raises(ValueError, match=f"ensemble must be >= 1, got {ensemble}"):
         verify(ensemble=ensemble)
 

@@ -203,6 +203,28 @@ def test_picard_sweep_stays_on_the_band(monkeypatch):
                      "_to_band": 5 * 6}
 
 
+def test_picard_solve_forces_sample_zero_once_and_skips_the_linear_increment(monkeypatch):
+    # sample 0 of every iterate is u0, so its forcing is taken once per solve,
+    # and the linear sweep records no increment series, which nothing reads:
+    # 1 + m (S - 1) forcings and 1 + S + 2 m S shell series (one for the gate)
+    # over S samples and m iterations, where each sweep alone takes S and 2 S
+    grid = Grid(dim=3, n=8, period_l=1.0)
+    u0 = small_data(grid, seed=56)
+    config = SolverConfig3D(grid=grid, horizon=0.25, dt=1.0 / 16.0, tolerance=1e-11)
+    calls = count_calls(monkeypatch, (solver3d, "pair_forcing"), (lp, "shell_series"))
+    traj, diag = picard_solve(u0, config)
+    m, s = diag.iterations, len(config.times)
+    assert diag.converged and (m, s) == (4, 5)
+    assert calls == {"pair_forcing": 1 + m * (s - 1), "shell_series": 1 + s + 2 * m * s}
+    # and the iterate is bit for bit that of sweeps that force every sample
+    buffer, start = np.zeros_like(traj.coeffs), band_state(dealias(u0))
+    prop = solver3d.propagator(grid, config.dt, config.omega)
+    solver3d._mild_map_sweep(buffer, start, grid, prop, False)
+    for _ in range(m):
+        solver3d._mild_map_sweep(buffer, start, grid, prop)
+    assert np.array_equal(buffer, traj.coeffs)
+
+
 def test_nonlinear_term_validation():
     grid2 = Grid(dim=2, n=8, period_l=1.0)
     f2 = np.zeros((3,) + grid2.spectral_shape, dtype=np.complex128)

@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 from fbns.spectral import (Grid, SpectralField, curl, dealias, divergence,
                            divergence_defect, forward_transform, gradient,
                            helmholtz_project, inverse_transform, laplacian,
-                           random_divfree_field, random_scalar_field,
+                           random_band, random_divfree_field, random_scalar_field,
                            taylor_green_2d, taylor_green_3d, zero_mean)
+from full_layout import random_field
 
 
 def direct_dft_3d(samples, grid):
@@ -168,6 +169,27 @@ def test_random_fields_deterministic_and_normalized():
     # zero mean and dealiased
     assert np.max(np.abs(a.coeffs[:, 0, 0, 0])) == 0.0
     assert np.max(np.abs(a.coeffs * (1.0 - grid.dealias_mask))) == 0.0
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.sampled_from((2, 3)), st.sampled_from((8, 12, 16, 32)), st.booleans(),
+       st.sampled_from((None, 1.0, 1 / 30)), st.one_of(
+           st.integers(0, 2**32 - 1), st.tuples(st.integers(0, 99), st.integers(0, 99))),
+       st.floats(0.01, 100.0))
+def test_band_draw_is_the_band_of_the_full_lattice_draw(dim, n, divfree, scale, seed,
+                                                        amplitude):
+    # the same normal stream, read only at the band's k and -k: every band
+    # value equals the full-lattice formula's, also where the envelope
+    # exp(-|xi|^2/cutoff^2) underflows (cutoff band_max/30: the exponent
+    # reaches 900 at the band's corner, past the underflow at 745)
+    grid = Grid(dim, n, 4.0)
+    cutoff = None if scale is None else scale * grid.band_max
+    band = random_band(grid, seed, divfree, cutoff, amplitude)
+    want = random_field(grid, seed, divfree, cutoff, amplitude)
+    assert np.array_equal(band, grid.pack(want.coeffs))
+    assert band.flags.c_contiguous and grid.layout(band) == "band"
+    make = random_divfree_field if divfree else random_scalar_field
+    assert np.array_equal(make(grid, seed, cutoff, amplitude).coeffs, want.coeffs)
 
 
 def test_dealias_and_zero_mean():
