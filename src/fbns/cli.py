@@ -277,8 +277,6 @@ def run_fbnorm(cfg: dict, workdir: str) -> int:
 def run_semigroup(cfg: dict, workdir: str) -> int:
     if cfg["input"]:
         field = read_field(_resolve_path(workdir, cfg["input"]))
-        if field.grid.dim != 3 or field.ncomp != 3:
-            raise ValueError("semigroup input must be a 3-component 3d field")
     else:
         grid = Grid(dim=3, n=cfg["n"], period_l=cfg["period_l"])
         field = random_divfree_field(grid, seed=(cfg["seed"],))

@@ -11,6 +11,8 @@ quarter turn with eigenvectors h+- and eigenvalues +-i (Grid.helical).  On
 the amplitudes a+- every propagated state is held as, m is diagonal, exp(-z t)
 and its conjugate for z = |xi|^2 - i Omega xi_3/|xi|, and m(t) m(s) = m(t + s)
 holds exactly.  The xi = 0 amplitude is mapped to zero (zero-mean convention).
+On the half spectrum's k_3 = n/2 plane k and -k share xi_3 = +n/(2L), so the
+odd xi_3 is taken as 0 there, as at any Nyquist wavenumber: real fields stay real.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ class Propagator:
             safe = gather(self.grid.xi_abs)
             safe[origin] = 1.0
             z = gather(self.grid.xi_sq) - 1j * self.omega * (gather(self.grid.xi_axis(2)) / safe)
+            z.imag[..., self.grid.n // 2:] = 0.0  # no rotation on the half layout's k_3 = n/2 plane
             decay = np.exp(-z * self.dt)  # exp(-|xi|^2 dt) (cos + i sin)(rho dt)
             z[origin] = 1.0
             local = 0.5 * (1.0 - decay) / z  # with the 1/2 of the nodal average
@@ -76,21 +79,21 @@ def propagator(grid: Grid, dt: float, omega: float) -> Propagator:
     return Propagator(grid, dt, omega)
 
 
-def duhamel_recursion(prop: Propagator, start: np.ndarray, n_steps: int, emit,
-                      forcing=None):
-    """y_(k+1) = prop.step(y_k, forcing(k), forcing(k + 1)) from y_0 = start,
-    or y_(k+1) = m(dt) y_k without forcing; emit(k + 1, y_(k+1)) gets each
-    value (and must not modify it) after forcing(k + 1) has been read."""
-    y = start
+def duhamel_recursion(prop: Propagator, out: np.ndarray, forcing=None, record=None):
+    """Overwrite out[1:] from out[0] by out[k] = prop.step(out[k - 1], forcing(k - 1),
+    forcing(k)), or m(dt) out[k - 1] without forcing.  forcing(k) is read before out[k]
+    is overwritten; record(k, new, old) sees each new value and the one it replaces."""
     g_lo = None if forcing is None else forcing(0)
-    for k in range(n_steps):
+    for k in range(1, len(out)):
         if forcing is None:
-            y = prop.apply(y)
+            new = prop.apply(out[k - 1])
         else:
-            g_hi = forcing(k + 1)
-            y = prop.step(y, g_lo, g_hi)
+            g_hi = forcing(k)
+            new = prop.step(out[k - 1], g_lo, g_hi)
             g_lo = g_hi
-        emit(k + 1, y)
+        if record is not None:
+            record(k, new, out[k])
+        out[k] = new
 
 
 def sweep_samples(grid: Grid, times, omega: float, start: np.ndarray,
@@ -102,7 +105,7 @@ def sweep_samples(grid: Grid, times, omega: float, start: np.ndarray,
     out[0] = start
     if len(times) > 1:
         dt = float(times[1] - times[0])
-        duhamel_recursion(propagator(grid, dt, omega), out[0], len(times) - 1, out.__setitem__,
+        duhamel_recursion(propagator(grid, dt, omega), out,
                           None if forcing is None else forcing.__getitem__)
     return out
 

@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .lp import lebesgue
-from .solver3d import advect_check, pair_forcing
+from .solver3d import advect_check
 from .spectral import (Grid, SpectralField, dealias, forward_transform,
                        gradient, helmholtz_project, inverse_transform,
                        laplacian, leray, zero_mean)
@@ -167,6 +167,22 @@ def run_vorticity(w0: SpectralField, dt: float, n_steps: int,
     return np.array(times), states
 
 
+def _velocity_rhs(grid: Grid, omega: float):
+    """The map u^ -> -P div(u (x) u)^ - omega P(e3 x u)^ on the band for divergence-free u:
+    the curl of P div(u (x) u) is u . grad w, so its first term is the Biot-Savart velocity
+    (i xi_2, -i xi_1)/|xi|^2 of _vorticity_rhs at w^ = i (xi_1 u_2^ - xi_2 u_1^)."""
+    xi1, xi2, inv_xi_sq = grid.band_symbols
+    vorticity_rhs = _vorticity_rhs(grid)
+
+    def rhs(u_hat):
+        w_rhs = vorticity_rhs(1j * (xi1 * u_hat[1:] - xi2 * u_hat[:1]))
+        out = 1j * inv_xi_sq * w_rhs * np.stack([xi2, -xi1])
+        if omega != 0.0:
+            out -= omega * leray(np.stack([-u_hat[1], u_hat[0]]), (xi1, xi2), inv_xi_sq)
+        return out
+    return rhs
+
+
 def advance_velocity(u: SpectralField, dt: float, steps: int,
                      omega: float = 0.0) -> SpectralField:
     """Projected 2d momentum equation with the rotation term of rate omega
@@ -175,17 +191,8 @@ def advance_velocity(u: SpectralField, dt: float, steps: int,
     if u.ncomp != 2 or u.grid.dim != 2:
         raise ValueError("velocity stepping expects a 2-component field on a 2d grid")
     grid = u.grid
-    *xi, inv_xi_sq = grid.band_symbols
-
-    def rhs(u_hat):  # -P div(u (x) u) - omega P(e3 x u) on the band
-        out = pair_forcing(grid, u_hat)
-        np.negative(out, out=out)
-        if omega != 0.0:
-            out -= omega * leray(np.stack([-u_hat[1], u_hat[0]]), xi, inv_xi_sq)
-        return out
-
-    cur = grid.pack(helmholtz_project(u).coeffs)
-    return SpectralField(grid, grid.unpack(_if_rk4(cur, grid, dt, steps, rhs)))
+    band = _if_rk4(grid.pack(helmholtz_project(u).coeffs), grid, dt, steps, _velocity_rhs(grid, omega))
+    return SpectralField(grid, grid.unpack(band))
 
 
 def coriolis_projection_identity(u: SpectralField) -> float:

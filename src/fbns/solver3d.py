@@ -20,7 +20,7 @@ import numpy as np
 
 from . import lp
 from .semigroup import check_divergence_free, duhamel_recursion, propagator
-from .spectral import Grid, SpectralField, dealias, inverse_transform, leray
+from .spectral import Grid, SpectralField, dealias, inverse_transform
 from .trajectory import Trajectory
 
 INF = float("inf")
@@ -136,24 +136,24 @@ def smallness_gate(u0: SpectralField, p: float, r: float) -> GateReport:
                       threshold=threshold, passed=passed)
 
 
-def pair_forcing(grid: Grid, u: np.ndarray) -> np.ndarray:
-    """P div(u (x) u) on the band (Grid.pack), for u and result as 2d components
-    or 3d helical amplitudes (Grid.helical, which projects): P of sum_j d_j (u_i
-    u_j), each product taken pseudo-spectrally straight to the band (Grid._to_band,
-    the 2/3 rule).  u is transformed once and each product u_i u_j formed once."""
-    if len(u) != 2:
-        raise ValueError(f"pair forcing expects 2-component fields on a {grid.dim}d grid")
-    up = grid._to_samples(grid.cartesian(u) if grid.dim == 3 else u)
-    *xi, inv_xi_sq = grid.band_symbols
-    div = np.zeros((grid.dim,) + xi[0].shape, dtype=np.complex128)
-    for jax in range(grid.dim):
+def pair_forcing(grid: Grid, a: np.ndarray) -> np.ndarray:
+    """The helical amplitudes (Grid.helical, which projects) of P div(u (x) u) on
+    the band (Grid.pack), for u held as its amplitudes a: P of sum_j d_j (u_i u_j),
+    each product taken pseudo-spectrally straight to the band (Grid._to_band, the
+    2/3 rule).  u is transformed once and each product u_i u_j formed once."""
+    if len(a) != 2:
+        raise ValueError(f"pair forcing takes 2 helical amplitudes, got {len(a)} components")
+    up = grid._to_samples(grid.cartesian(a))
+    xi = grid.band_symbols[:3]
+    div = np.zeros((3,) + xi[0].shape, dtype=np.complex128)
+    for jax in range(3):
         for iax in range(jax + 1):
             prod_hat = grid._to_band(up[iax] * up[jax])
             div[iax] += 1j * xi[jax] * prod_hat
             if iax < jax:
                 div[jax] += 1j * xi[iax] * prod_hat
     del up  # free the samples before projecting
-    return grid.helical(div) if grid.dim == 3 else leray(div, xi, inv_xi_sq)
+    return grid.helical(div)
 
 
 def advect_check(u: SpectralField, dt: float):
@@ -162,29 +162,6 @@ def advect_check(u: SpectralField, dt: float):
     if ratio > 1.0:
         warnings.warn(f"advective CFL ratio {ratio:.3g} > 1; reduce dt",
                       RuntimeWarning)
-
-
-def _mild_map_sweep(buffer: np.ndarray, u0: np.ndarray, grid: Grid, prop,
-                    nonlinearity: bool = True, record=None, forcing0=None):
-    """Overwrite the iterate u in buffer (samples x helical amplitudes x band),
-    one sample at a time, with T(t) u0 - integral_0^t T(t - tau) P div(u (x) u)
-    dtau, all band-packed.  Sample k of u is read for its forcing before the
-    new value replaces it; record(k, new, old) sees both; forcing0 is sample 0's, if given."""
-    forcing = None
-    if nonlinearity:
-        def forcing(k):  # -P div(u (x) u), the forcing of the mild map
-            if k == 0 and forcing0 is not None:
-                return forcing0
-            out = pair_forcing(grid, buffer[k])
-            return np.negative(out, out=out)
-
-    def write(k, new):
-        if record is not None:
-            record(k, new, buffer[k])
-        buffer[k] = new
-
-    duhamel_recursion(prop, u0, len(buffer) - 1, write, forcing)
-    write(0, u0)
 
 
 def picard_solve(u0: SpectralField, config: SolverConfig3D):
@@ -229,21 +206,26 @@ def picard_solve(u0: SpectralField, config: SolverConfig3D):
             series[1, k] = lp.shell_series(new - old, p, part)
 
     traj = Trajectory(grid, times, np.zeros((times.size,) + u0.shape, dtype=np.complex128))
-    _mild_map_sweep(traj.coeffs, u0, grid, prop, False, record)
+    traj.coeffs[0] = u0  # sample 0 of every iterate, so it is measured once
+    series[0, 0] = lp.shell_series(u0, p, part)
+    duhamel_recursion(prop, traj.coeffs, record=record)
     diag.linear_norm = lp.mild_norm(series[0], times, p, r, part)
     diag.iterate_norms.append(diag.linear_norm)
 
     if not config.nonlinearity:
         traj.fb_norms = lp.fb_norm_of_series(series[0], lp.critical_index(p), r, part).tolist()
         diag.converged = True
-        diag.iterations = 0
         diag.residual_estimate = 0.0
         diag.message = "nonlinearity disabled; linear trajectory is exact"
         return traj, diag
 
     forcing0 = np.negative(pair_forcing(grid, traj.coeffs[0]))
+
+    def forcing(k):  # -P div(u (x) u) of the iterate, whose sample 0 is always u0
+        return forcing0 if k == 0 else np.negative(pair_forcing(grid, traj.coeffs[k]))
+
     for m in range(1, config.max_iterations + 1):
-        _mild_map_sweep(traj.coeffs, u0, grid, prop, record=record, forcing0=forcing0)
+        duhamel_recursion(prop, traj.coeffs, forcing, record)
         norm, diff = (lp.mild_norm(x, times, p, r, part) for x in series)
         diag.diff_norms.append(diff)
         diag.iterate_norms.append(norm)

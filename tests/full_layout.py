@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fbns.semigroup import propagator, sweep_samples
-from fbns.solver3d import _mild_map_sweep, pair_forcing
+from fbns.semigroup import duhamel_recursion, propagator, sweep_samples
+from fbns.solver3d import pair_forcing
 from fbns.spectral import Grid, SpectralField, helmholtz_project
 
 
@@ -70,11 +70,15 @@ def duhamel_bilinear(u: Samples, omega: float) -> Samples:
 def picard_map(traj: Samples, u0: SpectralField, omega: float) -> Samples:
     """One application of u -> T(t) u0 - B(u, u), by the in-place band sweep
     of picard_solve on a packed copy of traj (u and u0 enter through their
-    dealiased band)."""
+    dealiased band): sample 0's forcing is read from traj before u0 replaces
+    it, and every later sample's before the sweep overwrites it."""
     grid = traj.grid
     out = grid.pack(traj.coeffs)
+    forcing0 = -pair_forcing(grid, out[0])
+    out[0] = grid.helical(grid.pack(u0.coeffs))
     dt = float(traj.times[1] - traj.times[0])
-    _mild_map_sweep(out, grid.helical(grid.pack(u0.coeffs)), grid, propagator(grid, dt, omega))
+    duhamel_recursion(propagator(grid, dt, omega), out,
+                      lambda k: forcing0 if k == 0 else -pair_forcing(grid, out[k]))
     return Samples(grid, traj.times, grid.unpack(out))
 
 

@@ -17,7 +17,7 @@ from fbns.lp import fb_norm_value
 from fbns.semigroup import apply_semigroup
 from fbns.solver2d import run_vorticity
 from fbns.solver3d import SolverConfig3D
-from fbns.spectral import Grid, random_divfree_field
+from fbns.spectral import Grid, SpectralField, random_divfree_field
 from test_checkpoint import strict_json
 
 
@@ -359,6 +359,40 @@ def test_lab_horizon_beyond_the_member_envelope_is_usage_error(tmp_path, capsys,
     assert code == 1
     assert "horizon=1e+308" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("settings", [("inequality=semigroup",),
+                                      ("inequality=omega-scan", "experiment=linear")])
+def test_lab_samples_too_sparse_for_the_lowest_shell_are_a_usage_error(tmp_path, capsys,
+                                                                       settings):
+    # 17 samples 6.25e306 apart once reported a smoothing constant of 3.3e305
+    # and passed: the sample spacing must resolve exp(-|xi|^2 t) on the lowest
+    # shell, dt / L^2 <= 1/4 (the default is 1/256)
+    argv = [arg for setting in settings + ("horizon=1e308", "ensemble=1", "n=8")
+            for arg in ("--set", setting)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = run_cli("lab", "--workdir", str(tmp_path), *argv)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "horizon=1e+308 and n_samples=17" in err and "L^2/4 = 4" in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_semigroup_of_a_field_on_the_nyquist_plane_reads_back(tmp_path, capsys):
+    # u_2 at k = (+-1, 0, n/2): k and -k are both stored with xi_3 = +n/(2L),
+    # so a rotation that tells them apart wrote a checkpoint no read accepts
+    grid = Grid(dim=3, n=8, period_l=1.0)
+    coeffs = np.zeros((3,) + grid.spectral_shape, dtype=np.complex128)
+    coeffs[1, 1, 0, -1], coeffs[1, -1, 0, -1] = 0.3 + 0.05j, 0.3 - 0.05j
+    write_field(tmp_path / "nyquist.fbns", SpectralField(grid, coeffs))
+    for omega in ("0", "5"):
+        assert run_cli("semigroup", "--workdir", str(tmp_path), "--set", "input=nyquist.fbns",
+                       "--set", f"omega={omega}", "--set", "t=0.01") == 0
+        assert run_cli("checkpoint", "--input", str(tmp_path / "semigroup_out.fbns")) == 0
+        capsys.readouterr()
+    out = read_field(tmp_path / "semigroup_out.fbns")
+    assert np.allclose(out.coeffs, np.exp(-0.01 * grid.xi_sq) * coeffs, rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("command, setting", [

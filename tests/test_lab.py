@@ -331,6 +331,24 @@ def test_semigroup_bounds_sup_ratio_is_one():
     assert rep.details["smoothing_stability"] < STABILITY_LIMIT
 
 
+def test_semigroup_bounds_need_samples_that_resolve_the_lowest_shell(monkeypatch):
+    # the smoothing constant is a quadrature artefact once dt/L^2 is large
+    # (measured at 16^3: 0.30 at 1/256, 1.16 at 1/4, 4.2 at 1, 67 at 16), so
+    # spacings above L^2/4 are refused before a member is drawn
+    grid = Grid(dim=3, n=16, period_l=1.0)
+    rep = verify_semigroup_bounds(ensemble=1, grid=grid, horizon=1.0, n_samples=5)
+    assert rep.passed and rep.details["smoothing_max"] < 1.2
+
+    def draw(*args, **kwargs):
+        raise AssertionError("a member was drawn")
+
+    monkeypatch.setattr(lab, "random_band", draw)
+    for kwargs in ({"grid": grid, "horizon": 1.0, "n_samples": 4},
+                   {"horizon": 1e308}):
+        with pytest.raises(ValueError, match="horizon=.* and n_samples=.* space the samples .* apart, over L"):
+            verify_semigroup_bounds(ensemble=1, **kwargs)
+
+
 def test_semigroup_bounds_rotation_invariant_norms():
     base = verify_semigroup_bounds(ensemble=4, seed=8, omega=0.0)
     fast = verify_semigroup_bounds(ensemble=4, seed=8, omega=50.0)

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from fbns.checkpoint import field_from_bytes, field_to_bytes
 from fbns.lp import INF, fb_norm_value, get_partition, shell_series
-from fbns.semigroup import apply_semigroup, propagator, sweep_samples
-from fbns.spectral import (Grid, SpectralField, divergence_defect, gradient,
-                           helmholtz_project, random_divfree_field,
-                           random_scalar_field)
+from fbns.semigroup import (apply_semigroup, duhamel_recursion, propagator,
+                            sweep_samples)
+from fbns.spectral import (Grid, SpectralField, divergence_defect, forward_transform,
+                           gradient, helmholtz_project, leray,
+                           random_divfree_field, random_scalar_field)
 
 GRID = Grid(dim=3, n=16, period_l=1.0)
 
@@ -180,6 +182,37 @@ def test_norm_invariance_under_rotation_rate():
         assert abs(fb_norm_value(fast, 0.5, p, 2.0) - val) < 1e-13 * val
 
 
+def real_field_on_the_nyquist_plane(grid, seed):
+    """A real divergence-free field with content on the stored k_3 = n/2 plane,
+    where k and -k both carry xi_3 = +n/(2L): there a real field that is
+    divergence-free at both has u_3 = 0 and (u_1, u_2) orthogonal to (xi_1,
+    xi_2).  The n/2 rows of the other axes, where no such u exists, are empty."""
+    samples = np.random.default_rng(seed).standard_normal((3,) + grid.shape)
+    u = helmholtz_project(forward_transform(samples, grid)).coeffs
+    u[:, grid.n // 2] = u[:, :, grid.n // 2] = 0.0
+    xi = [grid.xi_axis(ax)[..., 0] for ax in (0, 1)]
+    inv = np.divide(1.0, xi[0] ** 2 + xi[1] ** 2, out=np.zeros((grid.n, grid.n)),
+                    where=(xi[0] != 0) | (xi[1] != 0))
+    u[:2, ..., -1], u[2, ..., -1] = leray(u[:2, ..., -1], xi, inv), 0.0
+    return field_from_bytes(field_to_bytes(SpectralField(grid, u)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=SEEDS, t=st.floats(1e-3, 1.0), omega=RATES)
+@example(seed=0, t=0.01, omega=5.0)
+def test_image_of_a_real_field_is_real(seed, t, omega):
+    # on the k_3 = n/2 plane the rotation cannot act as on a real field, since
+    # k and -k share xi_3; the propagator leaves it out there, and the image
+    # of every accepted real field is again a real field's spectrum
+    grid = Grid(dim=3, n=8, period_l=1.0)
+    field = real_field_on_the_nyquist_plane(grid, seed)
+    assert np.max(np.abs(field.coeffs[..., -1])) > 0.1 * np.max(np.abs(field.coeffs))
+    out = apply_semigroup(field, t, omega)
+    field_from_bytes(field_to_bytes(out))  # raises CheckpointError otherwise
+    heat = np.exp(-grid.xi_sq[..., -1] * t)
+    assert np.max(np.abs(out.coeffs[..., -1] - heat * field.coeffs[..., -1])) < 1e-13
+
+
 def test_input_validation():
     u = random_divfree_field(GRID, seed=45)
     for t in (-0.1, math.nan, math.inf):
@@ -243,6 +276,24 @@ def test_linear_trajectory_matches_direct_application():
     for i, t in enumerate(times):
         direct = apply_semigroup(u, float(t), omega)
         assert np.max(np.abs(GRID.unpack(GRID.cartesian(samples[i])) - direct.coeffs)) < 1e-13
+
+
+def test_duhamel_recursion_reads_each_forcing_before_overwriting_its_sample():
+    # the Picard sweep forces each sample from the iterate it overwrites:
+    # forcing(k) must see sample k as it was, and so must record(k, new, old)
+    times = np.arange(4) * 0.1
+    before = np.stack([GRID.helical(GRID.pack(random_divfree_field(GRID, seed=s).coeffs))
+                       for s in range(60, 64)])
+    out, recorded = before.copy(), []
+
+    def record(k, new, old):
+        recorded.append(k)
+        assert np.array_equal(old, before[k])
+
+    duhamel_recursion(propagator(GRID, 0.1, 7.0), out, lambda k: out[k].copy(), record)
+    assert recorded == [1, 2, 3]
+    # the same sweep with the old samples kept apart as the forcing
+    assert np.array_equal(out, sweep_samples(GRID, times, 7.0, before[0], before))
 
 
 @pytest.mark.parametrize("n", [8, 12])

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from fbns import lp, solver3d
-from fbns.semigroup import apply_semigroup
+from fbns.semigroup import apply_semigroup, duhamel_recursion
+from fbns.solver2d import _velocity_rhs
 from fbns.solver3d import (DEFAULT_GATE_CONSTANT, SolverConfig3D, pair_forcing,
                            picard_solve, smallness_gate)
 from fbns.spectral import (Grid, SpectralField, dealias, divergence_defect,
                            forward_transform, helmholtz_project,
-                           inverse_transform, random_divfree_field,
+                           inverse_transform, leray, random_divfree_field,
                            taylor_green_3d)
 from full_layout import (Samples, duhamel_bilinear, linear_samples, picard_map,
                          unpacked)
@@ -43,24 +44,43 @@ def component_mode(grid, comp, k, amplitude=1.0):
 
 
 # ---------------------------------------------------------------------------
-# quadratic forcing
+# quadratic forcing: pair_forcing in 3d, the 2d velocity RHS in 2d
 
 def band_state(u):
-    # the band-packed state pair_forcing takes: helical amplitudes in 3d
+    # the band-packed state the forcing takes: helical amplitudes in 3d
     band = u.grid.pack(u.coeffs)
     return u.grid.helical(band) if u.grid.dim == 3 else band
 
 
 def forcing(u):
-    # pair_forcing of a half-spectrum field, as Cartesian band coefficients
-    out = pair_forcing(u.grid, band_state(u))
-    return u.grid.cartesian(out) if u.grid.dim == 3 else out
+    # P div(u (x) u) of a half-spectrum field, as Cartesian band coefficients:
+    # pair_forcing in 3d, minus solver2d's velocity RHS at omega = 0 in 2d
+    grid = u.grid
+    if grid.dim == 2:
+        return -_velocity_rhs(grid, 0.0)(band_state(u))
+    return grid.cartesian(pair_forcing(grid, band_state(u)))
 
 
 def polarized(u, v):
     # F(u + v) - F(u) - F(v) = P div(u (x) v + v (x) u): the bilinear form
-    # of the quadratic pair_forcing
+    # of the quadratic forcing
     return forcing(u + v) - forcing(u) - forcing(v)
+
+
+def velocity_form(grid, u):
+    # P div(u (x) u) of band-packed 2d components in velocity form, each
+    # product u_i u_j taken straight to the band and then projected: the
+    # oracle of the 2d velocity RHS, which goes through the vorticity
+    up = grid._to_samples(u)
+    *xi, inv_xi_sq = grid.band_symbols
+    div = np.zeros((2,) + xi[0].shape, dtype=np.complex128)
+    for jax in range(2):
+        for iax in range(jax + 1):
+            prod_hat = grid._to_band(up[iax] * up[jax])
+            div[iax] += 1j * xi[jax] * prod_hat
+            if iax < jax:
+                div[jax] += 1j * xi[iax] * prod_hat
+    return leray(div, xi, inv_xi_sq)
 
 
 def pair_forcing_on_stored_modes(u, v):
@@ -86,7 +106,12 @@ def test_pair_forcing_on_the_band_equals_stored_mode_formula(grid):
         # the Cartesian field that the 3d amplitudes hold
         u = SpectralField(grid, grid.unpack(grid.cartesian(state) if grid.dim == 3 else state))
         expected = grid.pack(pair_forcing_on_stored_modes(u, u))
-        assert np.array_equal(pair_forcing(grid, state), expected)
+        if grid.dim == 3:
+            assert np.array_equal(pair_forcing(grid, state), expected)
+        else:  # the velocity form bit for bit, the vorticity path to rounding
+            assert np.array_equal(velocity_form(grid, state), expected)
+            got = -_velocity_rhs(grid, 0.0)(state)
+            assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
 def test_pair_forcing_hand_oracle():
@@ -178,13 +203,24 @@ def count_calls(monkeypatch, *targets):
 
 def test_nonlinear_term_transforms_its_field_once(monkeypatch):
     calls = count_calls(monkeypatch, (Grid, "_to_samples"), (np.fft, "irfftn"),
-                        (Grid, "_to_band"))
-    # u (x) u is symmetric: dim (dim + 1) / 2 products instead of dim^2, and
-    # the band is inverted by the pruned transform, not by irfftn
-    for grid, products in ((GRID, 6), (Grid(dim=2, n=16, period_l=1.0), 3)):
+                        (Grid, "_to_band"), (np.fft, "ifft"), (np.fft, "fft"))
+    # 3d: u (x) u is symmetric, so 6 products instead of 9, each forward by the
+    # pruned transform (two complex passes), and the band is inverted once by
+    # the pruned transform, not by irfftn; 2d: the velocity RHS goes through
+    # the vorticity, one complex band inverse and one forward of two passes each
+    grid2 = Grid(dim=2, n=16, period_l=1.0)
+    for grid, rhs, counts in ((GRID, lambda u: pair_forcing(GRID, u), (1, 0, 6, 2, 12)),
+                              (grid2, _velocity_rhs(grid2, 0.0), (0, 0, 0, 2, 2))):
         calls.update(dict.fromkeys(calls, 0))
-        pair_forcing(grid, band_state(random_divfree_field(grid, seed=55)))
-        assert tuple(calls.values()) == (1, 0, products)
+        rhs(band_state(random_divfree_field(grid, seed=55)))
+        assert tuple(calls.values()) == counts
+
+
+def mild_map_sweep(buffer, prop):
+    # one in-place sweep of the mild map as picard_solve runs it on a buffer
+    # whose sample 0 is u0, but forcing every sample, sample 0 included
+    grid = prop.grid
+    duhamel_recursion(prop, buffer, lambda k: -pair_forcing(grid, buffer[k]))
 
 
 def test_picard_sweep_stays_on_the_band(monkeypatch):
@@ -195,19 +231,19 @@ def test_picard_sweep_stays_on_the_band(monkeypatch):
     u0 = band_state(small_data(grid, seed=56))
     buffer = np.repeat(u0[np.newaxis], 5, axis=0)
     prop = solver3d.propagator(grid, 0.05, 3.0)
-    solver3d._mild_map_sweep(buffer, u0, grid, prop)
+    mild_map_sweep(buffer, prop)
     calls = count_calls(monkeypatch, (Grid, "unpack"), (Grid, "pack"), (Grid, "gather"),
                         (np.fft, "irfftn"), (np.fft, "rfftn"), (Grid, "_to_band"))
-    solver3d._mild_map_sweep(buffer, u0, grid, prop)
+    mild_map_sweep(buffer, prop)
     assert calls == {"unpack": 0, "pack": 0, "gather": 0, "irfftn": 0, "rfftn": 0,
                      "_to_band": 5 * 6}
 
 
 def test_picard_solve_forces_sample_zero_once_and_skips_the_linear_increment(monkeypatch):
-    # sample 0 of every iterate is u0, so its forcing is taken once per solve,
-    # and the linear sweep records no increment series, which nothing reads:
-    # 1 + m (S - 1) forcings and 1 + S + 2 m S shell series (one for the gate)
-    # over S samples and m iterations, where each sweep alone takes S and 2 S
+    # sample 0 of every iterate is u0, so its forcing and its shell series are
+    # taken once per solve, and the linear sweep records no increment series,
+    # which nothing reads: 1 + m (S - 1) forcings and 1 + S + 2 m (S - 1) shell
+    # series (one for the gate) over S samples and m iterations
     grid = Grid(dim=3, n=8, period_l=1.0)
     u0 = small_data(grid, seed=56)
     config = SolverConfig3D(grid=grid, horizon=0.25, dt=1.0 / 16.0, tolerance=1e-11)
@@ -215,22 +251,23 @@ def test_picard_solve_forces_sample_zero_once_and_skips_the_linear_increment(mon
     traj, diag = picard_solve(u0, config)
     m, s = diag.iterations, len(config.times)
     assert diag.converged and (m, s) == (4, 5)
-    assert calls == {"pair_forcing": 1 + m * (s - 1), "shell_series": 1 + s + 2 * m * s}
+    assert calls == {"pair_forcing": 1 + m * (s - 1), "shell_series": 1 + s + 2 * m * (s - 1)}
     # and the iterate is bit for bit that of sweeps that force every sample
-    buffer, start = np.zeros_like(traj.coeffs), band_state(dealias(u0))
+    buffer = np.zeros_like(traj.coeffs)
+    buffer[0] = band_state(dealias(u0))
     prop = solver3d.propagator(grid, config.dt, config.omega)
-    solver3d._mild_map_sweep(buffer, start, grid, prop, False)
+    duhamel_recursion(prop, buffer)
     for _ in range(m):
-        solver3d._mild_map_sweep(buffer, start, grid, prop)
+        mild_map_sweep(buffer, prop)
     assert np.array_equal(buffer, traj.coeffs)
 
 
 def test_nonlinear_term_validation():
     grid2 = Grid(dim=2, n=8, period_l=1.0)
     f2 = np.zeros((3,) + grid2.spectral_shape, dtype=np.complex128)
-    with pytest.raises(ValueError, match="2-component fields"):
+    with pytest.raises(ValueError, match="takes 2 helical amplitudes, got 3 components"):
         pair_forcing(grid2, f2)
-    with pytest.raises(ValueError, match="2-component fields on a 3d grid"):
+    with pytest.raises(ValueError, match="takes 2 helical amplitudes, got 3 components"):
         pair_forcing(GRID, GRID.pack(random_divfree_field(GRID, seed=1).coeffs))
     other = band_state(random_divfree_field(Grid(dim=3, n=8, period_l=1.0), seed=1))
     with pytest.raises(ValueError, match="neither layout"):
