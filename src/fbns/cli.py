@@ -21,6 +21,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from . import lab as lab_mod
 from .checkpoint import (CheckpointError, atomic_write_json,
                          atomic_write_text, json_text, read_field,
@@ -264,6 +266,15 @@ def _print_json(obj):
     print(json_text(obj))
 
 
+def _write_finite(workdir: str, name: str, field: SpectralField) -> str | None:
+    """Write field as workdir/name and return name, or write nothing and return
+    None when a coefficient is not finite, as no checkpoint reader accepts it."""
+    if not np.isfinite(field.coeffs).all():
+        return None
+    write_field(_resolve_path(workdir, name), field)
+    return name
+
+
 # ---------------------------------------------------------------------------
 # subcommand runners
 
@@ -321,22 +332,20 @@ def run_solve3d(cfg: dict, workdir: str) -> int:
 
     prefix = cfg["output_prefix"]
     ok = diag.converged and not diag.aborted
+    final = _write_finite(workdir, f"{prefix}_final.fbns", traj.field(traj.n_samples - 1))
     manifest = {
         "config": cfg,
         "diagnostics": diag.as_dict(),
-        "final_field": f"{prefix}_final.fbns",
+        "final_field": final,
         "exit_code": EXIT_OK if ok else EXIT_NUMERICAL,
     }
     atomic_write_json(_resolve_path(workdir, f"{prefix}_manifest.json"), manifest)
-    write_field(_resolve_path(workdir, f"{prefix}_final.fbns"),
-                traj.field(traj.n_samples - 1))
     if traj.fb_norms is not None:
         _write_csv(_resolve_path(workdir, f"{prefix}_norms.csv"),
                    ("t", "critical_fb_norm"), zip(traj.times, traj.fb_norms))
     if cfg["save_trajectory"]:
         for k in range(traj.n_samples):
-            write_field(_resolve_path(workdir, f"{prefix}_t{k:04d}.fbns"),
-                        traj.field(k))
+            _write_finite(workdir, f"{prefix}_t{k:04d}.fbns", traj.field(k))
     _print_json({"converged": diag.converged, "aborted": diag.aborted,
                  "iterations": diag.iterations,
                  "message": diag.message,
@@ -374,7 +383,6 @@ def run_solve2d(cfg: dict, workdir: str) -> int:
     _write_csv(_resolve_path(workdir, f"{prefix}_gronwall.csv"),
                ("t", "p", "v_lp", "w_lp", "gradv_lp", "cz_margin",
                 "gronwall_margin"), rows)
-    write_field(_resolve_path(workdir, f"{prefix}_final.fbns"), states[-1].w)
 
     finite = all(math.isfinite(row.v_lp) and math.isfinite(row.w_lp)
                  for row in report["rows"])
@@ -382,7 +390,7 @@ def run_solve2d(cfg: dict, workdir: str) -> int:
     manifest = {
         "config": cfg,
         "summary": {str(p): stats for p, stats in report["summary"].items()},
-        "final_field": f"{prefix}_final.fbns",
+        "final_field": _write_finite(workdir, f"{prefix}_final.fbns", states[-1].w),
         "gronwall_csv": f"{prefix}_gronwall.csv",
     }
     if cfg["residual"]:

@@ -11,8 +11,6 @@ quarter turn with eigenvectors h+- and eigenvalues +-i (Grid.helical).  On
 the amplitudes a+- every propagated state is held as, m is diagonal, exp(-z t)
 and its conjugate for z = |xi|^2 - i Omega xi_3/|xi|, and m(t) m(s) = m(t + s)
 holds exactly.  The xi = 0 amplitude is mapped to zero (zero-mean convention).
-On the half spectrum's k_3 = n/2 plane k and -k share xi_3 = +n/(2L), so the
-odd xi_3 is taken as 0 there, as at any Nyquist wavenumber: real fields stay real.
 """
 
 from __future__ import annotations
@@ -49,8 +47,7 @@ class Propagator:
             gather, origin = partial(self.grid.gather, layout=layout), (0,) * 3
             safe = gather(self.grid.xi_abs)
             safe[origin] = 1.0
-            z = gather(self.grid.xi_sq) - 1j * self.omega * (gather(self.grid.xi_axis(2)) / safe)
-            z.imag[..., self.grid.n // 2:] = 0.0  # no rotation on the half layout's k_3 = n/2 plane
+            z = gather(self.grid.xi_sq) - 1j * self.omega * (gather(self.grid.xi_odd[2]) / safe)
             decay = np.exp(-z * self.dt)  # exp(-|xi|^2 dt) (cos + i sin)(rho dt)
             z[origin] = 1.0
             local = 0.5 * (1.0 - decay) / z  # with the 1/2 of the nodal average

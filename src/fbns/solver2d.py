@@ -111,24 +111,17 @@ def _vorticity_rhs(grid: Grid):
     P = v_1 v_2, Q = v_2^2 - v_1^2.  The trace-free form -(d_1^2 - d_2^2) P
     - d_1 d_2 Q (Basdevant 1983) is (i/4)(zeta^2 conj(Z^(-k)) - conj(zeta)^2 Z^(k))
     for Z = z^2: one pruned complex inverse (axis 0 over the band's columns, then
-    axis 1 over every row) and one pruned complex forward in the reverse order.
-    The calls share two work buffers; fresh ones would fault on every page."""
+    axis 1 over every row) and one pruned complex forward in the reverse order, four
+    Grid._pass calls in two shared work buffers, Z^ over z^: fresh ones fault per page."""
     _, inv_conj_zeta, sym, flip = _rhs_symbols(grid)
     k, n = grid.kcut, grid.n
-    low, high, gap = grid._rows[-2]
     cols, samples = np.empty((1, n, 2 * k + 1), complex), np.empty((1, n, n), complex)
 
     def rhs(w_hat):
         z_hat = np.concatenate([w_hat, np.conj(w_hat[..., flip, k:0:-1])], axis=-1)
         z_hat *= inv_conj_zeta
-        cols[low], cols[high], cols[gap] = z_hat[low], z_hat[high], 0
-        np.fft.ifft(cols, axis=-2, norm="forward", out=cols)
-        samples[..., :k + 1], samples[..., -k:], samples[..., k + 1:-k] = cols[..., :k + 1], cols[..., k + 1:], 0
-        np.fft.ifft(samples, axis=-1, norm="forward", out=samples)
-        np.fft.fft(np.square(samples, out=samples), axis=-1, norm="forward", out=samples)
-        cols[..., :k + 1], cols[..., k + 1:] = samples[..., :k + 1], samples[..., -k:]
-        np.fft.fft(cols, axis=-2, norm="forward", out=cols)
-        z_hat = np.concatenate([cols[low], cols[high]], axis=-2)  # now Z^ of Z = z^2
+        grid._pass(grid._pass(z_hat, -2, cols), -1, samples)
+        z_hat = grid._pass(grid._pass(np.square(samples, out=samples), -1, cols), -2, z_hat)
         out = sym * z_hat[..., :k + 1]
         out += np.conj(sym * z_hat[..., flip[:, None], flip[:k + 1]])
         return out
@@ -363,8 +356,9 @@ def gaussian_vortex(grid: Grid, width_sq: float = 0.1, center=None,
 # Lebesgue diagnostics
 
 def _magnitude(field: SpectralField) -> np.ndarray:
-    # pointwise Euclidean magnitude of the physical samples
-    return np.sqrt(np.sum(inverse_transform(field) ** 2, axis=0))
+    # pointwise Euclidean magnitude of the physical samples, squared in place
+    samples = inverse_transform(field)
+    return np.sqrt(np.square(samples, out=samples).sum(axis=0))
 
 
 def _lebesgue(mag: np.ndarray, p: float, grid: Grid) -> float:
@@ -397,6 +391,11 @@ def _lambert_w0(x: float) -> float:
         if abs(step) <= 4e-16 * w:
             return w
     raise ArithmeticError(f"W0({x}) did not converge")
+
+
+def _or_nan(value: float, norms: list) -> float:
+    # min and max skip nan, so a value derived from a non-finite norm is set to nan
+    return value if all(map(math.isfinite, norms)) else math.nan
 
 
 @dataclass
@@ -449,6 +448,7 @@ def gronwall_diagnostic(times, states, p_values, t1_index: int = 0) -> dict:
             a, b = tau * w1, target / v1
             c = b if a == 0 else _lambert_w0(a * b) / a
             c_needed = max(c_needed, c)
+        c_needed = _or_nan(c_needed, v_norms[t1_index:] + [w1])
 
         vort_margin = math.inf
         cz_margin = math.inf
@@ -472,8 +472,8 @@ def gronwall_diagnostic(times, states, p_values, t1_index: int = 0) -> dict:
                                     bound - v_norms[k]))
         summary[p] = {
             "gronwall_constant": c_needed,
-            "vorticity_margin": vort_margin,
-            "cz_margin": cz_margin,
+            "vorticity_margin": _or_nan(vort_margin, w_norms[t1_index:]),
+            "cz_margin": _or_nan(cz_margin, w_norms + g_norms) if has_cz else cz_margin,
             "cz_ratio_t1": (g_norms[t1_index] / w_norms[t1_index]
                             if p != float("inf") and w_norms[t1_index] > 0 else math.nan),
         }

@@ -10,6 +10,8 @@ index k is xi = k / L, so the frequency lattice has spacing 1/L per axis.
 As c_{-k} = conj(c_k), only the half spectrum of real transforms is stored
 (the numpy.fft.rfftn layout, last axis k = 0 ... n/2) or only its dealiased
 band (Grid.pack); Grid alone knows both, and reads an array's from its shape.
+numpy.fft is called in this module only: every complex pass of a band
+transform is one Grid._pass, and the half spectrum takes rfftn/irfftn.
 
 The torus with large period stands in for the whole space: norms carry the
 frequency quadrature weight (1/L)^(dim/p) so that lattice sums approximate
@@ -115,11 +117,21 @@ class Grid:
     @cached_property
     def inv_xi_sq(self) -> np.ndarray:
         """1/|xi|^2 with the zero mode mapped to 0 (zero-mean convention)."""
-        safe = self.xi_sq.copy()
-        safe[(0,) * self.dim] = 1.0
-        out = 1.0 / safe
-        out[(0,) * self.dim] = 0.0
-        return out
+        return _reciprocal(self.xi_sq)
+
+    @cached_property
+    def xi_odd(self) -> tuple:
+        """xi_axis of every axis as an odd symbol: 0 at the n/2 index, whose one
+        stored row stands for both k and -k, so odd symbols keep real fields real."""
+        xi = tuple(map(self.xi_axis, range(self.dim)))
+        for x in xi:
+            x.flat[self.n // 2] = 0.0
+        return xi
+
+    @cached_property
+    def inv_xi_odd_sq(self) -> np.ndarray:
+        """1/|xi_odd|^2, mapped to 0 where xi_odd = 0."""
+        return _reciprocal(sum(x * x for x in self.xi_odd))
 
     @cached_property
     def band(self) -> tuple:
@@ -194,14 +206,12 @@ class Grid:
 
     @cached_property
     def _rows(self) -> dict:
-        """Index tuples of the band's rows of each axis: 0...kcut of the last;
-        0...kcut and -kcut...-1 of a full axis, then the rows between them."""
+        """Index tuples of the band's rows of each axis read as a full axis: 0...kcut
+        and -kcut...-1, then the rows between them (the real last axis keeps the first)."""
         k = self.kcut
-        rows = {-1: ((Ellipsis, slice(k + 1)),)}
-        for axis in range(-self.dim, -1):
-            tail = (slice(None),) * (-1 - axis)
-            rows[axis] = tuple((Ellipsis, r) + tail for r in (slice(k + 1), slice(-k, None), slice(k + 1, -k)))
-        return rows
+        return {axis: tuple((Ellipsis, r) + (slice(None),) * (-1 - axis)
+                            for r in (slice(k + 1), slice(-k, None), slice(k + 1, -k)))
+                for axis in range(-self.dim, 0)}
 
     def _outermost(self, shape: tuple, axis: int, dtype=np.complex128) -> np.ndarray:
         """An empty array of this shape stored with `axis` outermost of the grid
@@ -211,6 +221,18 @@ class Grid:
         stored = list(shape)
         stored[axis], stored[-self.dim] = stored[-self.dim], stored[axis]
         return np.empty(stored, dtype).swapaxes(axis, -self.dim)
+
+    def _pass(self, coeffs: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
+        """One pruned complex 1d pass along a full axis into out, its direction read
+        from coeffs: the inverse of the band's rows, spread over out's n rows with
+        zeros between, or the forward of all n rows in place, of which out keeps the band's."""
+        low, high, gap = self._rows[axis]
+        if coeffs.shape[axis] < self.n:
+            out[low], out[high], out[gap] = coeffs[low], coeffs[high], 0
+            return np.fft.ifft(out, axis=axis, norm="forward", out=out)
+        np.fft.fft(coeffs, axis=axis, norm="forward", out=coeffs)
+        out[low], out[high] = coeffs[low], coeffs[high]
+        return out
 
     def _to_samples(self, coeffs: np.ndarray) -> np.ndarray:
         """Real samples of coefficients in either layout, any leading axes: irfftn
@@ -222,9 +244,7 @@ class Grid:
             return np.fft.irfftn(coeffs, s=self.shape, axes=range(-self.dim, 0), norm="forward")
         for axis in range(-self.dim, -1):
             full = self._outermost(coeffs.shape[:axis] + (self.n,) + coeffs.shape[axis + 1:], axis)
-            low, high, gap = self._rows[axis]
-            full[low], full[high], full[gap] = coeffs[low], coeffs[high], 0
-            coeffs = np.fft.ifft(full, axis=axis, norm="forward", out=full)
+            coeffs = self._pass(coeffs, axis, full)
         out = self._outermost(coeffs.shape[:-1] + (self.n,), -2, np.float64)
         return np.fft.irfft(coeffs, n=self.n, axis=-1, norm="forward", out=out)
 
@@ -236,14 +256,12 @@ class Grid:
         axis outermost (Grid._outermost)."""
         shape = samples.shape[:-1] + (self.n // 2 + 1,)  # rfft's output, stored as the samples
         coeffs = np.fft.rfft(samples, axis=-1, norm="forward", out=np.empty_like(samples, np.complex128, shape=shape))
-        shape, kept = shape[:-1] + (self.kcut + 1,), self._rows[-1]
+        full = self._outermost(shape[:-1] + (self.kcut + 1,), -2)
+        full[...] = coeffs[self._rows[-1][0]]
         for axis in range(-2, -self.dim - 1, -1):
-            full = self._outermost(shape, axis)
-            for rows in kept:
-                full[rows] = coeffs[rows]
-            coeffs = np.fft.fft(full, axis=axis, norm="forward", out=full)
-            shape, kept = shape[:axis] + (2 * self.kcut + 1,) + shape[axis + 1:], self._rows[axis][:2]
-        return np.concatenate([coeffs[rows] for rows in kept], axis=axis)
+            shape = full.shape[:axis] + (2 * self.kcut + 1,) + full.shape[axis + 1:]
+            full = self._pass(full, axis, np.empty(shape, np.complex128))
+        return full
 
     @cached_property
     def dealias_mask(self) -> np.ndarray:
@@ -276,6 +294,10 @@ class Grid:
         full[..., :stored] = coeffs
         full[..., stored:] = np.conj(self.reflect(full)[..., stored:])
         return full
+
+
+def _reciprocal(sq: np.ndarray) -> np.ndarray:
+    return np.divide(1.0, sq, out=np.zeros_like(sq), where=sq != 0)
 
 
 @dataclass(frozen=True)
@@ -373,8 +395,7 @@ def gradient(field: SpectralField) -> SpectralField:
     """Every first derivative d_j f_i, axis by axis: d_1 f, ..., d_dim f for
     a scalar f."""
     grid = field.grid
-    return SpectralField(grid, np.concatenate([1j * grid.xi_axis(ax) * field.coeffs
-                                               for ax in range(grid.dim)]))
+    return SpectralField(grid, np.concatenate([1j * xi * field.coeffs for xi in grid.xi_odd]))
 
 
 def divergence(field: SpectralField) -> SpectralField:
@@ -382,8 +403,8 @@ def divergence(field: SpectralField) -> SpectralField:
     if field.ncomp != grid.dim:
         raise ValueError(f"divergence expects {grid.dim} components, got {field.ncomp}")
     out = np.zeros(grid.spectral_shape, dtype=np.complex128)
-    for ax in range(grid.dim):
-        out += 1j * grid.xi_axis(ax) * field.coeffs[ax]
+    for xi, c in zip(grid.xi_odd, field.coeffs):
+        out += 1j * xi * c
     return SpectralField(grid, out[np.newaxis])
 
 
@@ -393,7 +414,7 @@ def curl(field: SpectralField) -> SpectralField:
     if grid.dim != 2 or field.ncomp != 2:
         raise ValueError("curl expects a 2-component field on a 2d grid")
     c = field.coeffs
-    rot = 1j * grid.xi_axis(0) * c[1] - 1j * grid.xi_axis(1) * c[0]
+    rot = 1j * grid.xi_odd[0] * c[1] - 1j * grid.xi_odd[1] * c[0]
     return SpectralField(grid, rot[np.newaxis])
 
 
@@ -411,12 +432,11 @@ def divergence_defect(field: SpectralField) -> float:
 
 def helmholtz_project(field: SpectralField) -> SpectralField:
     """Leray projection onto divergence-free fields: symbol
-    delta_ij - xi_i xi_j / |xi|^2, with the xi = 0 mode set to zero."""
+    delta_ij - xi_i xi_j / |xi|^2 of xi = Grid.xi_odd, with the xi = 0 mode set to zero."""
     grid = field.grid
     if field.ncomp != grid.dim:
         raise ValueError(f"projection expects {grid.dim} components, got {field.ncomp}")
-    xi = [grid.xi_axis(ax) for ax in range(grid.dim)]
-    return SpectralField(grid, leray(field.coeffs, xi, grid.inv_xi_sq))
+    return SpectralField(grid, leray(field.coeffs, grid.xi_odd, grid.inv_xi_odd_sq))
 
 
 def leray(coeffs: np.ndarray, xi: list, inv_xi_sq: np.ndarray) -> np.ndarray:

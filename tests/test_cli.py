@@ -193,14 +193,30 @@ def test_fbnorm_infinite_r_prints_strict_json(tmp_path, field_file, capsys):
 
 
 def test_solve3d_overflow_manifest_is_strict_json(tmp_path):
-    # in a subprocess, because the overflow raises RuntimeWarnings on the way
-    done = subprocess.run(
-        [sys.executable, "-m", "fbns.cli", "solve3d", "--workdir", str(tmp_path),
-         "--set", "n=8", "--set", "amplitude=1e200", "--set", "horizon=0.25",
-         "--set", "dt=0.0625"], env=fresh_env(), capture_output=True, text=True)
-    assert done.returncode == 2
-    diag = strict_json((tmp_path / "solve3d_manifest.json").read_text())["diagnostics"]
+    # in subprocesses, because the overflow raises RuntimeWarnings on the way;
+    # a blown-up solve2d run is the second case, and neither writes a field
+    # that no checkpoint reader accepts
+    def blow_up(command, *settings):
+        workdir = tmp_path / command
+        done = subprocess.run(
+            [sys.executable, "-m", "fbns.cli", command, "--workdir", str(workdir),
+             *(arg for item in settings for arg in ("--set", item))],
+            env=fresh_env(), capture_output=True, text=True)
+        assert done.returncode == 2
+        for path in workdir.glob("*.fbns"):
+            read_field(path)
+        manifest = strict_json((workdir / f"{command}_manifest.json").read_text())
+        assert manifest["final_field"] is None
+        return manifest
+
+    diag = blow_up("solve3d", "n=8", "amplitude=1e200", "horizon=0.25", "dt=0.0625",
+                   "save_trajectory=true")["diagnostics"]
     assert diag["aborted"] and diag["iterate_norms"] == ["nan", "nan"]
+    assert [path.name for path in (tmp_path / "solve3d").glob("*.fbns")] == ["solve3d_t0000.fbns"]
+    summary = blow_up("solve2d", "n=16", "amplitude=1e300", "n_steps=4")["summary"]
+    for stats in summary.values():
+        for key in ("gronwall_constant", "vorticity_margin", "cz_margin"):
+            assert stats[key] == "nan"
 
 
 def test_checkpoint_roundtrip_and_corruption(tmp_path, field_file, capsys):
@@ -634,8 +650,8 @@ def test_solve2d_unknown_initial(tmp_path, capsys):
 
 def test_solve2d_blow_up_is_a_numerical_failure(tmp_path):
     # the vorticity overflows to nan within the first samples: the run still
-    # writes its artifacts and exits 2, the Gronwall constant set by the
-    # finite samples alone
+    # writes its diagnostics and exits 2, and the Gronwall constant, which the
+    # nan samples enter, reads nan; the nan final field is not written
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # the overflow is the point
         code = run_cli("solve2d", "--workdir", str(tmp_path), "--set", "n=16",
@@ -643,8 +659,8 @@ def test_solve2d_blow_up_is_a_numerical_failure(tmp_path):
                        "--set", "n_steps=20", "--set", "sample_every=5", "--set", "dt=0.01")
     assert code == 2
     manifest = json.loads((tmp_path / "solve2d_manifest.json").read_text())
-    assert manifest["exit_code"] == 2
-    assert manifest["summary"]["2.0"]["gronwall_constant"] == 1.0
+    assert manifest["exit_code"] == 2 and manifest["final_field"] is None
+    assert manifest["summary"]["2.0"]["gronwall_constant"] == "nan"
 
 
 FRESH_SOLVE2D = """

@@ -1,4 +1,5 @@
-"""Every name a module of fbns imports is used in that module."""
+"""Every name a module of fbns imports is used in that module, and every
+FFT of fbns runs in fbns.spectral."""
 
 import ast
 from pathlib import Path
@@ -94,3 +95,37 @@ def test_every_config_key_is_read():
 
 def test_config_read_is_found():
     assert config_reads('cfg["a"]\ncfg.get("b")\nother["c"]\n') == {"a"}
+
+
+def spectral_internals(source: str) -> list:
+    """Lines of source that reach numpy.fft (as np.fft, numpy.fft or an import
+    from it) or read Grid's private _rows or _outermost."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and (
+                node.attr in ("_rows", "_outermost")
+                or node.attr == "fft" and isinstance(node.value, ast.Name)
+                and node.value.id in ("np", "numpy")):
+            found.append(f"{node.attr} (line {node.lineno})")
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            prefix = f"{node.module}." if isinstance(node, ast.ImportFrom) else ""
+            names = [prefix + alias.name for alias in node.names]
+            if any(name == "numpy.fft" or name.startswith("numpy.fft.") for name in names):
+                found.append(f"import numpy.fft (line {node.lineno})")
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", [path for path in MODULES if path.name != "spectral.py"],
+                         ids=lambda path: path.name)
+def test_only_spectral_reaches_numpy_fft(path):
+    # one module holds every FFT call, so one counter sees them all
+    assert spectral_internals(path.read_text()) == []
+
+
+def test_spectral_internal_is_reported():
+    source = ("import numpy as np\nfrom numpy.fft import rfft\nimport numpy.fft\n"
+              "from numpy import fft\nnp.fft.fft(x)\ngrid._rows[-1]\ngrid._outermost(s, 0)\n"
+              "grid._pass(c, -1, out)\nfrom .spectral import Grid\n")
+    assert spectral_internals(source) == [
+        "_outermost (line 7)", "_rows (line 6)", "fft (line 5)", "import numpy.fft (line 2)",
+        "import numpy.fft (line 3)", "import numpy.fft (line 4)"]

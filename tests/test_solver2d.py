@@ -479,6 +479,20 @@ def test_gronwall_constant_of_large_data_is_finite():
         assert out["summary"][p]["gronwall_constant"] == 1.0
 
 
+def test_gronwall_margins_of_a_nan_vorticity_are_nan():
+    # min and max skip nan: without the check the margins read inf and C = 1
+    grid = Grid(dim=2, n=16, period_l=1.0)
+    w = random_scalar_field(grid, 1, amplitude=1.0)
+    blown = SpectralField(grid, np.full_like(w.coeffs, math.nan))
+    states = [VorticityState(w, 0.0), VorticityState(w, 0.5), VorticityState(blown, 1.0)]
+    out = gronwall_diagnostic([0.0, 0.5, 1.0], states, p_values=(2.0, 4.0))
+    for p in (2.0, 4.0):
+        summary = out["summary"][p]
+        for key in ("gronwall_constant", "vorticity_margin", "cz_margin"):
+            assert math.isnan(summary[key])
+        assert all(math.isnan(r.gronwall_margin) for r in out["rows"] if r.p == p)
+
+
 def test_gronwall_row_bound_past_the_float_range_is_inf():
     # C = 1 from the t = 0 sample, then c tau ||w||_2 = 3 x 314 > 709 at t = 3
     grid = Grid(dim=2, n=16, period_l=1.0)

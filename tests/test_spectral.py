@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fbns.checkpoint import field_from_bytes, field_to_bytes
 from fbns.spectral import (Grid, SpectralField, curl, dealias, divergence,
                            divergence_defect, forward_transform, gradient,
                            helmholtz_project, inverse_transform, laplacian,
@@ -139,6 +140,22 @@ def test_helmholtz_projection_preserves_divfree():
     v = random_divfree_field(grid, seed=6)
     assert divergence_defect(v) < 1e-14
     assert np.max(np.abs(helmholtz_project(v).coeffs - v.coeffs)) < 1e-14
+
+
+def test_odd_symbols_keep_real_fields_real():
+    # the n/2 row of a full axis, and the last axis's n/2 plane, each hold k and
+    # -k at once, so an odd symbol reads 0 there
+    grid = Grid(dim=3, n=8, period_l=1.0)
+    rng = np.random.default_rng(0)
+    u = forward_transform(rng.standard_normal((3,) + grid.shape), grid)
+    f = forward_transform(rng.standard_normal(grid.shape), grid)
+    for out in (helmholtz_project(u), gradient(f), divergence(u)):
+        back = field_from_bytes(field_to_bytes(out))
+        assert np.array_equal(back.coeffs, out.coeffs)
+    x1, x2 = grid.x_axis(0), grid.x_axis(1)
+    cos = np.zeros((3,) + grid.shape)
+    cos[0] = np.cos(4 * x1) * np.cos(x2)  # k_1 = n/2: no divergence on the lattice
+    assert divergence_defect(forward_transform(cos, grid)) == 0.0
 
 
 def test_helmholtz_projection_peak_memory():
