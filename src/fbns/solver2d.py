@@ -53,7 +53,7 @@ class VorticityState:
 
 def biot_savart(w: SpectralField) -> SpectralField:
     """Divergence-free velocity with curl v = w:
-    v_hat = (i xi_2, -i xi_1) w_hat / |xi|^2, zero mode dropped."""
+    v_hat = (i xi_2, -i xi_1) w_hat / |xi|^2 of xi = Grid.xi_odd, zero mode dropped."""
     if not w.is_scalar or w.grid.dim != 2:
         raise ValueError("biot_savart expects a scalar field on a 2d grid")
     return SpectralField(w.grid, _rhs_symbols(w.grid)[0] * w.coeffs)
@@ -62,10 +62,11 @@ def biot_savart(w: SpectralField) -> SpectralField:
 @lru_cache(maxsize=8)
 def _rhs_symbols(grid: Grid) -> tuple:
     """Read-only symbols: the Biot-Savart rows (i xi_2, -i xi_1)/|xi|^2 of the
-    half spectrum; combined, 1/conj(zeta) with zeta = xi_1 + i xi_2, on the full
-    band k_2 = -kcut...kcut (on both axes in Grid.band's order, zero mode 0);
-    -(i/4) conj(zeta)^2 on the band; and the index of -k on a full band axis."""
-    xi1, xi2, inv = grid.xi_axis(0), grid.xi_axis(1), grid.inv_xi_sq
+    half spectrum (xi = Grid.xi_odd); combined, 1/conj(zeta) with zeta = xi_1 +
+    i xi_2, on the full band k_2 = -kcut...kcut (on both axes in Grid.band's
+    order, zero mode 0); -(i/4) conj(zeta)^2 on the band; and the index of -k
+    on a full band axis."""
+    (xi1, xi2), inv = grid.xi_odd, grid.inv_xi_odd_sq
     rows = np.stack(np.broadcast_arrays(1j * xi2 * inv, -1j * xi1 * inv))
     xi1, xi2 = grid.band_symbols[0][:, :1], grid.band_symbols[1][:1]
     xi2 = np.concatenate([xi2, -xi2[:, :0:-1]], axis=-1)  # k_2 = 0...kcut, -kcut...-1
@@ -356,9 +357,8 @@ def gaussian_vortex(grid: Grid, width_sq: float = 0.1, center=None,
 # Lebesgue diagnostics
 
 def _magnitude(field: SpectralField) -> np.ndarray:
-    # pointwise Euclidean magnitude of the physical samples, squared in place
-    samples = inverse_transform(field)
-    return np.sqrt(np.square(samples, out=samples).sum(axis=0))
+    # pointwise Euclidean magnitude of the physical samples
+    return np.sqrt(np.sum(inverse_transform(field) ** 2, axis=0))
 
 
 def _lebesgue(mag: np.ndarray, p: float, grid: Grid) -> float:
@@ -391,11 +391,6 @@ def _lambert_w0(x: float) -> float:
         if abs(step) <= 4e-16 * w:
             return w
     raise ArithmeticError(f"W0({x}) did not converge")
-
-
-def _or_nan(value: float, norms: list) -> float:
-    # min and max skip nan, so a value derived from a non-finite norm is set to nan
-    return value if all(map(math.isfinite, norms)) else math.nan
 
 
 @dataclass
@@ -439,28 +434,21 @@ def gronwall_diagnostic(times, states, p_values, t1_index: int = 0) -> dict:
         v1, w1 = v_norms[t1_index], w_norms[t1_index]
         t1 = times[t1_index]
 
-        c_needed = 0.0
+        roots = []
         for k in range(t1_index, times.size):
             tau = times[k] - t1
             target = v_norms[k]
             if target <= 0 or v1 <= 0:
                 continue
             a, b = tau * w1, target / v1
-            c = b if a == 0 else _lambert_w0(a * b) / a
-            c_needed = max(c_needed, c)
-        c_needed = _or_nan(c_needed, v_norms[t1_index:] + [w1])
+            roots.append(b if a == 0 else _lambert_w0(a * b) / a)
+        # np.min and np.max, unlike min and max, keep a nan that a norm brings in
+        c_needed = float(np.max(roots, initial=0.0))
 
-        vort_margin = math.inf
-        cz_margin = math.inf
         has_cz = p != float("inf") and p >= 2
         czc = czero_constant(p) if has_cz else math.nan
+        cz = [czc * w - g for w, g in zip(w_norms, g_norms)]
         for k in range(times.size):
-            if k > t1_index:
-                vort_margin = min(vort_margin, w_norms[t1_index] - w_norms[k])
-            gm = math.nan
-            if has_cz:
-                gm = czc * w_norms[k] - g_norms[k]
-                cz_margin = min(cz_margin, gm)
             tau = max(times[k] - t1, 0.0)
             try:
                 growth = math.exp(c_needed * tau * w1)
@@ -468,12 +456,12 @@ def gronwall_diagnostic(times, states, p_values, t1_index: int = 0) -> dict:
                 growth = math.inf
             bound = c_needed * v1 * growth if v1 > 0 else 0.0
             rows.append(GronwallRow(float(times[k]), float(p), v_norms[k],
-                                    w_norms[k], g_norms[k], gm,
+                                    w_norms[k], g_norms[k], cz[k],
                                     bound - v_norms[k]))
         summary[p] = {
             "gronwall_constant": c_needed,
-            "vorticity_margin": _or_nan(vort_margin, w_norms[t1_index:]),
-            "cz_margin": _or_nan(cz_margin, w_norms + g_norms) if has_cz else cz_margin,
+            "vorticity_margin": float(np.min(np.subtract(w1, w_norms[t1_index + 1:]))),
+            "cz_margin": float(np.min(cz)) if has_cz else math.inf,
             "cz_ratio_t1": (g_norms[t1_index] / w_norms[t1_index]
                             if p != float("inf") and w_norms[t1_index] > 0 else math.nan),
         }

@@ -115,11 +115,6 @@ class Grid:
         return np.sqrt(self.xi_sq)
 
     @cached_property
-    def inv_xi_sq(self) -> np.ndarray:
-        """1/|xi|^2 with the zero mode mapped to 0 (zero-mean convention)."""
-        return _reciprocal(self.xi_sq)
-
-    @cached_property
     def xi_odd(self) -> tuple:
         """xi_axis of every axis as an odd symbol: 0 at the n/2 index, whose one
         stored row stands for both k and -k, so odd symbols keep real fields real."""
@@ -130,8 +125,9 @@ class Grid:
 
     @cached_property
     def inv_xi_odd_sq(self) -> np.ndarray:
-        """1/|xi_odd|^2, mapped to 0 where xi_odd = 0."""
-        return _reciprocal(sum(x * x for x in self.xi_odd))
+        """1/|xi_odd|^2, mapped to 0 where xi_odd = 0 (zero-mean convention)."""
+        sq = sum(x * x for x in self.xi_odd)
+        return np.divide(1.0, sq, out=np.zeros_like(sq), where=sq != 0)
 
     @cached_property
     def band(self) -> tuple:
@@ -166,18 +162,20 @@ class Grid:
 
     @cached_property
     def band_symbols(self) -> tuple:
-        """xi_1, ..., xi_dim and 1/|xi|^2, each gathered to the band (pack)."""
-        return tuple(self.pack(s) for s in (*map(self.xi_axis, range(self.dim)), self.inv_xi_sq))
+        """xi_odd and inv_xi_odd_sq, each gathered to the band (pack)."""
+        return tuple(self.pack(s) for s in (*self.xi_odd, self.inv_xi_odd_sq))
 
     @lru_cache(maxsize=16)
     def _frame(self, layout: str) -> tuple:
         """i e1/sqrt 2 (e1_3 = 0 is left out) and e2/sqrt 2 of the helical frame
-        in a layout: e1 = (xi_2, -xi_1, 0)/|(xi_1, xi_2)|, or e_x on the xi_3
-        axis, and e2 = xi/|xi| x e1; all zero at xi = 0."""
-        k1, k2, k3 = (self.gather(self.xi_axis(ax), layout) for ax in range(3))
-        flat, norm = np.hypot(k1, k2), self.gather(self.xi_abs, layout)
+        in a layout, of xi = xi_odd as the Leray projection reads it: e1 =
+        (xi_2, -xi_1, 0)/|(xi_1, xi_2)|, or e_x on the xi_3 axis, and e2 = xi/|xi|
+        x e1; all zero where xi_odd = 0, at xi = 0 and on the n/2 corners."""
+        k1, k2, k3 = (self.gather(x, layout) for x in self.xi_odd)
+        flat, norm = np.hypot(k1, k2), np.sqrt(k1 * k1 + k2 * k2 + k3 * k3)
         e1 = np.stack([np.where(flat == 0.0, 1.0, k2), -k1]) / np.where(flat == 0.0, 1.0, flat)
-        e1[:, 0, 0, 0], norm[0, 0, 0] = 0.0, 1.0  # xi = 0 comes first in both layouts
+        zero = norm == 0.0
+        e1[:, zero], norm[zero] = 0.0, 1.0
         u1, u2, u3 = k1 / norm, k2 / norm, k3 / norm
         e2 = np.stack([-u3 * e1[1], u3 * e1[0], u1 * e1[1] - u2 * e1[0]])
         return (1j * np.sqrt(0.5)) * e1, (np.sqrt(0.5) + 0j) * e2
@@ -294,10 +292,6 @@ class Grid:
         full[..., :stored] = coeffs
         full[..., stored:] = np.conj(self.reflect(full)[..., stored:])
         return full
-
-
-def _reciprocal(sq: np.ndarray) -> np.ndarray:
-    return np.divide(1.0, sq, out=np.zeros_like(sq), where=sq != 0)
 
 
 @dataclass(frozen=True)

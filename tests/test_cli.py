@@ -17,7 +17,7 @@ from fbns.lp import fb_norm_value
 from fbns.semigroup import apply_semigroup
 from fbns.solver2d import run_vorticity
 from fbns.solver3d import SolverConfig3D
-from fbns.spectral import Grid, SpectralField, random_divfree_field
+from fbns.spectral import Grid, SpectralField, forward_transform, random_divfree_field
 from test_checkpoint import strict_json
 
 
@@ -396,19 +396,24 @@ def test_lab_samples_too_sparse_for_the_lowest_shell_are_a_usage_error(tmp_path,
 
 
 def test_semigroup_of_a_field_on_the_nyquist_plane_reads_back(tmp_path, capsys):
-    # u_2 at k = (+-1, 0, n/2): k and -k are both stored with xi_3 = +n/(2L),
-    # so a rotation that tells them apart wrote a checkpoint no read accepts
+    # k and -k stored as one row carry one xi: u_2 at k = (+-1, 0, n/2) on the last
+    # axis's n/2 plane, and u_1 = cos(4 x_1) cos(x_2), whose k = (-4, +-1, 0) both
+    # read xi_1 = -n/(2L); a frame or rotation that tells the two apart wrote a
+    # checkpoint no read accepts
     grid = Grid(dim=3, n=8, period_l=1.0)
-    coeffs = np.zeros((3,) + grid.spectral_shape, dtype=np.complex128)
-    coeffs[1, 1, 0, -1], coeffs[1, -1, 0, -1] = 0.3 + 0.05j, 0.3 - 0.05j
-    write_field(tmp_path / "nyquist.fbns", SpectralField(grid, coeffs))
-    for omega in ("0", "5"):
-        assert run_cli("semigroup", "--workdir", str(tmp_path), "--set", "input=nyquist.fbns",
-                       "--set", f"omega={omega}", "--set", "t=0.01") == 0
-        assert run_cli("checkpoint", "--input", str(tmp_path / "semigroup_out.fbns")) == 0
-        capsys.readouterr()
-    out = read_field(tmp_path / "semigroup_out.fbns")
-    assert np.allclose(out.coeffs, np.exp(-0.01 * grid.xi_sq) * coeffs, rtol=0, atol=1e-15)
+    plane = np.zeros((3,) + grid.spectral_shape, dtype=np.complex128)
+    plane[1, 1, 0, -1], plane[1, -1, 0, -1] = 0.3 + 0.05j, 0.3 - 0.05j
+    row = np.zeros((3,) + grid.shape)
+    row[0] = np.cos(4 * grid.x_axis(0)) * np.cos(grid.x_axis(1))
+    for coeffs in (plane, forward_transform(row, grid).coeffs):
+        write_field(tmp_path / "nyquist.fbns", SpectralField(grid, coeffs))
+        for omega in ("0", "5"):
+            assert run_cli("semigroup", "--workdir", str(tmp_path), "--set", "input=nyquist.fbns",
+                           "--set", f"omega={omega}", "--set", "t=0.01") == 0
+            assert run_cli("checkpoint", "--input", str(tmp_path / "semigroup_out.fbns")) == 0
+            capsys.readouterr()
+            out = read_field(tmp_path / "semigroup_out.fbns")
+            assert np.allclose(out.coeffs, np.exp(-0.01 * grid.xi_sq) * coeffs, rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("command, setting", [

@@ -115,7 +115,7 @@ def _reference_rhs(grid):
     in that order of products, grad w from gradient."""
     def rhs(w_hat):
         field = SpectralField(grid, w_hat)
-        wc, inv = field.coeffs[0], grid.inv_xi_sq
+        wc, inv = field.coeffs[0], grid.inv_xi_odd_sq
         v = inverse_transform(SpectralField(grid, np.stack(
             [1j * grid.xi_axis(1) * wc * inv, -1j * grid.xi_axis(0) * wc * inv])))
         gx, gy = inverse_transform(gradient(field))
@@ -480,7 +480,7 @@ def test_gronwall_constant_of_large_data_is_finite():
 
 
 def test_gronwall_margins_of_a_nan_vorticity_are_nan():
-    # min and max skip nan: without the check the margins read inf and C = 1
+    # min and max skip nan, so margins reduced by them read inf and C = 1
     grid = Grid(dim=2, n=16, period_l=1.0)
     w = random_scalar_field(grid, 1, amplitude=1.0)
     blown = SpectralField(grid, np.full_like(w.coeffs, math.nan))
