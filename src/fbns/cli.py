@@ -489,7 +489,10 @@ def main(argv=None) -> int:
     try:
         os.makedirs(args.workdir, exist_ok=True)
         cfg = resolve_config(args.command, args)
-        return RUNNERS[args.command](cfg, args.workdir)
+        # a run that overflows is caught by the runners' finite checks (exit 2
+        # with its manifest), not reported as numpy warnings on the way there
+        with np.errstate(over="ignore", invalid="ignore"):
+            return RUNNERS[args.command](cfg, args.workdir)
     except (UsageError, ValueError, CheckpointError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -20,7 +20,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .spectral import Grid, SpectralField, divergence_defect, zero_mean
+from .spectral import Grid, SpectralField, divergence_defect
 
 DIVFREE_TOL = 1e-10
 
@@ -120,7 +120,8 @@ def apply_semigroup(field: SpectralField, t: float, omega: float) -> SpectralFie
 
     Input that is measurably not divergence-free is rejected rather than
     silently projected; the helical amplitudes drop what is left of its part
-    along xi.  T(0) returns the field with its mean removed, bit for bit.
+    along xi.  T(0) returns the field bit for bit but for the modes every
+    t > 0 drops, where Grid.xi_odd is 0: the mean and the n/2 corners.
     """
     if not 0 <= t < math.inf:
         raise ValueError(f"time must be non-negative and finite, got {t}")
@@ -128,6 +129,6 @@ def apply_semigroup(field: SpectralField, t: float, omega: float) -> SpectralFie
         raise ValueError("semigroup expects a 3-component field on a 3d grid")
     check_divergence_free(field, "input")
     if t == 0:
-        return zero_mean(field)
+        return SpectralField(field.grid, np.where(field.grid.inv_xi_odd_sq != 0.0, field.coeffs, 0.0))
     grid, prop = field.grid, propagator(field.grid, t, omega)
     return SpectralField(grid, grid.cartesian(prop.apply(grid.helical(field.coeffs))))

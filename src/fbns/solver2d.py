@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lp import lebesgue
+from .lp import lebesgue, magnitude
 from .solver3d import advect_check
 from .spectral import (Grid, SpectralField, dealias, forward_transform,
                        gradient, helmholtz_project, inverse_transform,
@@ -129,12 +129,17 @@ def _vorticity_rhs(grid: Grid):
     return rhs
 
 
-def advance_vorticity(state: VorticityState, dt: float, steps: int,
-                      check_cfl: bool = True) -> VorticityState:
-    """Integrating-factor RK4 of the vorticity equation on the dealiased band."""
+def _check_step(dt: float, steps: int):
+    """Both steppers' refusal of a step before any work (and before the CFL check)."""
     if not 0 < dt < math.inf or steps < 0:
         raise ValueError(f"need finite dt > 0 and steps >= 0, got dt={dt}, "
                          f"steps={steps}")
+
+
+def advance_vorticity(state: VorticityState, dt: float, steps: int,
+                      check_cfl: bool = True) -> VorticityState:
+    """Integrating-factor RK4 of the vorticity equation on the dealiased band."""
+    _check_step(dt, steps)
     grid = state.w.grid
     if check_cfl and steps > 0:
         advect_check(state.velocity, dt)
@@ -184,6 +189,7 @@ def advance_velocity(u: SpectralField, dt: float, steps: int,
     divergence-free fields, trajectories at any two rates agree to rounding."""
     if u.ncomp != 2 or u.grid.dim != 2:
         raise ValueError("velocity stepping expects a 2-component field on a 2d grid")
+    _check_step(dt, steps)
     grid = u.grid
     band = _if_rk4(grid.pack(helmholtz_project(u).coeffs), grid, dt, steps, _velocity_rhs(grid, omega))
     return SpectralField(grid, grid.unpack(band))
@@ -356,18 +362,6 @@ def gaussian_vortex(grid: Grid, width_sq: float = 0.1, center=None,
 # ---------------------------------------------------------------------------
 # Lebesgue diagnostics
 
-def _magnitude(field: SpectralField) -> np.ndarray:
-    # pointwise Euclidean magnitude of the physical samples
-    return np.sqrt(np.sum(inverse_transform(field) ** 2, axis=0))
-
-
-def _lebesgue(mag: np.ndarray, p: float, grid: Grid) -> float:
-    # physical-space L^p norm of pointwise magnitudes on the lattice
-    if not p >= 1:
-        raise ValueError(f"p must be >= 1, got {p}")
-    return float(lebesgue(mag, p, grid.dx ** grid.dim))
-
-
 def czero_constant(p: float) -> float:
     """Gradient-from-vorticity bound p^2/(p-1), exact equality at p = 2."""
     if not 2 <= p < float("inf"):
@@ -420,14 +414,16 @@ def gronwall_diagnostic(times, states, p_values, t1_index: int = 0) -> dict:
     if not 0 <= t1_index < times.size - 1:
         raise ValueError("t1_index out of range")
 
-    grid = states[0].w.grid
+    cell = states[0].w.grid.dx ** 2  # the quadrature weight of a lattice point
     # each state is transformed once, for every p
-    mags = [(_magnitude(st.velocity), _magnitude(st.w), _magnitude(gradient(st.velocity)))
+    mags = [[magnitude(inverse_transform(f)) for f in (st.velocity, st.w, gradient(st.velocity))]
             for st in states]
     rows = []
     summary = {}
     for p in p_values:
-        v_norms, w_norms, g_norms = ([_lebesgue(m[i], p, grid) for m in mags]
+        if not p >= 1:
+            raise ValueError(f"p must be >= 1, got {p}")
+        v_norms, w_norms, g_norms = ([float(lebesgue(m[i], p, cell)) for m in mags]
                                      for i in range(3))
         if p == float("inf"):
             g_norms = [math.nan] * len(states)

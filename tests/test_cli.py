@@ -193,16 +193,19 @@ def test_fbnorm_infinite_r_prints_strict_json(tmp_path, field_file, capsys):
 
 
 def test_solve3d_overflow_manifest_is_strict_json(tmp_path):
-    # in subprocesses, because the overflow raises RuntimeWarnings on the way;
-    # a blown-up solve2d run is the second case, and neither writes a field
-    # that no checkpoint reader accepts
+    # in subprocesses that turn every RuntimeWarning but the CFL advisory into
+    # an error (the later filter wins), so the designed exit 2 must come
+    # without a numpy warning on the way; a blown-up solve2d run is the
+    # second case, and neither writes a field that no checkpoint reader accepts
     def blow_up(command, *settings):
         workdir = tmp_path / command
         done = subprocess.run(
-            [sys.executable, "-m", "fbns.cli", command, "--workdir", str(workdir),
+            [sys.executable, "-W", "error::RuntimeWarning",
+             "-W", "ignore:advective CFL ratio:RuntimeWarning", "-m", "fbns.cli",
+             command, "--workdir", str(workdir),
              *(arg for item in settings for arg in ("--set", item))],
             env=fresh_env(), capture_output=True, text=True)
-        assert done.returncode == 2
+        assert done.returncode == 2, done.stderr
         for path in workdir.glob("*.fbns"):
             read_field(path)
         manifest = strict_json((workdir / f"{command}_manifest.json").read_text())
@@ -211,7 +214,9 @@ def test_solve3d_overflow_manifest_is_strict_json(tmp_path):
 
     diag = blow_up("solve3d", "n=8", "amplitude=1e200", "horizon=0.25", "dt=0.0625",
                    "save_trajectory=true")["diagnostics"]
-    assert diag["aborted"] and diag["iterate_norms"] == ["nan", "nan"]
+    # the linear norm is finite at amplitude 1e200; the first Picard iterate is not
+    assert diag["aborted"] and diag["iterate_norms"][1] == "nan"
+    assert diag["iterate_norms"][0] == diag["linear_norm"] and math.isfinite(diag["linear_norm"])
     assert [path.name for path in (tmp_path / "solve3d").glob("*.fbns")] == ["solve3d_t0000.fbns"]
     summary = blow_up("solve2d", "n=16", "amplitude=1e300", "n_steps=4")["summary"]
     for stats in summary.values():

@@ -1,14 +1,16 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fbns.lp import (INF, SHELL_INNER, SHELL_OUTER, DyadicPartition,
                      bernstein_slope, bony_decompose, chemin_lerner_norm,
                      critical_index, dyadic_block, dyadic_rescale, fb_norm,
-                     fb_norm_value, get_partition, lebesgue, mild_norm,
-                     shell_product, shell_profile, shell_range_for,
+                     fb_norm_value, get_partition, lebesgue, magnitude,
+                     mild_norm, shell_product, shell_profile, shell_range_for,
                      shell_series, smooth_cutoff)
 from fbns.spectral import (Grid, SpectralField, dealias, random_divfree_field,
                            random_scalar_field, zero_mean)
@@ -251,6 +253,30 @@ def test_lebesgue_exactly_homogeneous(values, p, k):
     assert lebesgue(2.0 ** k * values, p) == 2.0 ** k * lebesgue(values, p)
 
 
+ENTRIES = st.one_of(st.just(0.0), st.floats(1e-100, 1e6), st.floats(-1e6, -1e-100))
+
+
+@settings(max_examples=100, deadline=None)
+@given(hnp.arrays(float, st.tuples(st.just(2), st.integers(1, 4), st.integers(1, 5)),
+                  elements=ENTRIES),
+       st.booleans(), st.integers(-200, 900))
+def test_magnitude_exactly_homogeneous(parts, is_complex, k):
+    # every entry stays normal, so a power-of-two factor rescales without
+    # rounding; magnitude scales before it squares, so equality is exact even
+    # where the plain squares overflow (k above about 500) or underflow
+    values = parts[0] + 1j * parts[1] if is_complex else parts.reshape(-1, parts.shape[-1])
+    assert np.array_equal(magnitude(2.0 ** k * values), 2.0 ** k * magnitude(values))
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 64.0, INF])
+def test_shell_series_exactly_homogeneous_beyond_the_square_root_of_float_max(p):
+    # 2^600 |u_hat| squares beyond float max, yet every shell norm is exact
+    grid = Grid(dim=3, n=16, period_l=1.0)
+    u, part = random_divfree_field(grid, seed=12), get_partition(grid)
+    scaled = shell_series(2.0 ** 600 * u.coeffs, p, part)
+    assert np.array_equal(scaled, 2.0 ** 600 * shell_series(u.coeffs, p, part))
+
+
 @settings(max_examples=100, deadline=None)
 @given(MAGNITUDES, EXPONENTS, EXPONENTS)
 def test_lebesgue_non_increasing_in_p_at_unit_weight(values, p, q):
@@ -402,6 +428,11 @@ def test_bernstein_slope_2d_quick():
     out = bernstein_slope((0, 1), 2.0, 2.0, js=[2, 3, 4], dim=2)
     assert abs(out["slope"] - out["target"]) < 0.05 * abs(out["target"])
     assert out["target"] == 1.0
+    # exponents whose unscaled power sums overflow: every slab is reduced by lebesgue
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for gamma, q, js in (((2, 0), 512.0, [3, 4, 5]), ((1, 0), 1024.0, [2, 3, 4])):
+            assert math.isfinite(bernstein_slope(gamma, 2.0, q, js, dim=2)["slope"])
 
 
 def test_bernstein_slope_pure_lebesgue_shift():

@@ -101,6 +101,17 @@ def test_identity_at_time_zero(seed, omega):
     assert np.array_equal(out.coeffs, u.coeffs)
 
 
+def test_continuous_at_time_zero_on_the_corners():
+    # u_2 at k = (n/2, 0, 0) is divergence-free as xi_odd reads it, and its
+    # helical amplitudes are 0: T(0) drops it as every t > 0 does
+    grid = Grid(3, 8, 1.0)
+    coeffs = np.zeros((3,) + grid.spectral_shape, dtype=np.complex128)
+    coeffs[1, 4, 0, 0] = 0.5
+    u = SpectralField(grid, coeffs)
+    for t in (0.0, 1e-12, 0.01):
+        assert np.max(np.abs(apply_semigroup(u, t, omega=3.0).coeffs)) == 0.0
+
+
 def test_no_rotation_is_heat_multiplier():
     u = random_divfree_field(GRID, seed=41)
     t = 0.3

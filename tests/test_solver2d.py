@@ -86,6 +86,14 @@ def test_run_vorticity_sampling_layout():
         advance_vorticity(VorticityState(w0), dt=-1e-3, steps=2)
 
 
+@pytest.mark.parametrize("dt, steps", [(math.nan, 2), (-1e-3, 2), (1e-3, -3), (math.inf, 2)])
+def test_advance_velocity_refuses_a_bad_step(dt, steps):
+    # as advance_vorticity does: no nan field, no backward heat step, no
+    # silent no-op and no overflow warning
+    with pytest.raises(ValueError, match="need finite dt > 0 and steps >= 0"):
+        advance_velocity(taylor_green_2d(GRID), dt=dt, steps=steps)
+
+
 def test_cfl_warning():
     w0 = gaussian_vortex(GRID, width_sq=0.3, amplitude=50.0)
     with pytest.warns(RuntimeWarning, match="CFL"):
@@ -395,7 +403,7 @@ def test_large_p_lebesgue_norms_finite_and_homogeneous():
     for p in (256.0, 1024.0):
         row = lebesgue_row(w, p)
         assert 0.0 < row.w_lp < math.inf and 0.0 < row.gradv_lp < math.inf
-        for amplitude in (1e-3, 10.0):
+        for amplitude in (1e-3, 10.0, 1e160):  # 1e160 squares beyond float max
             scaled = lebesgue_row(w * amplitude, p)
             assert math.isclose(scaled.w_lp, amplitude * row.w_lp, rel_tol=1e-12)
             assert math.isclose(scaled.gradv_lp, amplitude * row.gradv_lp,
